@@ -53,18 +53,20 @@ class ExperimentParams:
             raise ValueError(f"dark_count must be in [0, 1], got {self.dark_count!r}")
         if not 0.0 <= self.detector_eff <= 1.0:
             raise ValueError(f"detector_eff must be in [0, 1], got {self.detector_eff!r}")
-        if self.error_correction_f < 1.0:
-            raise ValueError(f"error_correction_f must be >= 1, got {self.error_correction_f!r}")
+        if not 1.0 <= self.error_correction_f < math.inf:
+            raise ValueError(
+                f"error_correction_f must be in [1, inf), got {self.error_correction_f!r}"
+            )
         if not 0.0 <= self.misalignment <= 1.0:
             raise ValueError(f"misalignment must be in [0, 1], got {self.misalignment!r}")
-        if self.fiber_loss_db_km <= 0.0:
-            raise ValueError(f"fiber_loss_db_km must be positive, got {self.fiber_loss_db_km!r}")
-        if self.total_pulses < 1:
-            raise ValueError(f"total_pulses must be >= 1, got {self.total_pulses!r}")
+        if not 0.0 < self.fiber_loss_db_km < math.inf:
+            raise ValueError(f"fiber_loss_db_km must be in (0, inf), got {self.fiber_loss_db_km!r}")
+        if not 1 <= self.total_pulses < math.inf:
+            raise ValueError(f"total_pulses must be in [1, inf), got {self.total_pulses!r}")
         if not 0.0 < self.failure_prob < 1.0:
             raise ValueError(f"failure_prob must be in (0, 1), got {self.failure_prob!r}")
-        if self.distance_km < 0.0:
-            raise ValueError(f"distance_km must be >= 0, got {self.distance_km!r}")
+        if not 0.0 <= self.distance_km < math.inf:
+            raise ValueError(f"distance_km must be in [0, inf), got {self.distance_km!r}")
 
     def at_distance(self, distance_km: float) -> "ExperimentParams":
         return replace(self, distance_km=distance_km)
@@ -86,13 +88,15 @@ class ProtocolParams:
             raise ValueError(f"p_z must be in (0, 1], got {self.p_z!r}")
         if not 0.0 <= self.p_send <= 1.0:
             raise ValueError(f"p_send must be in [0, 1], got {self.p_send!r}")
-        if self.mu_z <= 0.0:
-            raise ValueError(f"mu_z must be positive, got {self.mu_z!r}")
+        if not 0.0 < self.mu_z < math.inf:
+            raise ValueError(f"mu_z must be in (0, inf), got {self.mu_z!r}")
         nu0, nu1, nu2 = self.decoy_intensities
         if nu0 != 0.0:
             raise ValueError("decoy_intensities must start with the vacuum intensity 0")
-        if not 0.0 < nu1 < nu2:
-            raise ValueError(f"decoy intensities must satisfy 0 < mu1 < mu2, got {nu1!r}, {nu2!r}")
+        if not 0.0 < nu1 < nu2 < math.inf:
+            raise ValueError(
+                f"decoy intensities must satisfy 0 < mu1 < mu2 < inf, got {nu1!r}, {nu2!r}"
+            )
         if not 0.0 < self.delta <= 2.0 * math.pi:
             raise ValueError(f"delta must be in (0, 2*pi], got {self.delta!r}")
         if self.decoy_probs is None:
@@ -100,9 +104,9 @@ class ProtocolParams:
             share = (1.0 - self.p_z) / 3.0
             object.__setattr__(self, "decoy_probs", (share, share, share))
         total = self.p_z + sum(self.decoy_probs)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"p_z plus decoy probabilities must sum to 1, got {total!r}")
-        if any(q < 0.0 for q in self.decoy_probs):
+        if not all(q >= 0.0 for q in self.decoy_probs):
             raise ValueError(f"decoy_probs must be non-negative, got {self.decoy_probs!r}")
 
     @property
@@ -134,6 +138,13 @@ def arm_transmittance(exp: ExperimentParams) -> float:
     return exp.detector_eff * 10.0 ** (-exp.fiber_loss_db_km * (exp.distance_km / 2.0) / 10.0)
 
 
+def _visibility(exp: ExperimentParams, convention: Convention) -> tuple[float, float]:
+    """Interference visibility and right/wrong detector mixing weight."""
+    if convention == "mixing":
+        return 1.0, exp.misalignment
+    return 1.0 - 2.0 * exp.misalignment, 0.0
+
+
 def effective_rate_phase_averaged(
     mu_a: float,
     mu_b: float,
@@ -149,23 +160,10 @@ def effective_rate_phase_averaged(
     if mu_a < 0.0 or mu_b < 0.0:
         raise ValueError("intensities must be non-negative")
     s = eta_arm * (mu_a + mu_b)
-    vis = 1.0 if convention == "mixing" else 1.0 - 2.0 * exp.misalignment
+    vis, _ = _visibility(exp, convention)
     kappa = eta_arm * math.sqrt(mu_a * mu_b) * abs(vis)
     quiet = 1.0 - exp.dark_count
     return 2.0 * quiet * math.exp(-0.5 * s) * bessel_i0(kappa) - 2.0 * quiet * quiet * math.exp(-s)
-
-
-def _click_probabilities(
-    lam_hi: np.ndarray, lam_lo: np.ndarray, dark: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-phase (effective, wrong-alone) probabilities for mean photon numbers
-    lam_hi at the expected detector and lam_lo at the other one."""
-    quiet = 1.0 - dark
-    silent_hi = quiet * np.exp(-lam_hi)
-    silent_lo = quiet * np.exp(-lam_lo)
-    effective = silent_hi + silent_lo - 2.0 * silent_hi * silent_lo
-    wrong_alone = (1.0 - silent_lo) * silent_hi
-    return effective, wrong_alone
 
 
 def x_window_rates(
@@ -188,39 +186,23 @@ def x_window_rates(
         raise ValueError("mu_k must be non-negative")
     if not 0.0 < delta <= 2.0 * math.pi:
         raise ValueError(f"delta must be in (0, 2*pi], got {delta!r}")
-    d = exp.dark_count
+    vis, mix = _visibility(exp, convention)
+    quiet = 1.0 - exp.dark_count
+    mean = eta_arm * mu_k
     half = 0.5 * delta
-    if convention == "visibility":
-        vis = 1.0 - 2.0 * exp.misalignment
 
-        def q_integrand(phase: np.ndarray) -> np.ndarray:
-            lam_hi = eta_arm * mu_k * (1.0 + vis * np.cos(phase))
-            lam_lo = eta_arm * mu_k * (1.0 - vis * np.cos(phase))
-            return _click_probabilities(lam_hi, lam_lo, d)[0]
+    def integrand(phase: np.ndarray) -> np.ndarray:
+        """Stacked per-phase (effective, wrong-click) probabilities; "hi" is
+        the detector the interference favours, "lo" the other one."""
+        swing = vis * np.cos(phase)
+        silent_hi = quiet * np.exp(-mean * (1.0 + swing))
+        silent_lo = quiet * np.exp(-mean * (1.0 - swing))
+        effective = silent_hi + silent_lo - 2.0 * silent_hi * silent_lo
+        wrong_alone = (1.0 - silent_lo) * silent_hi
+        return np.stack((effective, (1.0 - mix) * wrong_alone + mix * (effective - wrong_alone)))
 
-        def t_integrand(phase: np.ndarray) -> np.ndarray:
-            lam_hi = eta_arm * mu_k * (1.0 + vis * np.cos(phase))
-            lam_lo = eta_arm * mu_k * (1.0 - vis * np.cos(phase))
-            return _click_probabilities(lam_hi, lam_lo, d)[1]
-
-    else:
-        e_mis = exp.misalignment
-
-        def q_integrand(phase: np.ndarray) -> np.ndarray:
-            lam_hi = eta_arm * mu_k * (1.0 + np.cos(phase))
-            lam_lo = eta_arm * mu_k * (1.0 - np.cos(phase))
-            return _click_probabilities(lam_hi, lam_lo, d)[0]
-
-        def t_integrand(phase: np.ndarray) -> np.ndarray:
-            lam_hi = eta_arm * mu_k * (1.0 + np.cos(phase))
-            lam_lo = eta_arm * mu_k * (1.0 - np.cos(phase))
-            effective, wrong = _click_probabilities(lam_hi, lam_lo, d)
-            right = effective - wrong
-            return (1.0 - e_mis) * wrong + e_mis * right
-
-    q_x = simpson(q_integrand, -half, half, n_intervals) / delta
-    t_x = simpson(t_integrand, -half, half, n_intervals) / delta
-    return q_x, t_x
+    q_x, t_x = simpson(integrand, -half, half, n_intervals) / delta
+    return float(q_x), float(t_x)
 
 
 def single_photon_quantities(exp: ExperimentParams, eta_arm: float) -> tuple[float, float]:

@@ -166,6 +166,9 @@ def _parse_range(value: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ConfigError(f"field 'range': expected 'lo:hi:step', got {value!r}")
     lo, hi, step = (float(p) for p in parts)
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        # an infinite bound never ends the scan loop; a NaN one yields no distances
+        raise ConfigError(f"field 'range': bounds and step must be finite, got {value!r}")
     if step <= 0.0:
         raise ConfigError(f"field 'range': step must be positive, got {step!r}")
     if hi < lo:
@@ -270,8 +273,6 @@ def _config_header(cfg: RunConfig, columns: list[str]) -> list[str]:
 
 
 def _format_cell(name: str, value: float) -> str:
-    if name.endswith("_hex"):
-        return value
     if name == "distance_km":
         return f"{value:g}"
     if math.isinf(value):

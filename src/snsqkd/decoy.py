@@ -45,8 +45,6 @@ class UntaggedStats:
     n1_1: float        # untagged bits carrying bit value 1
     e1ph: float        # upper bound on the untagged phase-flip error rate
     n0: float          # effective one-sender windows that emitted vacuum
-    expected_n1: float
-    expected_e1ph: float
 
     def scaled(self, factor: float) -> "UntaggedStats":
         return UntaggedStats(
@@ -55,8 +53,6 @@ class UntaggedStats:
             n1_1=self.n1_1 * factor,
             e1ph=self.e1ph,
             n0=self.n0 * factor,
-            expected_n1=self.expected_n1 * factor,
-            expected_e1ph=self.expected_e1ph,
         )
 
 
@@ -70,27 +66,26 @@ class DecoyObservations:
     t_delta: float     # wrong-click rate of phase-post-selected mu1 decoy windows
 
 
-def _single_sender_emissions(exp: ExperimentParams, proto: ProtocolParams) -> float:
-    """Expected number of signal windows in which exactly one side sends."""
-    return exp.total_pulses * proto.p_z**2 * 2.0 * proto.p_send * (1.0 - proto.p_send)
+def _untagged(
+    exp: ExperimentParams, proto: ProtocolParams, y1: float, e1ph: float, vacuum_rate: float
+) -> UntaggedStats:
+    """Untagged statistics of the one-sender signal windows from a
+    single-photon yield, its phase error and the vacuum counting rate."""
+    # expected signal windows in which exactly one side sends and emits vacuum
+    vacuum_senders = (
+        exp.total_pulses * proto.p_z**2 * 2.0 * proto.p_send * (1.0 - proto.p_send)
+        * math.exp(-proto.mu_z)
+    )
+    n1 = vacuum_senders * proto.mu_z * y1
+    return UntaggedStats(n1=n1, n1_0=0.5 * n1, n1_1=0.5 * n1, e1ph=e1ph,
+                         n0=vacuum_senders * vacuum_rate)
 
 
 def untagged_asymptotic(
     exp: ExperimentParams, proto: ProtocolParams, rates: WindowRates
 ) -> UntaggedStats:
     """Exact untagged statistics in the infinite-decoy limit."""
-    single_sender = _single_sender_emissions(exp, proto)
-    n1 = single_sender * math.exp(-proto.mu_z) * proto.mu_z * rates.y1
-    n0 = single_sender * math.exp(-proto.mu_z) * rates.q_nn
-    return UntaggedStats(
-        n1=n1,
-        n1_0=0.5 * n1,
-        n1_1=0.5 * n1,
-        e1ph=rates.e1_raw,
-        n0=n0,
-        expected_n1=n1,
-        expected_e1ph=rates.e1_raw,
-    )
+    return _untagged(exp, proto, rates.y1, rates.e1_raw, rates.q_nn)
 
 
 def decoy_observations(
@@ -136,15 +131,4 @@ def untagged_decoy(
             f"phase-error bound numerator is negative ({error_num!r})"
         )
     e1_upper = min(error_num / (2.0 * mu1 * math.exp(-2.0 * mu1) * y1_lower), 0.5)
-
-    n1 = _single_sender_emissions(exp, proto) * math.exp(-proto.mu_z) * proto.mu_z * y1_lower
-    n0 = _single_sender_emissions(exp, proto) * math.exp(-proto.mu_z) * obs.s_0
-    return UntaggedStats(
-        n1=n1,
-        n1_0=0.5 * n1,
-        n1_1=0.5 * n1,
-        e1ph=e1_upper,
-        n0=n0,
-        expected_n1=n1,
-        expected_e1ph=e1_upper,
-    )
+    return _untagged(exp, proto, y1_lower, e1_upper, obs.s_0)

@@ -29,7 +29,7 @@ def bessel_i0(x: float) -> float:
     stay within 1e-12 relative error.  Arguments above 700 would overflow
     a double and are rejected.
     """
-    if x < 0.0:
+    if not x >= 0.0:  # also refuses NaN, on which the asymptotic loop never ends
         raise ValueError(f"bessel_i0 requires x >= 0, got {x!r}")
     if x > _I0_OVERFLOW_LIMIT:
         raise OverflowError(f"bessel_i0 overflows for x > {_I0_OVERFLOW_LIMIT}, got {x!r}")
@@ -93,10 +93,14 @@ def find_root(fn: Callable[[float], float], lo: float, hi: float, tol: float) ->
     return 0.5 * (lo + hi)
 
 
-def simpson(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 1024) -> float:
+def simpson(
+    fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 1024
+) -> float | np.ndarray:
     """Composite Simpson quadrature over [a, b] with n uniform intervals.
 
-    ``fn`` must accept a numpy array of nodes.  n is rounded up to even.
+    ``fn`` must accept a numpy array of nodes and may return stacked rows of
+    integrands, one per leading index; each row is integrated along the last
+    axis.  A scalar integrand gives a float.  n is rounded up to even.
     """
     if b <= a:
         raise ValueError("simpson requires b > a")
@@ -105,4 +109,6 @@ def simpson(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int =
     nodes = np.linspace(a, b, n + 1)
     vals = np.asarray(fn(nodes), dtype=float)
     h = (b - a) / n
-    return float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum()))
+    total = h / 3.0 * (vals[..., 0] + vals[..., -1] + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
+                       + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
+    return float(total) if total.ndim == 0 else total

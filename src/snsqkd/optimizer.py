@@ -155,7 +155,7 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams) -> OptimizationResul
             options={"maxfev": maxfev, "xatol": 1e-4, "fatol": 1e-12},
         )
         final = from_vector(result.x)
-        final_value = -result.fun
+        final_value = -float(result.fun)
         if final_value < start_value:  # refinement never loses its starting cell
             final, final_value = dict(start), start_value
         return RestartRecord(
@@ -225,7 +225,8 @@ def _encode(name: str, value: float) -> float:
 
 
 def _decode(name: str, x: float) -> float:
-    return math.exp(x) if name in _LOG_VARS else x
+    # float() keeps numpy scalars from the simplex out of ProtocolParams and output
+    return math.exp(x) if name in _LOG_VARS else float(x)
 
 
 def _grid_cells(

@@ -206,6 +206,16 @@ def z_window_counts(
     )
 
 
+def _one_way_terms(
+    counts: ZWindowCounts, untagged: UntaggedStats, vacuum_credit: bool
+) -> tuple[float, float]:
+    """Untagged and phase terms of the key lengths without error rejection."""
+    if untagged.n1 > counts.n_t:
+        raise ValueError("untagged bits cannot exceed the effective window count")
+    untagged_term = untagged.n1 + (untagged.n0 if vacuum_credit else 0.0)
+    return untagged_term, -untagged.n1 * binary_entropy(untagged.e1ph)
+
+
 def key_length_original(
     counts: ZWindowCounts,
     untagged: UntaggedStats,
@@ -218,16 +228,9 @@ def key_length_original(
     With ``vacuum_credit`` the effective one-sender vacuum windows are added
     to the untagged term (they leak nothing about who decided to send).
     """
-    if untagged.n1 > counts.n_t:
-        raise ValueError("untagged bits cannot exceed the effective window count")
-    untagged_term = untagged.n1 + (untagged.n0 if vacuum_credit else 0.0)
-    return _key_result(
-        "original",
-        total_pulses,
-        untagged_term,
-        -untagged.n1 * binary_entropy(untagged.e1ph),
-        -f_ec * counts.n_t * binary_entropy(counts.e_z),
-    )
+    untagged_term, phase_term = _one_way_terms(counts, untagged, vacuum_credit)
+    ec_term = -f_ec * counts.n_t * binary_entropy(counts.e_z)
+    return _key_result("original", total_pulses, untagged_term, phase_term, ec_term)
 
 
 def key_length_refined(
@@ -238,19 +241,11 @@ def key_length_refined(
     vacuum_credit: bool = False,
 ) -> KeyResult:
     """Key length with the error-correction cost split by bit group."""
-    if untagged.n1 > counts.n_t:
-        raise ValueError("untagged bits cannot exceed the effective window count")
-    untagged_term = untagged.n1 + (untagged.n0 if vacuum_credit else 0.0)
+    untagged_term, phase_term = _one_way_terms(counts, untagged, vacuum_credit)
     ec = counts.n_group0 * binary_entropy(counts.e_group0) + counts.n_group1 * binary_entropy(
         counts.e_group1
     )
-    return _key_result(
-        "refined",
-        total_pulses,
-        untagged_term,
-        -untagged.n1 * binary_entropy(untagged.e1ph),
-        -f_ec * ec,
-    )
+    return _key_result("refined", total_pulses, untagged_term, phase_term, -f_ec * ec)
 
 
 def bfer_expectations(counts: ZWindowCounts, untagged: UntaggedStats) -> BferOutcome:
@@ -309,19 +304,23 @@ def bfer_expectations(counts: ZWindowCounts, untagged: UntaggedStats) -> BferOut
     )
 
 
-def key_length_bfer(bfer: BferOutcome, f_ec: float, total_pulses: float) -> KeyResult:
-    """Key length after error rejection, keeping all survivor classes."""
-    ec = (
+def _class_ec(bfer: BferOutcome) -> float:
+    """Error-correction cost of the three survivor classes, before f_ec."""
+    return (
         bfer.n_t1 * binary_entropy(bfer.e1)
         + bfer.n_t2 * binary_entropy(bfer.e2)
         + bfer.n_t3 * binary_entropy(bfer.e3)
     )
+
+
+def key_length_bfer(bfer: BferOutcome, f_ec: float, total_pulses: float) -> KeyResult:
+    """Key length after error rejection, keeping all survivor classes."""
     return _key_result(
         "bfer",
         total_pulses,
         bfer.n1_survived,
         -bfer.n1_survived * binary_entropy(bfer.e1ph_iter),
-        -f_ec * ec,
+        -f_ec * _class_ec(bfer),
     )
 
 
@@ -336,16 +335,9 @@ def key_length_finite(
 
     The expected untagged survivor count and phase error are converted to
     high-confidence bounds; the directly observable class counts enter raw.
+    ``bfer`` must come from ``bfer_expectations`` on the same ``untagged``.
     """
-    expected_pairs = 0.5 * bfer.n_t * (untagged.expected_n1 / bfer.n_t) ** 2
-    n1_lower, e1_upper = post_rejection_bounds(
-        expected_pairs, untagged.expected_e1ph, budget.xi
-    )
-    ec = (
-        bfer.n_t1 * binary_entropy(bfer.e1)
-        + bfer.n_t2 * binary_entropy(bfer.e2)
-        + bfer.n_t3 * binary_entropy(bfer.e3)
-    )
+    n1_lower, e1_upper = post_rejection_bounds(bfer.n1_survived, untagged.e1ph, budget.xi)
     penalty = -math.log2(2.0 / budget.eps_cor) - 2.0 * math.log2(
         1.0 / (math.sqrt(2.0) * budget.eps_pa * budget.eps_hat)
     )
@@ -354,9 +346,14 @@ def key_length_finite(
         total_pulses,
         n1_lower,
         -n1_lower * binary_entropy(e1_upper),
-        -f_ec * ec,
+        -f_ec * _class_ec(bfer),
         penalty,
     )
+
+
+def _odd_pairs(counts: ZWindowCounts) -> float:
+    """Odd-parity pairs formed by random pairing, N1*N0/(N1+N0)."""
+    return counts.n_group1 * counts.n_group0 / (counts.n_group1 + counts.n_group0)
 
 
 def odd_parity_sift(counts: ZWindowCounts, untagged: UntaggedStats) -> OddSiftOutcome:
@@ -369,7 +366,7 @@ def odd_parity_sift(counts: ZWindowCounts, untagged: UntaggedStats) -> OddSiftOu
     n_cross_c = 2.0 * pairs * (counts.n_c1 / n_t) * (counts.n_c0 / n_t)
     n_t1 = n_vd_dv + n_cross_c
     return OddSiftOutcome(
-        n_r=counts.n_group1 * counts.n_group0 / (counts.n_group1 + counts.n_group0),
+        n_r=_odd_pairs(counts),
         n_t1=n_t1,
         e1=n_vd_dv / n_t1 if n_t1 > 0.0 else 0.0,
         n1_kept=2.0 * pairs * (untagged.n1_1 / n_t) * (untagged.n1_0 / n_t),
@@ -403,7 +400,7 @@ def aopp(counts: ZWindowCounts, untagged: UntaggedStats) -> AoppOutcome:
     n_vd_dv = (counts.n_v / n_group1) * (counts.n_d / n_group0) * n_a
     n_kept = n_both_c + n_vd_dv
     return AoppOutcome(
-        n_r=n_group1 * n_group0 / (n_group1 + n_group0),
+        n_r=_odd_pairs(counts),
         n_a=n_a,
         n_both_c=n_both_c,
         n_vd_dv=n_vd_dv,

@@ -1,0 +1,115 @@
+"""Pinned binary outputs of the evaluation path.
+
+The finite-size optimum moves when any input to it changes in its last bit,
+so a rewrite of a formula on the evaluation path must reproduce these
+values exactly, not merely within a tolerance.  The hex strings were
+recorded from the library and are compared with ``float.hex``.
+"""
+
+import math
+
+import pytest
+
+from snsqkd import VARIANTS, ProtocolParams, arm_transmittance, evaluate, preset
+from snsqkd.channel import x_window_rates
+
+POINTS = {
+    "rowC@100": ("rowC", 100.0, dict(p_z=0.9, p_send=0.1, mu_z=0.4,
+                                     decoy_intensities=(0.0, 0.05, 0.15))),
+    "rowF@240": ("rowF", 240.0, dict(p_z=0.8, p_send=0.05, mu_z=0.3,
+                                     decoy_intensities=(0.0, 0.02, 0.08),
+                                     delta=2.0 * math.pi / 23.0)),
+    "table2@502": ("table2", 502.0, dict(p_z=0.99, p_send=0.25, mu_z=0.5,
+                                         decoy_intensities=(0.0, 0.005, 0.1),
+                                         delta=2.0 * math.pi / 23.0)),
+}
+
+# (point, convention, vacuum_credit) -> key length per variant
+KEY_LENGTH_HEX = {
+    ("rowC@100", "visibility", False): {
+        "original": "-0x1.2ae6d816fc280p+28", "refined": "0x1.65d6cdbaa6c40p+24",
+        "bfer": "0x1.a89b500995b00p+27", "oddsift": "0x1.3888d8792d86ap+27",
+        "aopp": "0x1.1c6049f5f7e9bp+28", "finite": "0x1.6e67c6bb4e034p+27"},
+    ("rowC@100", "visibility", True): {
+        "original": "-0x1.2ae65dec88798p+28", "refined": "0x1.65de7061e1ac0p+24",
+        "bfer": "0x1.a89b500995b00p+27", "oddsift": "0x1.3888d8792d86ap+27",
+        "aopp": "0x1.1c6049f5f7e9bp+28", "finite": "0x1.6e67c6bb4e034p+27"},
+    ("rowC@100", "mixing", False): {
+        "original": "-0x1.2c0164290cc3cp+28", "refined": "0x1.58c0a5794c600p+24",
+        "bfer": "0x1.a8468797c8580p+27", "oddsift": "0x1.388142ff2049cp+27",
+        "aopp": "0x1.1c53bdf0f867fp+28", "finite": "0x1.6d4bff1badf3ap+27"},
+    ("rowC@100", "mixing", True): {
+        "original": "-0x1.2c00e9fe99154p+28", "refined": "0x1.58c8482087480p+24",
+        "bfer": "0x1.a8468797c8580p+27", "oddsift": "0x1.388142ff2049cp+27",
+        "aopp": "0x1.1c53bdf0f867fp+28", "finite": "0x1.6d4bff1badf3ap+27"},
+    ("rowF@240", "visibility", False): {
+        "original": "-0x1.a159cee968ddcp+20", "refined": "-0x1.a906e94412b80p+19",
+        "bfer": "0x1.548f5f92118a6p+19", "oddsift": "0x1.b791916d1c25ap+18",
+        "aopp": "0x1.a4550ca4bf54bp+19", "finite": "0x1.21d6828da388ep+19"},
+    ("rowF@240", "visibility", True): {
+        "original": "-0x1.9f97640bf3964p+20", "refined": "-0x1.a582138928290p+19",
+        "bfer": "0x1.548f5f92118a6p+19", "oddsift": "0x1.b791916d1c25ap+18",
+        "aopp": "0x1.a4550ca4bf54bp+19", "finite": "0x1.21d6828da388ep+19"},
+    ("rowF@240", "mixing", False): {
+        "original": "-0x1.a169ad0b896c8p+20", "refined": "-0x1.a92072a9dbc40p+19",
+        "bfer": "0x1.548c6dca349bdp+19", "oddsift": "0x1.b790b33ccc44ep+18",
+        "aopp": "0x1.a453ff065d26bp+19", "finite": "0x1.21cf25478949dp+19"},
+    ("rowF@240", "mixing", True): {
+        "original": "-0x1.9fa7422e14250p+20", "refined": "-0x1.a59b9ceef1350p+19",
+        "bfer": "0x1.548c6dca349bdp+19", "oddsift": "0x1.b790b33ccc44ep+18",
+        "aopp": "0x1.a453ff065d26bp+19", "finite": "0x1.21cf25478949dp+19"},
+    ("table2@502", "visibility", False): {
+        "original": "-0x1.30abfa26245e2p+26", "refined": "-0x1.9fa530d39c4f8p+25",
+        "bfer": "-0x1.0adcb2695019fp+23", "oddsift": "0x1.45e92210ae989p+20",
+        "aopp": "0x1.055c7113b5b0bp+21", "finite": "-0x1.0eeaf15276096p+23"},
+    ("table2@502", "visibility", True): {
+        "original": "-0x1.303e41e18efb4p+26", "refined": "-0x1.9ec9c04a7189bp+25",
+        "bfer": "-0x1.0adcb2695019fp+23", "oddsift": "0x1.45e92210ae989p+20",
+        "aopp": "0x1.055c7113b5b0bp+21", "finite": "-0x1.0eeaf15276096p+23"},
+    ("table2@502", "mixing", False): {
+        "original": "-0x1.30ac0c8881f2cp+26", "refined": "-0x1.9fa54940680c6p+25",
+        "bfer": "-0x1.0adcce4acb6cep+23", "oddsift": "0x1.45e9118c1a938p+20",
+        "aopp": "0x1.055c60ff09a17p+21", "finite": "-0x1.0eeb0e1c93462p+23"},
+    ("table2@502", "mixing", True): {
+        "original": "-0x1.303e5443ec8fep+26", "refined": "-0x1.9ec9d8b73d469p+25",
+        "bfer": "-0x1.0adcce4acb6cep+23", "oddsift": "0x1.45e9118c1a938p+20",
+        "aopp": "0x1.055c60ff09a17p+21", "finite": "-0x1.0eeb0e1c93462p+23"},
+}
+
+# (preset, distance, mu_k, delta, convention, n_intervals) -> (q_x, t_x)
+X_WINDOW_HEX = {
+    ("rowC", 100.0, 0.05, 2.0 * math.pi / 16.0, "visibility", None):
+        ("0x1.46c817e22edcfp-8", "0x1.13f04832e7be2p-12"),
+    ("rowC", 100.0, 0.05, 2.0 * math.pi / 16.0, "mixing", None):
+        ("0x1.46dbb68c93bc1p-8", "0x1.148d1f94368b7p-12"),
+    ("table2", 502.0, 0.005, 2.0 * math.pi / 23.0, "visibility", None):
+        ("0x1.266b4bf8b8000p-22", "0x1.4083e403e889dp-25"),
+    ("rowF", 0.0, 0.3, 2.0 * math.pi, "mixing", None):
+        ("0x1.49c7aa834a2dcp-3", "0x1.49c7aa834a2dcp-4"),
+    ("rowE", 300.0, 0.1, 0.4, "visibility", 64):
+        ("0x1.f8a401fee3155p-15", "0x1.a2b6c6fa3a485p-18"),
+    ("rowA", 50.0, 0.0, 1.0, "mixing", None):
+        ("0x1.5798ee0000000p-26", "0x1.5798ee05f9021p-27"),
+}
+
+
+@pytest.mark.parametrize("point, convention, vacuum_credit", sorted(KEY_LENGTH_HEX))
+def test_key_length_bits(point, convention, vacuum_credit):
+    preset_name, distance, kwargs = POINTS[point]
+    exp = preset(preset_name, distance)
+    proto = ProtocolParams(**kwargs)
+    got = {
+        variant: evaluate(exp, proto, variant, vacuum_credit, convention).key.key_length.hex()
+        for variant in VARIANTS
+    }
+    assert got == KEY_LENGTH_HEX[point, convention, vacuum_credit]
+
+
+@pytest.mark.parametrize("case", sorted(X_WINDOW_HEX, key=repr))
+def test_x_window_rates_bits(case):
+    preset_name, distance, mu_k, delta, convention, n_intervals = case
+    exp = preset(preset_name, distance)
+    extra = {} if n_intervals is None else {"n_intervals": n_intervals}
+    q_x, t_x = x_window_rates(mu_k, delta, exp, arm_transmittance(exp), convention, **extra)
+    assert type(q_x) is float and type(t_x) is float
+    assert (q_x.hex(), t_x.hex()) == X_WINDOW_HEX[case]

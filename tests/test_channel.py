@@ -42,6 +42,18 @@ def unaveraged_rate(mu_a, mu_b, exp, eta, phase):
     return silent_p + silent_m - 2.0 * silent_p * silent_m
 
 
+EXPERIMENT_FIELDS = (
+    "dark_count", "detector_eff", "error_correction_f", "misalignment",
+    "fiber_loss_db_km", "total_pulses", "failure_prob", "distance_km",
+)
+PROTOCOL_BASE = dict(p_z=0.7, p_send=0.1, mu_z=0.5, decoy_intensities=(0.0, 0.05, 0.1),
+                     decoy_probs=(0.1, 0.1, 0.1), delta=0.4)
+# (field, tuple index or None)
+PROTOCOL_SLOTS = [(name, None) for name in ("p_z", "p_send", "mu_z", "delta")] + [
+    (name, i) for name in ("decoy_intensities", "decoy_probs") for i in range(3)
+]
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -66,6 +78,27 @@ class TestParams:
 
     def test_at_distance(self):
         assert make_exp().at_distance(10.0).distance_km == 10.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", EXPERIMENT_FIELDS)
+    def test_experiment_refuses_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            make_exp(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", PROTOCOL_SLOTS, ids=str)
+    def test_protocol_refuses_non_finite(self, slot, value):
+        name, index = slot
+        kwargs = dict(PROTOCOL_BASE)
+        ProtocolParams(**kwargs)
+        if index is None:
+            kwargs[name] = value
+        else:
+            items = list(kwargs[name])
+            items[index] = value
+            kwargs[name] = tuple(items)
+        with pytest.raises(ValueError):
+            ProtocolParams(**kwargs)
 
 
 class TestArmTransmittance:

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
+from snsqkd import cli
 from snsqkd.cli import ConfigError, main, parse_config_file, plob_rate
 
 FIXED_PROTO = [
@@ -69,6 +71,12 @@ class TestConfigFile:
 
     def test_bad_range(self, tmp_path):
         path = write_config(tmp_path, "range = 100:50:10\n")
+        with pytest.raises(ConfigError, match="range"):
+            parse_config_file(path)
+
+    @pytest.mark.parametrize("spec", ["0:inf:10", "nan:100:10", "0:100:nan", "-inf:0:10"])
+    def test_non_finite_range(self, tmp_path, spec):
+        path = write_config(tmp_path, f"range = {spec}\n")
         with pytest.raises(ConfigError, match="range"):
             parse_config_file(path)
 
@@ -219,3 +227,28 @@ def test_mc_verify_million_bits_under_a_minute(tmp_path):
     assert elapsed < 60.0
     text = (tmp_path / "z.csv").read_text()
     assert "seeds = 2" in text
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_distance_is_a_configuration_error(value, capsys):
+    argv = ["point", "--preset", "rowC", "--variant", "aopp", f"--distance={value}"]
+    assert main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["fiber_loss_db_km", "total_pulses", "error_correction_f", "mu_z"])
+def test_non_finite_config_value_is_a_configuration_error(key, tmp_path, capsys):
+    path = write_config(tmp_path, f"preset = rowC\np_send = 0.1\nmu_z = 0.4\n{key} = nan\n")
+    assert main(["point", "--config", path, "--variant", "aopp", "--distance", "100"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_finite_output_has_no_numpy_reprs(monkeypatch, capsys):
+    full = cli._optimization_spec
+    monkeypatch.setattr(cli, "_optimization_spec", lambda cfg, variant: dataclasses.replace(
+        full(cfg, variant), grid_mu=4, grid_p=4, grid_pz=2, restarts=2, budget=300,
+        delta_values=(2.0 * math.pi / 16.0,)))
+    for command in ("point", "optimize"):
+        assert main([command, "--preset", "table2", "--variant", "finite", "--distance", "300"]) == 0
+    out = capsys.readouterr().out
+    assert "p_z=" in out and "np." not in out

@@ -63,7 +63,6 @@ class TestAsymptotic:
         assert stats.n1 == pytest.approx(expected, rel=1e-14)
         assert stats.n1_0 + stats.n1_1 == stats.n1
         assert stats.n1_0 == stats.n1_1
-        assert stats.expected_n1 == stats.n1
 
     def test_vacuum_window_count(self):
         exp, proto = make_exp(), make_proto()

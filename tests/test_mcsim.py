@@ -15,10 +15,7 @@ def make_fixture(scale=N_BITS / 1000.0, balanced=True):
     else:
         counts = ZWindowCounts(450.0, 300.0, 100.0, 150.0).scaled(scale)
         n1_0, n1_1 = 300.0 * scale, 200.0 * scale
-    untagged = UntaggedStats(
-        n1=n1_0 + n1_1, n1_0=n1_0, n1_1=n1_1, e1ph=0.05, n0=0.0,
-        expected_n1=n1_0 + n1_1, expected_e1ph=0.05,
-    )
+    untagged = UntaggedStats(n1=n1_0 + n1_1, n1_0=n1_0, n1_1=n1_1, e1ph=0.05, n0=0.0)
     return counts, untagged
 
 
@@ -55,8 +52,7 @@ class TestSampleString:
 
     def test_all_c_untagged(self):
         counts = ZWindowCounts(500.0, 500.0, 10.0, 10.0).scaled(100.0)
-        untagged = UntaggedStats(n1=100_000.0, n1_0=50_000.0, n1_1=50_000.0, e1ph=0.0,
-                                 n0=0.0, expected_n1=100_000.0, expected_e1ph=0.0)
+        untagged = UntaggedStats(n1=100_000.0, n1_0=50_000.0, n1_1=50_000.0, e1ph=0.0, n0=0.0)
         s = mcsim.sample_string(counts, untagged, seed=3)
         c_mask = s.labels <= mcsim.C1
         assert s.untagged[c_mask].all()
@@ -64,7 +60,7 @@ class TestSampleString:
     def test_inconsistent_untagged_counts(self):
         counts, _ = make_fixture()
         bad = UntaggedStats(n1=counts.n_c0 * 3, n1_0=counts.n_c0 * 1.5, n1_1=counts.n_c0 * 1.5,
-                            e1ph=0.0, n0=0.0, expected_n1=0.0, expected_e1ph=0.0)
+                            e1ph=0.0, n0=0.0)
         with pytest.raises(ValueError):
             mcsim.sample_string(counts, bad, seed=0)
 
@@ -72,8 +68,7 @@ class TestSampleString:
 class TestRunBfer:
     def test_error_free_string_discards_nothing(self):
         counts = ZWindowCounts(500.0, 500.0, 0.0, 0.0).scaled(100.0)
-        untagged = UntaggedStats(n1=0.0, n1_0=0.0, n1_1=0.0, e1ph=0.0, n0=0.0,
-                                 expected_n1=0.0, expected_e1ph=0.0)
+        untagged = UntaggedStats(n1=0.0, n1_0=0.0, n1_1=0.0, e1ph=0.0, n0=0.0)
         s = mcsim.sample_string(counts, untagged, seed=5)
         emp = mcsim.run_bfer(s, seed=6)
         assert emp.n_survived == emp.n_pairs
@@ -143,7 +138,7 @@ class TestRunAopp:
 
     def test_single_valued_string_rejected(self):
         counts = ZWindowCounts(1000.0, 0.0, 10.0, 0.0)
-        untagged = UntaggedStats(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        untagged = UntaggedStats(0.0, 0.0, 0.0, 0.0, 0.0)
         s = mcsim.sample_string(counts, untagged, seed=25)
         with pytest.raises(ValueError):
             mcsim.run_aopp(s, seed=26)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -63,3 +64,16 @@ def test_budget_limits_evaluations():
     result = optimize(spec, preset("rowF", 240.0))
     # grid plus refinement overhead stays near the requested budget
     assert result.evaluations <= 1200
+
+
+def test_result_carries_python_floats_only():
+    spec = OptimizationSpec(variant="finite", grid_mu=4, grid_p=4, grid_pz=2, restarts=2,
+                            budget=300, delta_values=(2.0 * math.pi / 16.0,))
+    result = optimize(spec, preset("table2", 300.0))
+    assert any(r.final != r.start for r in result.restarts)
+    for field in dataclasses.fields(result.params):
+        value = getattr(result.params, field.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            assert type(item) is float, (field.name, value)
+    assert type(result.key_length) is float and type(result.rate) is float
+    assert all(type(r.final_value) is float for r in result.restarts)

@@ -28,9 +28,7 @@ N_PULSES = 1e12
 
 def make_untagged(n1, e1ph, n1_0=None, n0=0.0):
     n1_0 = 0.5 * n1 if n1_0 is None else n1_0
-    return UntaggedStats(
-        n1=n1, n1_0=n1_0, n1_1=n1 - n1_0, e1ph=e1ph, n0=n0, expected_n1=n1, expected_e1ph=e1ph
-    )
+    return UntaggedStats(n1=n1, n1_0=n1_0, n1_1=n1 - n1_0, e1ph=e1ph, n0=n0)
 
 
 def random_counts(rng, scale=1e6):
