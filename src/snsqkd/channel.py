@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
 from .mathcore import bessel_i0, simpson
 
 __all__ = [
+    "CONVENTIONS",
     "ExperimentParams",
     "ProtocolParams",
     "WindowRates",
@@ -31,6 +32,7 @@ __all__ = [
 # interference visibility V = 1 - 2*e_mis; "mixing" keeps ideal interference
 # and mixes right/wrong detector outcomes with weight e_mis.
 Convention = Literal["visibility", "mixing"]
+CONVENTIONS: tuple[str, ...] = get_args(Convention)
 
 X_QUAD_INTERVALS = 1024
 
@@ -140,9 +142,11 @@ def arm_transmittance(exp: ExperimentParams) -> float:
 
 def _visibility(exp: ExperimentParams, convention: Convention) -> tuple[float, float]:
     """Interference visibility and right/wrong detector mixing weight."""
+    if convention == "visibility":
+        return 1.0 - 2.0 * exp.misalignment, 0.0
     if convention == "mixing":
         return 1.0, exp.misalignment
-    return 1.0 - 2.0 * exp.misalignment, 0.0
+    raise ValueError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
 
 
 def effective_rate_phase_averaged(

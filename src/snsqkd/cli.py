@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import mcsim, qubitmodel
-from .channel import ExperimentParams, ProtocolParams, arm_transmittance
+from .channel import CONVENTIONS, ExperimentParams, ProtocolParams, arm_transmittance
 from .decoy import UntaggedStats
 from .optimizer import OptimizationSpec, optimize
 from .pipeline import VARIANTS, PointResult, evaluate, mode_for_variant
@@ -111,6 +111,9 @@ class RunConfig:
 
 _BOOL_KEYS = {"vacuum_credit", "inject_fault"}
 _INT_KEYS = {"seed", "bits", "n_seeds", "grid_points", "jobs"}
+# smallest accepted value of each count: sampling needs two bits, a pair-state
+# grid one point per axis
+_COUNT_MINIMA = {"bits": 2, "n_seeds": 1, "grid_points": 1, "jobs": 1}
 _STR_KEYS = {"preset", "mode", "out", "convention"}
 
 
@@ -145,6 +148,8 @@ def _convert_config_value(key: str, value: str) -> object:
             return int(value)
         except ValueError:
             raise ConfigError(f"field {key!r}: expected an integer, got {value!r}") from None
+    if key == "convention" and value not in CONVENTIONS:
+        raise ConfigError(f"field 'convention': expected one of {CONVENTIONS}, got {value!r}")
     if key in _STR_KEYS:
         return value
     if key == "variant":
@@ -204,6 +209,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             cfg.range_spec = value  # type: ignore[assignment]
         else:
             setattr(cfg, key, value)
+    for key, low in _COUNT_MINIMA.items():
+        if getattr(cfg, key) < low:
+            raise ConfigError(f"field {key!r}: must be at least {low}, got {getattr(cfg, key)}")
     return cfg
 
 
@@ -497,7 +505,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--distance", type=float, help="distance in km")
     parser.add_argument("--range", dest="range", help="distance range lo:hi:step in km")
     parser.add_argument("--jobs", type=int, help="parallel distance evaluations")
-    parser.add_argument("--convention", choices=("visibility", "mixing"))
+    parser.add_argument("--convention", choices=CONVENTIONS)
     parser.add_argument("--vacuum-credit", dest="vacuum_credit", action="store_const", const=True)
 
 

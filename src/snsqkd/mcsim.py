@@ -3,8 +3,10 @@
 Samples labeled bit strings with the same composition as an expected-count
 instance, runs the literal post-processing procedures (random pairing with
 parity comparison, odd-parity sifting, actively odd-parity pairing), and
-compares every tallied statistic against its analytic expectation via
-binomial z-scores.
+compares every tallied statistic against its analytic expectation.  Each
+statistic is a binomial count, reported with its z-score and flagged by its
+exact binomial tail.  The actively odd-parity pairing is sampled exactly in
+distribution by vectorized draws (``_aopp_pairs``).
 
 All randomness comes from a single seeded PCG64 stream per run so results
 are reproducible; the algorithm identifier is recorded in emitted reports.
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+from scipy.special import betainc, gammainc, gammaincc, ndtr
 
 from .decoy import UntaggedStats
 from .postproc import ZWindowCounts
@@ -36,6 +39,12 @@ __all__ = [
 ]
 
 RNG_ALGORITHM = "numpy-pcg64"
+
+# compare() flags a count whose binomial tail is below the one-sided normal
+# tail at Z_LIMIT sigmas: the significance of |z| > Z_LIMIT, exact also for
+# classes that expect less than one event.
+Z_LIMIT = 5.0
+TAIL_LIMIT = float(ndtr(-Z_LIMIT))
 
 # Label codes and the bit a label implies on each side.  One-sender events
 # agree on the bit; both-send (D) and neither-send (V) events are the
@@ -89,7 +98,6 @@ class BferEmpirical:
 class AoppEmpirical:
     """Tally of one actively-odd-parity-pairing run."""
 
-    method: str
     n_a: int
     n_both_c: int
     n_vd_dv: int
@@ -186,60 +194,30 @@ def run_bfer(s: LabeledString, seed: int) -> BferEmpirical:
     )
 
 
-def _aopp_pairs_sequential(bob: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Literal sequential draws: first bit uniform over the remaining pool,
-    second uniform over the remaining bits of the opposite value."""
-    pool0 = list(np.flatnonzero(bob == 0))
-    pool1 = list(np.flatnonzero(bob == 1))
-    n_pairs = min(len(pool0), len(pool1))
-    u = rng.random(2 * n_pairs)
-    firsts = np.empty(n_pairs, dtype=np.int64)
-    seconds = np.empty(n_pairs, dtype=np.int64)
-    for k in range(n_pairs):
-        m0 = len(pool0)
-        m1 = len(pool1)
-        j = int(u[2 * k] * (m0 + m1))
-        if j < m0:
-            pool0[j], pool0[-1] = pool0[-1], pool0[j]
-            firsts[k] = pool0.pop()
-            other = pool1
-        else:
-            j -= m0
-            pool1[j], pool1[-1] = pool1[-1], pool1[j]
-            firsts[k] = pool1.pop()
-            other = pool0
-        i = int(u[2 * k + 1] * len(other))
-        other[i], other[-1] = other[-1], other[i]
-        seconds[k] = other.pop()
-    return firsts, seconds
+def _aopp_pairs(bob: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Exact sampler of the literal pairing: draw the first bit uniformly over
+    both pools, the second uniformly over the opposite pool, until one empties.
 
-
-def _aopp_pairs_shuffle(bob: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Equivalent-in-distribution fast path: shuffle each value class and zip.
-
-    Which class supplies the "first" bit is irrelevant for every tallied
-    statistic (kept-bit errors and untagged pairs are order-symmetric).
+    Every pair takes one bit from each pool, so both pools are consumed in
+    uniformly random order, and at step k the zero pool supplies the first
+    bit with probability (M0-k)/(M0+M1-2k), independently of the draws.
     """
     zeros = np.flatnonzero(bob == 0)
     ones = np.flatnonzero(bob == 1)
-    rng.shuffle(zeros)
-    rng.shuffle(ones)
     n_pairs = min(zeros.size, ones.size)
-    return zeros[:n_pairs], ones[:n_pairs]
+    k = np.arange(n_pairs)
+    zero_first = rng.random(n_pairs) * (bob.size - 2 * k) < zeros.size - k
+    zeros = rng.permutation(zeros)[:n_pairs]
+    ones = rng.permutation(ones)[:n_pairs]
+    return np.where(zero_first, zeros, ones), np.where(zero_first, ones, zeros)
 
 
-def run_aopp(s: LabeledString, seed: int, method: str = "sequential") -> AoppEmpirical:
+def run_aopp(s: LabeledString, seed: int) -> AoppEmpirical:
     """Literal actively odd-parity pairing on Bob's bits plus the parity check."""
     bob = s.bob_bits
     if not (bool((bob == 0).any()) and bool((bob == 1).any())):
         raise ValueError("actively odd-parity pairing needs both bit values present")
-    rng = np.random.default_rng(seed)
-    if method == "sequential":
-        first, second = _aopp_pairs_sequential(bob, rng)
-    elif method == "shuffle":
-        first, second = _aopp_pairs_shuffle(bob, rng)
-    else:
-        raise ValueError(f"unknown pairing method {method!r}")
+    first, second = _aopp_pairs(bob, np.random.default_rng(seed))
 
     alice = s.alice_bits
     keep = (alice[first] ^ alice[second]) == 1  # Bob's parity is odd by construction
@@ -257,7 +235,6 @@ def run_aopp(s: LabeledString, seed: int, method: str = "sequential") -> AoppEmp
         raise AssertionError("untagged pairs must always pass the parity check")
 
     return AoppEmpirical(
-        method=method,
         n_a=int(first.size),
         n_both_c=int(both_c.sum()),
         n_vd_dv=int(vd_dv.sum()),
@@ -278,9 +255,9 @@ def expected_statistics(
 ) -> dict[str, tuple[float, float]]:
     """Analytic expectation and binomial sigma for every compared statistic.
 
-    The actively-paired statistics get an extra variance term from the
-    fluctuation of the pair total min(N1, N0); the sigma model assumes the
-    two bit groups are not balanced (choose fixtures accordingly).
+    Every statistic is a binomial count.  The actively paired ones treat
+    min(N0, N1) as the count of the rarer bit group, which assumes the two
+    groups are not balanced (choose fixtures accordingly).
     """
     n_t = counts.n_t
     q = {
@@ -316,23 +293,18 @@ def expected_statistics(
     q1 = counts.n_group1 / n_t
     out["odd_pairs_random"] = _binomial(pairs, 2.0 * q0 * q1)
 
+    # the pair total of the active pairing is min(N0, N1), modelled as
+    # Binomial(n_bits, q_min); each kept class is a thinning of it, so it is
+    # binomial too, with the class probability times q_min
     q_min = min(q0, q1)
-    n_a_mean, n_a_sigma = _binomial(n_bits, q_min)
-    out["aopp_pairs"] = (n_a_mean, n_a_sigma)
-
-    def aopp_stat(prob: float) -> tuple[float, float]:
-        mean = n_a_mean * prob
-        var = n_a_mean * prob * (1.0 - prob) + (prob * n_a_sigma) ** 2
-        return mean, math.sqrt(var)
-
     p_both_c = (counts.n_c1 / counts.n_group1) * (counts.n_c0 / counts.n_group0)
     p_vd = (counts.n_v / counts.n_group1) * (counts.n_d / counts.n_group0)
-    out["aopp_both_c"] = aopp_stat(p_both_c)
-    out["aopp_vd"] = aopp_stat(p_vd)
-    out["aopp_kept"] = aopp_stat(p_both_c + p_vd)
-    out["aopp_untagged"] = aopp_stat(
-        (untagged.n1_0 / counts.n_group0) * (untagged.n1_1 / counts.n_group1)
-    )
+    p_untagged = (untagged.n1_0 / counts.n_group0) * (untagged.n1_1 / counts.n_group1)
+    out["aopp_pairs"] = _binomial(n_bits, q_min)
+    out["aopp_both_c"] = _binomial(n_bits, q_min * p_both_c)
+    out["aopp_vd"] = _binomial(n_bits, q_min * p_vd)
+    out["aopp_kept"] = _binomial(n_bits, q_min * (p_both_c + p_vd))
+    out["aopp_untagged"] = _binomial(n_bits, q_min * p_untagged)
     return out
 
 
@@ -369,27 +341,41 @@ class StatCheck:
     flagged: bool
 
 
+def _tail(value: float, mean: float, sigma: float) -> float:
+    """Probability of a binomial count at least as far from the mean as
+    ``value``, on the side where ``value`` lies.
+
+    The binomial is recovered from its moments, 1 - p = sigma^2/mean and
+    n = mean/p.  When p is lost to rounding in that difference (p <= 0), the
+    Poisson limit with the same mean is exact to the same precision.
+    """
+    p = 1.0 - sigma * sigma / mean
+    if value > mean:  # P(X >= value)
+        if p <= 0.0:
+            return float(gammainc(value, mean))
+        n = mean / p
+        return float(betainc(value, n - value + 1.0, p)) if value < n + 1.0 else 0.0
+    if p <= 0.0:  # P(X <= value)
+        return float(gammaincc(value + 1.0, mean))
+    return float(betainc(mean / p - value, value + 1.0, 1.0 - p))
+
+
 def compare(
-    empirical: Mapping[str, float],
-    analytic: Mapping[str, tuple[float, float]],
-    threshold: float = 5.0,
+    empirical: Mapping[str, float], analytic: Mapping[str, tuple[float, float]]
 ) -> list[StatCheck]:
-    """Per-statistic z-scores; |z| beyond the threshold is flagged."""
+    """Per-statistic z-scores; a statistic is flagged when its binomial tail
+    on the side it deviates is below TAIL_LIMIT (with zero sigma, on any
+    deviation)."""
     rows = []
     for name, (mean, sigma) in analytic.items():
         value = empirical[name]
         if sigma == 0.0:
             z = 0.0 if value == mean else math.inf
+            flagged = value != mean
         else:
             z = (value - mean) / sigma
+            flagged = value != mean and _tail(value, mean, sigma) < TAIL_LIMIT
         rows.append(
-            StatCheck(
-                name=name,
-                analytic=mean,
-                empirical=value,
-                sigma=sigma,
-                z=z,
-                flagged=abs(z) > threshold,
-            )
+            StatCheck(name=name, analytic=mean, empirical=value, sigma=sigma, z=z, flagged=flagged)
         )
     return rows

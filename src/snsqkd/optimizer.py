@@ -16,9 +16,9 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
-from .channel import ExperimentParams, ProtocolParams
+from .channel import CONVENTIONS, ExperimentParams, ProtocolParams
 from .decoy import BoundViolationError
-from .pipeline import evaluate, mode_for_variant
+from .pipeline import VARIANTS, evaluate, mode_for_variant
 
 __all__ = ["OptimizationSpec", "RestartRecord", "OptimizationResult", "optimize", "DELTA_CHOICES"]
 
@@ -43,6 +43,13 @@ class OptimizationSpec:
     vacuum_credit: bool = False
     convention: str = "visibility"
     objective_override: Callable[[ProtocolParams], float] | None = None
+
+    def __post_init__(self) -> None:
+        # refused here: inside the search a ValueError only scores a point invalid
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
+        if self.convention not in CONVENTIONS:
+            raise ValueError(f"unknown convention {self.convention!r}; choose from {CONVENTIONS}")
 
     def resolved_bounds(self) -> dict[str, tuple[float, float]]:
         """Default free variables per mode, overridden by explicit bounds."""

@@ -150,7 +150,7 @@ def test_criterion_6_monte_carlo_oracle():
     for seed in range(n_seeds):
         s = mcsim.sample_string(counts, untagged, seed)
         bfer = mcsim.run_bfer(s, 10_000 + seed)
-        aopp_run = mcsim.run_aopp(s, 20_000 + seed, method="sequential")
+        aopp_run = mcsim.run_aopp(s, 20_000 + seed)
         for row in mcsim.compare(mcsim.empirical_statistics(bfer, aopp_run), analytic):
             failures[row.name] += row.flagged
     elapsed = time.time() - start

@@ -253,3 +253,16 @@ def test_window_rates_assembly():
     assert rates.q_c == effective_rate_phase_averaged(0.4, 0.0, exp, eta)
     assert rates.q_dd == effective_rate_phase_averaged(0.4, 0.4, exp, eta)
     assert 0.0 <= rates.e1_raw <= 1.0
+
+
+@pytest.mark.parametrize("convention", ["Mixing", "bogus", ""])
+def test_unknown_convention_is_refused(convention):
+    # "Mixing" used to run the visibility rule silently
+    exp = make_exp()
+    eta = arm_transmittance(exp)
+    with pytest.raises(ValueError, match="convention"):
+        effective_rate_phase_averaged(0.4, 0.4, exp, eta, convention)
+    with pytest.raises(ValueError, match="convention"):
+        x_window_rates(0.05, 0.4, exp, eta, convention)
+    with pytest.raises(ValueError, match="convention"):
+        window_rates(exp, ProtocolParams(p_z=1.0, p_send=0.1, mu_z=0.4), convention)

@@ -69,6 +69,11 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=":2:"):
             parse_config_file(path)
 
+    def test_unknown_convention(self, tmp_path):
+        path = write_config(tmp_path, "convention = bogus\n")
+        with pytest.raises(ConfigError, match="convention"):
+            parse_config_file(path)
+
     def test_bad_range(self, tmp_path):
         path = write_config(tmp_path, "range = 100:50:10\n")
         with pytest.raises(ConfigError, match="range"):
@@ -252,3 +257,25 @@ def test_finite_output_has_no_numpy_reprs(monkeypatch, capsys):
         assert main([command, "--preset", "table2", "--variant", "finite", "--distance", "300"]) == 0
     out = capsys.readouterr().out
     assert "p_z=" in out and "np." not in out
+
+
+def test_unknown_convention_in_config_exits_two(tmp_path, capsys):
+    path = write_config(tmp_path, "preset = rowC\np_send = 0.1\nmu_z = 0.4\nconvention = bogus\n")
+    assert main(["point", "--config", path, "--variant", "aopp", "--distance", "100"]) == 2
+    assert "convention" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc-verify", "--preset", "rowC", "--variant", "bfer", "--distance", "100", "--bits", "1"],
+    ["mc-verify", "--preset", "rowC", "--variant", "bfer", "--distance", "100", "--bits", "-5"],
+    ["mc-verify", "--preset", "rowC", "--variant", "bfer", "--distance", "100", "--n-seeds", "0"],
+    ["qubit-check", "--grid-points", "0"],
+    ["scan", "--preset", "rowC", "--variant", "aopp", "--range", "100:200:50", "--jobs", "0"],
+    ["scan", "--preset", "rowC", "--variant", "aopp", "--range", "100:200:50", "--jobs", "-2"],
+], ids=["bits1", "bits-5", "n_seeds0", "grid_points0", "jobs0", "jobs-2"])
+def test_count_below_minimum_is_a_configuration_error(argv, capsys):
+    # each of these used to end in a traceback, or run nothing (or run
+    # serially) and exit 0
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "must be at least" in err

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,56 @@ from snsqkd.decoy import UntaggedStats
 from snsqkd.postproc import ZWindowCounts, aopp, bfer_expectations
 
 N_BITS = 200_000
+
+
+def _aopp_pairs_sequential(bob: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Literal sequential draws: first bit uniform over the remaining pool,
+    second uniform over the remaining bits of the opposite value."""
+    pool0 = list(np.flatnonzero(bob == 0))
+    pool1 = list(np.flatnonzero(bob == 1))
+    n_pairs = min(len(pool0), len(pool1))
+    u = rng.random(2 * n_pairs)
+    firsts = np.empty(n_pairs, dtype=np.int64)
+    seconds = np.empty(n_pairs, dtype=np.int64)
+    for k in range(n_pairs):
+        m0 = len(pool0)
+        m1 = len(pool1)
+        j = int(u[2 * k] * (m0 + m1))
+        if j < m0:
+            pool0[j], pool0[-1] = pool0[-1], pool0[j]
+            firsts[k] = pool0.pop()
+            other = pool1
+        else:
+            j -= m0
+            pool1[j], pool1[-1] = pool1[-1], pool1[j]
+            firsts[k] = pool1.pop()
+            other = pool0
+        i = int(u[2 * k + 1] * len(other))
+        other[i], other[-1] = other[-1], other[i]
+        seconds[k] = other.pop()
+    return firsts, seconds
+
+
+def literal_pairing_law(bob) -> dict[tuple, Fraction]:
+    """Exact probability of every ordered outcome ((first, second), ...) of
+    the literal pairing, enumerated step by step."""
+    law: dict[tuple, Fraction] = {}
+
+    def walk(pool0, pool1, pairs, prob):
+        if not pool0 or not pool1:
+            law[tuple(pairs)] = prob  # each ordered outcome has one path
+            return
+        total = len(pool0) + len(pool1)
+        for first, other in [(b, pool1) for b in pool0] + [(b, pool0) for b in pool1]:
+            for second in other:
+                rest0 = [b for b in pool0 if b not in (first, second)]
+                rest1 = [b for b in pool1 if b not in (first, second)]
+                walk(rest0, rest1, pairs + [(first, second)],
+                     prob * Fraction(1, total) * Fraction(1, len(other)))
+
+    pools = [[i for i, b in enumerate(bob) if b == value] for value in (0, 1)]
+    walk(*pools, [], Fraction(1))
+    return law
 
 
 def make_fixture(scale=N_BITS / 1000.0, balanced=True):
@@ -106,21 +159,37 @@ class TestRunAopp:
         s = mcsim.sample_string(counts, untagged, seed=15)
         n0 = int((s.bob_bits == 0).sum())
         n1 = int((s.bob_bits == 1).sum())
-        for method in ("sequential", "shuffle"):
-            emp = mcsim.run_aopp(s, seed=16, method=method)
-            assert emp.n_a == min(n0, n1)
+        assert mcsim.run_aopp(s, seed=16).n_a == min(n0, n1)
 
-    @pytest.mark.parametrize("method", ["sequential", "shuffle"])
-    def test_matches_expectations(self, method):
+    def test_matches_expectations(self):
         counts, untagged = make_fixture(balanced=False)
         s = mcsim.sample_string(counts, untagged, seed=17)
         emp_b = mcsim.run_bfer(s, seed=18)
-        emp_a = mcsim.run_aopp(s, seed=19, method=method)
+        emp_a = mcsim.run_aopp(s, seed=19)
         rows = mcsim.compare(
             mcsim.empirical_statistics(emp_b, emp_a),
             mcsim.expected_statistics(counts, untagged, s.n_t),
         )
         assert [r for r in rows if r.flagged] == []
+
+    @pytest.mark.parametrize("sampler", [mcsim._aopp_pairs, _aopp_pairs_sequential],
+                             ids=["vectorized", "reference"])
+    @pytest.mark.parametrize("bob", [(0, 0, 0, 1, 1), (1, 0, 1, 1)], ids=["3zeros2ones", "1zero3ones"])
+    def test_sampler_follows_literal_law(self, sampler, bob):
+        # every ordered outcome within 5 sigma of its exact probability
+        law = literal_pairing_law(bob)
+        assert sum(law.values()) == 1
+        bob = np.array(bob, dtype=np.uint8)
+        rng = np.random.default_rng(2024)
+        trials = 20_000
+        seen = {outcome: 0 for outcome in law}
+        for _ in range(trials):
+            first, second = sampler(bob, rng)
+            seen[tuple(zip(first.tolist(), second.tolist()))] += 1
+        for outcome, prob in law.items():
+            p = float(prob)
+            sigma = math.sqrt(trials * p * (1.0 - p))
+            assert abs(seen[outcome] - trials * p) < 5.0 * sigma, (outcome, seen[outcome], p)
 
     def test_counting_identity_on_same_string(self):
         counts, untagged = make_fixture(balanced=False)
@@ -143,12 +212,6 @@ class TestRunAopp:
         with pytest.raises(ValueError):
             mcsim.run_aopp(s, seed=26)
 
-    def test_unknown_method(self):
-        counts, untagged = make_fixture()
-        s = mcsim.sample_string(counts, untagged, seed=27)
-        with pytest.raises(ValueError):
-            mcsim.run_aopp(s, seed=28, method="bogus")
-
 
 class TestCompare:
     def test_identical_inputs_give_zero(self):
@@ -164,6 +227,33 @@ class TestCompare:
         shifted = {k: (m + 10.0 * sig, sig) for k, (m, sig) in analytic.items()}
         rows = mcsim.compare(emp, shifted)
         assert any(r.flagged for r in rows)
+
+    def test_single_pair_in_a_rare_class_is_not_flagged(self):
+        # 0.027 pairs expected, one seen: a 2.7 % event, though z is about +5.9
+        analytic = {"aopp_vd": mcsim._binomial(40_000, 0.027 / 40_000)}
+        (row,) = mcsim.compare({"aopp_vd": 1.0}, analytic)
+        assert row.z > 5.0
+        assert not row.flagged
+
+    @pytest.mark.parametrize("observed", [6.0, 7.0, 20.0])
+    def test_gross_rare_class_fault_is_flagged(self, observed):
+        analytic = {"pairs_vd": mcsim._binomial(500_000, 0.03 / 500_000)}
+        (row,) = mcsim.compare({"pairs_vd": observed}, analytic)
+        assert row.flagged
+
+    @pytest.mark.parametrize("z, flagged", [(6.0, True), (-6.0, True), (4.0, False), (-4.0, False)])
+    def test_large_counts_follow_five_sigma(self, z, flagged):
+        mean, sigma = mcsim._binomial(1_000_000, 0.3)
+        (row,) = mcsim.compare({"a": round(mean + z * sigma)}, {"a": (mean, sigma)})
+        assert row.z == pytest.approx(z, abs=0.01)
+        assert row.flagged is flagged
+
+    @pytest.mark.parametrize("observed, flagged", [(0.0, False), (1.0, True)])
+    def test_probability_below_rounding_uses_poisson_limit(self, observed, flagged):
+        # 1 - sigma^2/mean rounds to 0 here (a tiny dark count in a config file)
+        analytic = {"pairs_vv": mcsim._binomial(50_000, 1e-23)}
+        (row,) = mcsim.compare({"pairs_vv": observed}, analytic)
+        assert row.flagged is flagged
 
     def test_zero_sigma(self):
         rows = mcsim.compare({"a": 1.0}, {"a": (1.0, 0.0)})

@@ -77,3 +77,12 @@ def test_result_carries_python_floats_only():
             assert type(item) is float, (field.name, value)
     assert type(result.key_length) is float and type(result.rate) is float
     assert all(type(r.final_value) is float for r in result.restarts)
+
+
+@pytest.mark.parametrize("kwargs", [{"variant": "bogus"},
+                                    {"variant": "aopp", "convention": "Mixing"}])
+def test_spec_refuses_unknown_variant_or_convention(kwargs):
+    # inside the search a ValueError only scores a point invalid, so the spec
+    # used to return rate 0 with key length -1e30
+    with pytest.raises(ValueError, match="unknown"):
+        OptimizationSpec(**kwargs)
