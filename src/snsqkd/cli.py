@@ -6,7 +6,8 @@ distance), optimize (best protocol parameters at one distance), plob
 (pair-state inequality certificate).
 
 Configuration comes from a flat key=value text file plus flag overrides;
-every command is deterministic for a fixed config and seed.
+one parser per key reads both.  Every command is deterministic for a fixed
+config and seed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 from . import mcsim, qubitmodel
 from .channel import CONVENTIONS, ExperimentParams, ProtocolParams, arm_transmittance
 from .decoy import UntaggedStats
-from .optimizer import OptimizationSpec, optimize
+from .optimizer import OptimizationSpec, _make_proto, optimize
 from .pipeline import VARIANTS, PointResult, evaluate, mode_for_variant
 from .postproc import ZWindowCounts
 from .presets import PRESETS, preset
@@ -67,12 +68,7 @@ class RunConfig:
     inject_fault: bool = False
 
     def build_experiment(self, distance_km: float) -> ExperimentParams:
-        if self.preset is not None:
-            if self.preset not in PRESETS:
-                raise ConfigError(f"field 'preset': unknown preset {self.preset!r}")
-            base = dataclasses.asdict(PRESETS[self.preset])
-        else:
-            base = {}
+        base = dataclasses.asdict(PRESETS[self.preset]) if self.preset is not None else {}
         base.update(self.experiment)
         base["distance_km"] = distance_km
         missing = [key for key in _EXPERIMENT_KEYS if key not in base]
@@ -87,13 +83,9 @@ class RunConfig:
         """Protocol from config when fully specified; None means optimize."""
         if "p_send" not in self.protocol or "mu_z" not in self.protocol:
             return None
-        kwargs = dict(self.protocol)
-        mu1 = kwargs.pop("mu1", 0.02)
-        mu2 = kwargs.pop("mu2", 0.06)
-        kwargs.setdefault("p_z", 1.0)
         try:
-            return ProtocolParams(decoy_intensities=(0.0, mu1, mu2), **kwargs)
-        except (TypeError, ValueError) as err:
+            return _make_proto(self.protocol, self.protocol.get("delta", ProtocolParams.delta))
+        except ValueError as err:
             raise ConfigError(f"invalid protocol parameters: {err}") from err
 
     def validate_variants(self) -> None:
@@ -109,12 +101,71 @@ class RunConfig:
                 )
 
 
-_BOOL_KEYS = {"vacuum_credit", "inject_fault"}
-_INT_KEYS = {"seed", "bits", "n_seeds", "grid_points", "jobs"}
-# smallest accepted value of each count: sampling needs two bits, a pair-state
-# grid one point per axis
-_COUNT_MINIMA = {"bits": 2, "n_seeds": 1, "grid_points": 1, "jobs": 1}
-_STR_KEYS = {"preset", "mode", "out", "convention"}
+def _parse_bool(text: str) -> bool:
+    if text.lower() in ("true", "1", "yes"):
+        return True
+    if text.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _split_variants(text: str) -> list[str]:
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
+def _parse_range(text: str) -> tuple[float, float, float]:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"expected 'lo:hi:step', got {text!r}")
+    lo, hi, step = (float(p) for p in parts)
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        # an infinite bound never ends the scan loop; a NaN one yields no distances
+        raise ValueError(f"bounds and step must be finite, got {text!r}")
+    if step <= 0.0:
+        raise ValueError(f"step must be positive, got {step!r}")
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return lo, hi, step
+
+
+# the parser of every configuration key; config-file values and flag values
+# both go through _convert
+_FIELDS = {
+    "preset": str,
+    "mode": str,
+    "convention": str,
+    "out": str,
+    "seed": int,
+    "bits": int,
+    "n_seeds": int,
+    "grid_points": int,
+    "jobs": int,
+    "vacuum_credit": _parse_bool,
+    "inject_fault": _parse_bool,
+    "distance": float,
+    "range": _parse_range,
+    "variant": _split_variants,
+    **dict.fromkeys(_EXPERIMENT_KEYS + _PROTOCOL_KEYS, float),
+}
+_CHOICES = {"preset": tuple(PRESETS), "mode": ("asymptotic", "finite"), "convention": CONVENTIONS}
+# numpy seeds are non-negative; sampling needs two bits, a pair-state grid
+# one point per axis
+_MINIMA = {"seed": 0, "bits": 2, "n_seeds": 1, "grid_points": 1, "jobs": 1}
+
+
+def _convert(key: str, text: str) -> object:
+    """Parse and check one configuration value given as text."""
+    if key not in _FIELDS:
+        raise ConfigError(f"unknown configuration key {key!r}")
+    try:
+        value = _FIELDS[key](text)
+    except ValueError as err:
+        raise ConfigError(f"field {key!r}: {err}") from None
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ConfigError(f"field {key!r}: expected one of {_CHOICES[key]}, got {value!r}")
+    if key in _MINIMA and value < _MINIMA[key]:
+        raise ConfigError(f"field {key!r}: must be at least {_MINIMA[key]}, got {value}")
+    return value
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
@@ -128,57 +179,11 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         try:
-            values[key] = _convert_config_value(key, value)
+            values[key] = _convert(key, value.strip())
         except ConfigError as err:
             raise ConfigError(f"{path}:{lineno}: {err}") from None
     return values
-
-
-def _convert_config_value(key: str, value: str) -> object:
-    if key in _BOOL_KEYS:
-        if value.lower() in ("true", "1", "yes"):
-            return True
-        if value.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"field {key!r}: expected a boolean, got {value!r}")
-    if key in _INT_KEYS:
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"field {key!r}: expected an integer, got {value!r}") from None
-    if key == "convention" and value not in CONVENTIONS:
-        raise ConfigError(f"field 'convention': expected one of {CONVENTIONS}, got {value!r}")
-    if key in _STR_KEYS:
-        return value
-    if key == "variant":
-        return [v.strip() for v in value.split(",") if v.strip()]
-    if key == "range":
-        return _parse_range(value)
-    if key == "distance":
-        return float(value)
-    if key in _EXPERIMENT_KEYS or key in _PROTOCOL_KEYS:
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"field {key!r}: expected a number, got {value!r}") from None
-    raise ConfigError(f"unknown configuration key {key!r}")
-
-
-def _parse_range(value: str) -> tuple[float, float, float]:
-    parts = value.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"field 'range': expected 'lo:hi:step', got {value!r}")
-    lo, hi, step = (float(p) for p in parts)
-    if not all(math.isfinite(x) for x in (lo, hi, step)):
-        # an infinite bound never ends the scan loop; a NaN one yields no distances
-        raise ConfigError(f"field 'range': bounds and step must be finite, got {value!r}")
-    if step <= 0.0:
-        raise ConfigError(f"field 'range': step must be positive, got {step!r}")
-    if hi < lo:
-        raise ConfigError(f"field 'range': empty range {value!r}")
-    return lo, hi, step
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -187,31 +192,22 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     merged: dict[str, object] = {}
     if getattr(args, "config", None):
         merged.update(parse_config_file(args.config))
-    for key in (
-        "preset seed out bits n_seeds grid_points jobs mode convention "
-        "vacuum_credit inject_fault distance".split()
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    if getattr(args, "range", None) is not None:
-        merged["range"] = _parse_range(args.range)
-    if getattr(args, "variant", None):
-        merged["variant"] = [v.strip() for part in args.variant for v in part.split(",") if v.strip()]
+    for key in _FIELDS:
+        text = getattr(args, key, None)
+        if text is not None:
+            # --variant may be repeated
+            merged[key] = _convert(key, ",".join(text) if key == "variant" else text)
     for key, value in merged.items():
         if key in _EXPERIMENT_KEYS:
-            cfg.experiment[key] = float(value)  # type: ignore[arg-type]
+            cfg.experiment[key] = value  # type: ignore[assignment]
         elif key in _PROTOCOL_KEYS:
-            cfg.protocol[key] = float(value)  # type: ignore[arg-type]
+            cfg.protocol[key] = value  # type: ignore[assignment]
         elif key == "variant":
-            cfg.variants = list(value)  # type: ignore[arg-type]
+            cfg.variants = value  # type: ignore[assignment]
         elif key == "range":
             cfg.range_spec = value  # type: ignore[assignment]
         else:
             setattr(cfg, key, value)
-    for key, low in _COUNT_MINIMA.items():
-        if getattr(cfg, key) < low:
-            raise ConfigError(f"field {key!r}: must be at least {low}, got {getattr(cfg, key)}")
     return cfg
 
 
@@ -243,9 +239,6 @@ def _protocol_for(cfg: RunConfig, exp: ExperimentParams, variant: str) -> Protoc
     return optimize(_optimization_spec(cfg, variant), exp).params
 
 
-_PROTO_COLUMNS = ("p_z", "p_send", "mu_z", "mu1", "mu2", "delta")
-
-
 def _scan_row(cfg: RunConfig, distance: float) -> dict[str, float]:
     row: dict[str, float] = {"distance_km": distance}
     exp = cfg.build_experiment(distance)
@@ -253,7 +246,7 @@ def _scan_row(cfg: RunConfig, distance: float) -> dict[str, float]:
         proto = _protocol_for(cfg, exp, variant)
         point = evaluate(exp, proto, variant, cfg.vacuum_credit, cfg.convention)
         row[f"{variant}_rate"] = point.key.rate
-        for name in _PROTO_COLUMNS:
+        for name in _PROTOCOL_KEYS:
             row[f"{variant}_{name}"] = getattr(proto, name)
     row["plob_absolute"] = plob_rate(exp.fiber_loss_db_km, distance, 1.0)
     row["plob_relative"] = plob_rate(exp.fiber_loss_db_km, distance, exp.detector_eff)
@@ -307,7 +300,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     columns: list[str] = ["distance_km"]
     for variant in cfg.variants:
         columns += [f"{variant}_rate", f"{variant}_rate_hex"]
-        columns += [f"{variant}_{name}" for name in _PROTO_COLUMNS]
+        columns += [f"{variant}_{name}" for name in _PROTOCOL_KEYS]
     columns += ["plob_absolute", "plob_absolute_hex", "plob_relative", "plob_relative_hex"]
 
     lines = _config_header(cfg, columns)
@@ -498,15 +491,15 @@ def _write_output(out: str | None, text: str) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value configuration file")
     parser.add_argument("--preset", help=f"device preset, one of {sorted(PRESETS)}")
-    parser.add_argument("--seed", type=int, help="base seed recorded in outputs")
+    parser.add_argument("--seed", help="base seed recorded in outputs, at least 0")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--mode", choices=("asymptotic", "finite"))
+    parser.add_argument("--mode", help=f"pipeline mode, one of {_CHOICES['mode']}")
     parser.add_argument("--variant", action="append", help="pipeline variant(s), comma-separable")
-    parser.add_argument("--distance", type=float, help="distance in km")
+    parser.add_argument("--distance", help="distance in km")
     parser.add_argument("--range", dest="range", help="distance range lo:hi:step in km")
-    parser.add_argument("--jobs", type=int, help="parallel distance evaluations")
-    parser.add_argument("--convention", choices=CONVENTIONS)
-    parser.add_argument("--vacuum-credit", dest="vacuum_credit", action="store_const", const=True)
+    parser.add_argument("--jobs", help="parallel distance evaluations, at least 1")
+    parser.add_argument("--convention", help=f"misalignment model, one of {CONVENTIONS}")
+    parser.add_argument("--vacuum-credit", dest="vacuum_credit", action="store_const", const="true")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -523,13 +516,13 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("mc-verify")
     _add_common(p)
-    p.add_argument("--bits", type=int, help="sampled string length")
-    p.add_argument("--n-seeds", dest="n_seeds", type=int, help="number of seeds to run")
-    p.add_argument("--inject-fault", dest="inject_fault", action="store_const", const=True)
+    p.add_argument("--bits", help="sampled string length, at least 2")
+    p.add_argument("--n-seeds", dest="n_seeds", help="number of seeds to run, at least 1")
+    p.add_argument("--inject-fault", dest="inject_fault", action="store_const", const="true")
 
     p = sub.add_parser("qubit-check")
     _add_common(p)
-    p.add_argument("--grid-points", dest="grid_points", type=int, help="grid size per axis")
+    p.add_argument("--grid-points", dest="grid_points", help="grid size per axis, at least 1")
 
     args = parser.parse_args(argv)
     try:

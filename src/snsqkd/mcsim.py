@@ -213,11 +213,11 @@ def _aopp_pairs(bob: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, 
 
 
 def run_aopp(s: LabeledString, seed: int) -> AoppEmpirical:
-    """Literal actively odd-parity pairing on Bob's bits plus the parity check."""
-    bob = s.bob_bits
-    if not (bool((bob == 0).any()) and bool((bob == 1).any())):
-        raise ValueError("actively odd-parity pairing needs both bit values present")
-    first, second = _aopp_pairs(bob, np.random.default_rng(seed))
+    """Literal actively odd-parity pairing on Bob's bits plus the parity check.
+
+    A string in which Bob holds only one bit value forms no pairs.
+    """
+    first, second = _aopp_pairs(s.bob_bits, np.random.default_rng(seed))
 
     alice = s.alice_bits
     keep = (alice[first] ^ alice[second]) == 1  # Bob's parity is odd by construction

@@ -279,3 +279,82 @@ def test_count_below_minimum_is_a_configuration_error(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "must be at least" in err
+
+
+# a malformed value of every configuration key but `out`, which takes any text
+MALFORMED = {
+    "preset": "bogus",
+    "mode": "bogus",
+    "convention": "bogus",
+    "seed": "-1",
+    "bits": "abc",
+    "n_seeds": "1.5",
+    "grid_points": "x",
+    "jobs": "two",
+    "vacuum_credit": "maybe",
+    "inject_fault": "maybe",
+    "distance": "abc",
+    "range": "a:b:c",
+    "variant": "bogus",
+    **dict.fromkeys(cli._EXPERIMENT_KEYS + cli._PROTOCOL_KEYS, "abc"),
+}
+# the subcommand that has each flag taking a value; the experiment and
+# protocol keys have no flag, and the two boolean flags take no value
+FLAG_COMMAND = {
+    **dict.fromkeys(("preset", "mode", "convention", "seed", "jobs", "distance", "range",
+                     "variant"), "point"),
+    "bits": "mc-verify",
+    "n_seeds": "mc-verify",
+    "grid_points": "qubit-check",
+}
+
+
+def test_malformed_values_cover_every_key():
+    assert set(MALFORMED) | {"out"} == set(cli._FIELDS)
+
+
+def assert_names_field(key, capsys):
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"field {key!r}" in err
+
+
+@pytest.mark.parametrize("key", list(MALFORMED))
+def test_malformed_config_value_names_the_key(key, tmp_path, capsys):
+    # the malformed line comes last, so it overrides the valid preset and variant
+    path = write_config(tmp_path, f"preset = rowC\nvariant = aopp\n{key} = {MALFORMED[key]}\n")
+    assert main(["point", "--config", path, "--distance", "100"]) == 2
+    assert_names_field(key, capsys)
+
+
+@pytest.mark.parametrize("key", list(FLAG_COMMAND))
+def test_malformed_flag_value_names_the_key(key, capsys):
+    argv = [FLAG_COMMAND[key], "--preset", "rowC", "--variant", "bfer", "--distance", "100",
+            f"--{key.replace('_', '-')}={MALFORMED[key]}"]
+    assert main(argv) == 2
+    assert_names_field(key, capsys)
+
+
+MC_ARGV = ["mc-verify", "--preset", "rowC", "--variant", "bfer", "--distance", "100",
+           "--bits", "1000"]
+
+
+@pytest.mark.parametrize("argv, config, key", [
+    (["plob", "--preset", "rowA"], "distance = abc\n", "distance"),
+    (["scan", "--preset", "rowC", "--variant", "aopp"], "range = a:b:c\n", "range"),
+    (["scan", "--preset", "rowC", "--variant", "aopp", "--range", "a:b:c"], "", "range"),
+    (MC_ARGV + ["--seed", "-1"], "", "seed"),
+    (MC_ARGV, "seed = -1\n", "seed"),
+], ids=["distance = abc", "range = a:b:c", "--range a:b:c", "--seed -1", "seed = -1"])
+def test_bad_number_is_a_configuration_error(argv, config, key, tmp_path, capsys):
+    # each of these used to end in a traceback
+    path = write_config(tmp_path, config)
+    assert main(argv + ["--config", path]) == 2
+    assert_names_field(key, capsys)
+
+
+def test_mc_verify_on_two_bit_strings(tmp_path):
+    # some of these seeds sample a string in which Bob holds one bit value
+    # only; the literal pairing then forms no pairs
+    argv = ["mc-verify", "--preset", "rowC", "--distance", "100", "--variant", "bfer",
+            "--bits", "2", "--n-seeds", "50", "--out", str(tmp_path / "z.csv")]
+    assert main(argv) == 0

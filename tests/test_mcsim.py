@@ -205,12 +205,12 @@ class TestRunAopp:
         assert emp.errors_kept == emp.n_vd_dv
         assert emp.n_kept + emp.n_discarded == emp.n_a
 
-    def test_single_valued_string_rejected(self):
+    def test_single_valued_string_forms_no_pairs(self):
         counts = ZWindowCounts(1000.0, 0.0, 10.0, 0.0)
         untagged = UntaggedStats(0.0, 0.0, 0.0, 0.0, 0.0)
         s = mcsim.sample_string(counts, untagged, seed=25)
-        with pytest.raises(ValueError):
-            mcsim.run_aopp(s, seed=26)
+        assert len(set(s.bob_bits.tolist())) == 1
+        assert mcsim.run_aopp(s, seed=26) == mcsim.AoppEmpirical(0, 0, 0, 0, 0, 0, 0)
 
 
 class TestCompare:
