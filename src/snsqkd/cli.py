@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -128,13 +129,26 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     return lo, hi, step
 
 
+def _parse_out(text: str) -> str:
+    # checked up front, so that a long scan or mc-verify does not fail after its work
+    path = Path(text)
+    if path.is_dir():
+        raise ValueError(f"{text!r} is a directory")
+    directory = path.parent
+    if not directory.is_dir():
+        raise ValueError(f"directory {str(directory)!r} does not exist")
+    if not os.access(directory, os.W_OK):
+        raise ValueError(f"directory {str(directory)!r} is not writable")
+    return text
+
+
 # the parser of every configuration key; config-file values and flag values
 # both go through _convert
 _FIELDS = {
     "preset": str,
     "mode": str,
     "convention": str,
-    "out": str,
+    "out": _parse_out,
     "seed": int,
     "bits": int,
     "n_seeds": int,
@@ -441,8 +455,9 @@ def cmd_mc_verify(cfg: RunConfig) -> int:
     counts, untagged = _mc_fixture(cfg)
     analytic = mcsim.expected_statistics(counts, untagged, cfg.bits)
     if cfg.inject_fault:
-        # deliberately shift every expectation by ten sigmas (self-test hook)
-        analytic = {k: (m + 10.0 * s, s) for k, (m, s) in analytic.items()}
+        # deliberately shift every probability by ten sigmas (self-test hook)
+        analytic = {k: (n, min(p + 10.0 * math.sqrt(p * (1.0 - p) / n), 1.0))
+                    for k, (n, p) in analytic.items()}
     lines = [
         "# statistic,analytic,empirical,sigma,z",
         f"# rng = {mcsim.RNG_ALGORITHM}, bits = {cfg.bits}, seeds = {cfg.n_seeds}, base_seed = {cfg.seed}",
@@ -485,7 +500,10 @@ def _write_output(out: str | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as err:
+            raise ConfigError(f"field 'out': cannot write {out!r}: {err.strerror}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

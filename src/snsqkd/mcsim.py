@@ -3,9 +3,11 @@
 Samples labeled bit strings with the same composition as an expected-count
 instance, runs the literal post-processing procedures (random pairing with
 parity comparison, odd-parity sifting, actively odd-parity pairing), and
-compares every tallied statistic against its analytic expectation.  Each
-statistic is a binomial count, reported with its z-score and flagged by its
-exact binomial tail.  The actively odd-parity pairing is sampled exactly in
+compares every tallied statistic against its binomial law.  The laws are
+read from the formula layer (``postproc.bfer_expectations`` and
+``postproc.aopp``), so the oracle checks the code that computes key rates.
+Each statistic is reported with its z-score and flagged by its exact
+binomial tail.  The actively odd-parity pairing is sampled exactly in
 distribution by vectorized draws (``_aopp_pairs``).
 
 All randomness comes from a single seeded PCG64 stream per run so results
@@ -19,10 +21,10 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import betainc, gammainc, gammaincc, ndtr
+from scipy.special import betainc, ndtr
 
 from .decoy import UntaggedStats
-from .postproc import ZWindowCounts
+from .postproc import ZWindowCounts, aopp, bfer_expectations
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -245,66 +247,46 @@ def run_aopp(s: LabeledString, seed: int) -> AoppEmpirical:
     )
 
 
-def _binomial(trials: float, prob: float) -> tuple[float, float]:
-    prob = min(max(prob, 0.0), 1.0)
-    return trials * prob, math.sqrt(trials * prob * (1.0 - prob))
-
-
 def expected_statistics(
     counts: ZWindowCounts, untagged: UntaggedStats, n_bits: int
-) -> dict[str, tuple[float, float]]:
-    """Analytic expectation and binomial sigma for every compared statistic.
+) -> dict[str, tuple[int, float]]:
+    """Binomial law (trials, prob) of every compared statistic, read from the
+    formula layer on the instance rescaled to ``n_bits`` effective windows.
 
-    Every statistic is a binomial count.  The actively paired ones treat
-    min(N0, N1) as the count of the rarer bit group, which assumes the two
-    groups are not balanced (choose fixtures accordingly).
+    Random-pairing statistics count over n_bits // 2 pairs, actively paired
+    ones over n_bits bits.  The active pairing treats min(N0, N1) as the
+    count of the rarer bit group, Binomial(n_bits, q_min), which assumes the
+    two groups are not balanced (choose fixtures accordingly); each kept
+    class is a thinning of it, so it is binomial too.
     """
-    n_t = counts.n_t
-    q = {
-        "c0": counts.n_c0 / n_t,
-        "c1": counts.n_c1 / n_t,
-        "d": counts.n_d / n_t,
-        "v": counts.n_v / n_t,
+    factor = n_bits / counts.n_t
+    counts = counts.scaled(factor)
+    untagged = untagged.scaled(factor)
+    b = bfer_expectations(counts, untagged)
+    a = aopp(counts, untagged)
+    pair_means = {
+        "pairs_cc": b.n_cc, "pairs_cd": b.n_cd, "pairs_cv": b.n_cv,
+        "pairs_dc": b.n_dc, "pairs_dd": b.n_dd, "pairs_dv": b.n_dv,
+        "pairs_vc": b.n_vc, "pairs_vd": b.n_vd, "pairs_vv": b.n_vv,
+        "pairs_c0c0": b.n_c0c0, "pairs_c0c1": b.n_c0c1,
+        "pairs_c1c0": b.n_c1c0, "pairs_c1c1": b.n_c1c1,
+        "bfer_survivors": b.n_survived,
+        "class1_count": b.n_t1, "class2_count": b.n_t2, "class3_count": b.n_t3,
+        "class1_errors": b.n_vd + b.n_dv, "class2_errors": b.n_dd, "class3_errors": b.n_vv,
+        "bfer_untagged": b.n1_survived,
+        "odd_pairs_random": a.n_r,
     }
-    q["c"] = q["c0"] + q["c1"]
+    bit_means = {
+        "aopp_pairs": a.n_a,
+        "aopp_both_c": a.n_both_c,
+        "aopp_vd": a.n_vd_dv,
+        "aopp_kept": a.n_kept,
+        "aopp_untagged": a.n1_kept,
+    }
+    # a class of probability one can round above it in the rescaled counts
     pairs = n_bits // 2
-    out: dict[str, tuple[float, float]] = {}
-    for a in ("c", "d", "v"):
-        for b in ("c", "d", "v"):
-            out[f"pairs_{a}{b}"] = _binomial(pairs, q[a] * q[b])
-    for a in ("c0", "c1"):
-        for b in ("c0", "c1"):
-            out[f"pairs_{a}{b}"] = _binomial(pairs, q[a] * q[b])
-
-    q_survive = q["c"] ** 2 + q["v"] ** 2 + q["d"] ** 2 + 2.0 * q["v"] * q["d"]
-    out["bfer_survivors"] = _binomial(pairs, q_survive)
-    q_class1 = 2.0 * (q["v"] * q["d"] + q["c1"] * q["c0"])
-    q_class2 = q["d"] ** 2 + q["c0"] ** 2
-    q_class3 = q["v"] ** 2 + q["c1"] ** 2
-    out["class1_count"] = _binomial(pairs, q_class1)
-    out["class2_count"] = _binomial(pairs, q_class2)
-    out["class3_count"] = _binomial(pairs, q_class3)
-    out["class1_errors"] = _binomial(pairs, 2.0 * q["v"] * q["d"])
-    out["class2_errors"] = _binomial(pairs, q["d"] ** 2)
-    out["class3_errors"] = _binomial(pairs, q["v"] ** 2)
-    out["bfer_untagged"] = _binomial(pairs, (untagged.n1 / n_t) ** 2)
-
-    q0 = counts.n_group0 / n_t
-    q1 = counts.n_group1 / n_t
-    out["odd_pairs_random"] = _binomial(pairs, 2.0 * q0 * q1)
-
-    # the pair total of the active pairing is min(N0, N1), modelled as
-    # Binomial(n_bits, q_min); each kept class is a thinning of it, so it is
-    # binomial too, with the class probability times q_min
-    q_min = min(q0, q1)
-    p_both_c = (counts.n_c1 / counts.n_group1) * (counts.n_c0 / counts.n_group0)
-    p_vd = (counts.n_v / counts.n_group1) * (counts.n_d / counts.n_group0)
-    p_untagged = (untagged.n1_0 / counts.n_group0) * (untagged.n1_1 / counts.n_group1)
-    out["aopp_pairs"] = _binomial(n_bits, q_min)
-    out["aopp_both_c"] = _binomial(n_bits, q_min * p_both_c)
-    out["aopp_vd"] = _binomial(n_bits, q_min * p_vd)
-    out["aopp_kept"] = _binomial(n_bits, q_min * (p_both_c + p_vd))
-    out["aopp_untagged"] = _binomial(n_bits, q_min * p_untagged)
+    out = {name: (pairs, min(mean / (0.5 * n_bits), 1.0)) for name, mean in pair_means.items()}
+    out.update((name, (n_bits, min(mean / n_bits, 1.0))) for name, mean in bit_means.items())
     return out
 
 
@@ -341,40 +323,30 @@ class StatCheck:
     flagged: bool
 
 
-def _tail(value: float, mean: float, sigma: float) -> float:
-    """Probability of a binomial count at least as far from the mean as
-    ``value``, on the side where ``value`` lies.
-
-    The binomial is recovered from its moments, 1 - p = sigma^2/mean and
-    n = mean/p.  When p is lost to rounding in that difference (p <= 0), the
-    Poisson limit with the same mean is exact to the same precision.
-    """
-    p = 1.0 - sigma * sigma / mean
-    if value > mean:  # P(X >= value)
-        if p <= 0.0:
-            return float(gammainc(value, mean))
-        n = mean / p
-        return float(betainc(value, n - value + 1.0, p)) if value < n + 1.0 else 0.0
-    if p <= 0.0:  # P(X <= value)
-        return float(gammaincc(value + 1.0, mean))
-    return float(betainc(mean / p - value, value + 1.0, 1.0 - p))
+def _tail(value: float, trials: int, prob: float) -> float:
+    """Probability of a Binomial(trials, prob) count at least as far from the
+    mean as ``value``, on the side where ``value`` lies."""
+    if value > trials * prob:  # P(X >= value)
+        return float(betainc(value, trials - value + 1.0, prob)) if value <= trials else 0.0
+    return float(betainc(trials - value, value + 1.0, 1.0 - prob))  # P(X <= value)
 
 
 def compare(
-    empirical: Mapping[str, float], analytic: Mapping[str, tuple[float, float]]
+    empirical: Mapping[str, float], analytic: Mapping[str, tuple[int, float]]
 ) -> list[StatCheck]:
-    """Per-statistic z-scores; a statistic is flagged when its binomial tail
-    on the side it deviates is below TAIL_LIMIT (with zero sigma, on any
-    deviation)."""
+    """Per-statistic z-scores against the binomial laws of
+    ``expected_statistics``; a statistic is flagged when its binomial tail on
+    the side it deviates is below TAIL_LIMIT."""
     rows = []
-    for name, (mean, sigma) in analytic.items():
+    for name, (trials, prob) in analytic.items():
         value = empirical[name]
+        mean = trials * prob
+        sigma = math.sqrt(trials * prob * (1.0 - prob))
         if sigma == 0.0:
             z = 0.0 if value == mean else math.inf
-            flagged = value != mean
         else:
             z = (value - mean) / sigma
-            flagged = value != mean and _tail(value, mean, sigma) < TAIL_LIMIT
+        flagged = value != mean and _tail(value, trials, prob) < TAIL_LIMIT
         rows.append(
             StatCheck(name=name, analytic=mean, empirical=value, sigma=sigma, z=z, flagged=flagged)
         )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
@@ -42,7 +41,6 @@ class OptimizationSpec:
     seed: int = 0
     vacuum_credit: bool = False
     convention: str = "visibility"
-    objective_override: Callable[[ProtocolParams], float] | None = None
 
     def __post_init__(self) -> None:
         # refused here: inside the search a ValueError only scores a point invalid
@@ -123,8 +121,6 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams) -> OptimizationResul
     def objective(values: dict[str, float], delta: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        if spec.objective_override is not None:
-            return spec.objective_override(_make_proto(values, delta))
         mu1 = values.get("mu1")
         mu2 = values.get("mu2")
         if mu1 is not None and mu2 is not None:

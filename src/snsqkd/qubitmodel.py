@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .postproc import iterate_phase_error
+
 __all__ = [
     "PairState",
     "IterationReport",
@@ -214,7 +216,7 @@ def verify_iteration_inequality(
     cos2sin2 = limits**2
     e_odd = 0.5 * (1.0 - alphas**2 / cos2sin2)
     e_bar = 0.5 * (1.0 - 2.0 * alphas)  # worst case over beta (cos(beta) <= 1)
-    bound = 2.0 * e_bar * (1.0 - e_bar)
+    bound = iterate_phase_error(e_bar)
     # beta does not enter either side; the grid over beta adds no violations.
     max_violation = float((e_odd - bound).max())
 

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import math
 
 import pytest
@@ -281,8 +282,9 @@ def test_count_below_minimum_is_a_configuration_error(argv, capsys):
     assert "configuration error" in err and "must be at least" in err
 
 
-# a malformed value of every configuration key but `out`, which takes any text
+# a malformed value of every configuration key
 MALFORMED = {
+    "out": "no-such-directory/z.txt",
     "preset": "bogus",
     "mode": "bogus",
     "convention": "bogus",
@@ -310,7 +312,7 @@ FLAG_COMMAND = {
 
 
 def test_malformed_values_cover_every_key():
-    assert set(MALFORMED) | {"out"} == set(cli._FIELDS)
+    assert set(MALFORMED) == set(cli._FIELDS)
 
 
 def assert_names_field(key, capsys):
@@ -358,3 +360,47 @@ def test_mc_verify_on_two_bit_strings(tmp_path):
     argv = ["mc-verify", "--preset", "rowC", "--distance", "100", "--variant", "bfer",
             "--bits", "2", "--n-seeds", "50", "--out", str(tmp_path / "z.csv")]
     assert main(argv) == 0
+
+
+OUT_COMMANDS = {
+    "scan": ["scan", "--preset", "rowC", "--variant", "aopp", "--range", "100:200:50"],
+    "point": ["point", "--preset", "rowC", "--variant", "aopp", "--distance", "100"],
+    "optimize": ["optimize", "--preset", "rowC", "--variant", "aopp", "--distance", "100"],
+    "plob": ["plob", "--preset", "rowA", "--distance", "100"],
+    "mc-verify": MC_ARGV,
+    "qubit-check": ["qubit-check", "--grid-points", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(OUT_COMMANDS))
+def test_out_in_a_missing_directory_fails_before_the_run(command, tmp_path, monkeypatch, capsys):
+    # this used to end in a FileNotFoundError traceback (exit 1), after the run
+    def run(cfg, *args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, f"cmd_{command.replace('-', '_')}", run)
+    argv = OUT_COMMANDS[command] + ["--out", str(tmp_path / "missing" / "z.txt")]
+    assert main(argv) == 2
+    assert_names_field("out", capsys)
+
+
+def test_out_in_an_unwritable_directory_is_a_configuration_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    assert main(OUT_COMMANDS["plob"] + ["--out", str(tmp_path / "z.txt")]) == 2
+    assert_names_field("out", capsys)
+
+
+def test_out_naming_a_directory_is_a_configuration_error(tmp_path, capsys):
+    assert main(OUT_COMMANDS["plob"] + ["--out", str(tmp_path)]) == 2
+    assert_names_field("out", capsys)
+
+
+def test_write_failure_is_a_configuration_error(tmp_path, monkeypatch, capsys):
+    # the target passes the up-front check, then the disk fills up
+    def full_disk(path, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli.Path, "write_text", full_disk)
+    assert main(OUT_COMMANDS["plob"] + ["--out", str(tmp_path / "z.txt")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "cannot write" in err

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -215,7 +216,7 @@ class TestRunAopp:
 
 class TestCompare:
     def test_identical_inputs_give_zero(self):
-        analytic = {"a": (10.0, 2.0), "b": (5.0, 1.0)}
+        analytic = {"a": (20, 0.5), "b": (10, 0.5)}
         rows = mcsim.compare({"a": 10.0, "b": 5.0}, analytic)
         assert all(r.z == 0.0 and not r.flagged for r in rows)
 
@@ -224,54 +225,106 @@ class TestCompare:
         s = mcsim.sample_string(counts, untagged, seed=30)
         emp = mcsim.empirical_statistics(mcsim.run_bfer(s, 31), mcsim.run_aopp(s, 32))
         analytic = mcsim.expected_statistics(counts, untagged, s.n_t)
-        shifted = {k: (m + 10.0 * sig, sig) for k, (m, sig) in analytic.items()}
+        shifted = {k: (n, min(p + 10.0 * math.sqrt(p * (1.0 - p) / n), 1.0))
+                   for k, (n, p) in analytic.items()}
         rows = mcsim.compare(emp, shifted)
         assert any(r.flagged for r in rows)
 
     def test_single_pair_in_a_rare_class_is_not_flagged(self):
         # 0.027 pairs expected, one seen: a 2.7 % event, though z is about +5.9
-        analytic = {"aopp_vd": mcsim._binomial(40_000, 0.027 / 40_000)}
+        analytic = {"aopp_vd": (40_000, 0.027 / 40_000)}
         (row,) = mcsim.compare({"aopp_vd": 1.0}, analytic)
         assert row.z > 5.0
         assert not row.flagged
 
     @pytest.mark.parametrize("observed", [6.0, 7.0, 20.0])
     def test_gross_rare_class_fault_is_flagged(self, observed):
-        analytic = {"pairs_vd": mcsim._binomial(500_000, 0.03 / 500_000)}
+        analytic = {"pairs_vd": (500_000, 0.03 / 500_000)}
         (row,) = mcsim.compare({"pairs_vd": observed}, analytic)
         assert row.flagged
 
     @pytest.mark.parametrize("z, flagged", [(6.0, True), (-6.0, True), (4.0, False), (-4.0, False)])
     def test_large_counts_follow_five_sigma(self, z, flagged):
-        mean, sigma = mcsim._binomial(1_000_000, 0.3)
-        (row,) = mcsim.compare({"a": round(mean + z * sigma)}, {"a": (mean, sigma)})
+        trials, prob = 1_000_000, 0.3
+        mean, sigma = trials * prob, math.sqrt(trials * prob * (1.0 - prob))
+        (row,) = mcsim.compare({"a": round(mean + z * sigma)}, {"a": (trials, prob)})
         assert row.z == pytest.approx(z, abs=0.01)
         assert row.flagged is flagged
 
     @pytest.mark.parametrize("observed, flagged", [(0.0, False), (1.0, True)])
     def test_probability_below_rounding_uses_poisson_limit(self, observed, flagged):
-        # 1 - sigma^2/mean rounds to 0 here (a tiny dark count in a config file)
-        analytic = {"pairs_vv": mcsim._binomial(50_000, 1e-23)}
+        # 1 - p rounds to 1 here (a tiny dark count in a config file); the
+        # exact tail is then the Poisson limit
+        analytic = {"pairs_vv": (50_000, 1e-23)}
         (row,) = mcsim.compare({"pairs_vv": observed}, analytic)
         assert row.flagged is flagged
 
     def test_zero_sigma(self):
-        rows = mcsim.compare({"a": 1.0}, {"a": (1.0, 0.0)})
+        rows = mcsim.compare({"a": 1.0}, {"a": (1, 1.0)})
         assert rows[0].z == 0.0
-        rows = mcsim.compare({"a": 2.0}, {"a": (1.0, 0.0)})
+        rows = mcsim.compare({"a": 2.0}, {"a": (1, 1.0)})
         assert rows[0].flagged
 
 
+# the formula-layer field behind each statistic; random-pairing statistics
+# count n_bits // 2 pairs, actively paired ones n_bits bits
+BFER_FIELDS = {
+    "pairs_cc": "n_cc", "pairs_cd": "n_cd", "pairs_cv": "n_cv",
+    "pairs_dc": "n_dc", "pairs_dd": "n_dd", "pairs_dv": "n_dv",
+    "pairs_vc": "n_vc", "pairs_vd": "n_vd", "pairs_vv": "n_vv",
+    "pairs_c0c0": "n_c0c0", "pairs_c0c1": "n_c0c1", "pairs_c1c0": "n_c1c0", "pairs_c1c1": "n_c1c1",
+    "bfer_survivors": "n_survived", "class1_count": "n_t1", "class2_count": "n_t2",
+    "class3_count": "n_t3", "class2_errors": "n_dd", "class3_errors": "n_vv",
+    "bfer_untagged": "n1_survived",
+}
+AOPP_FIELDS = {
+    "aopp_pairs": "n_a", "aopp_both_c": "n_both_c", "aopp_vd": "n_vd_dv",
+    "aopp_kept": "n_kept", "aopp_untagged": "n1_kept",
+}
+
+
 def test_analytic_expectations_match_formula_layer():
-    # the sigma table's means must agree with the expectation formulas
+    # every statistic's binomial mean is the formula layer's expectation on
+    # the instance rescaled to n_bits
     counts, untagged = make_fixture(balanced=False)
-    stats = mcsim.expected_statistics(counts, untagged, int(counts.n_t))
-    outcome = bfer_expectations(counts, untagged)
-    pairs_ratio = (int(counts.n_t) // 2) / (counts.n_t / 2.0)
-    assert stats["bfer_survivors"][0] == pytest.approx(outcome.n_survived * pairs_ratio, rel=1e-9)
-    assert stats["class1_count"][0] == pytest.approx(outcome.n_t1 * pairs_ratio, rel=1e-9)
-    assert stats["bfer_untagged"][0] == pytest.approx(outcome.n1_survived * pairs_ratio, rel=1e-9)
-    aopp_out = aopp(counts, untagged)
-    assert stats["aopp_pairs"][0] == pytest.approx(aopp_out.n_a, rel=1e-9)
-    assert stats["aopp_kept"][0] == pytest.approx(aopp_out.n_kept, rel=1e-9)
-    assert stats["aopp_untagged"][0] == pytest.approx(aopp_out.n1_kept, rel=1e-9)
+    for n_bits in (N_BITS, N_BITS // 2 + 1):
+        stats = mcsim.expected_statistics(counts, untagged, n_bits)
+        factor = n_bits / counts.n_t
+        outcome = bfer_expectations(counts.scaled(factor), untagged.scaled(factor))
+        aopp_out = aopp(counts.scaled(factor), untagged.scaled(factor))
+        pairs_ratio = (n_bits // 2) / (n_bits / 2.0)
+        expected = {name: getattr(outcome, f) * pairs_ratio for name, f in BFER_FIELDS.items()}
+        expected["class1_errors"] = (outcome.n_vd + outcome.n_dv) * pairs_ratio
+        expected["odd_pairs_random"] = aopp_out.n_r * pairs_ratio
+        expected.update((name, getattr(aopp_out, f)) for name, f in AOPP_FIELDS.items())
+        assert set(stats) == set(expected) and len(stats) == 27
+        for name, (trials, prob) in stats.items():
+            assert trials == (n_bits if name.startswith("aopp") else n_bits // 2), name
+            assert trials * prob == pytest.approx(expected[name], rel=1e-12), name
+
+
+def test_certain_classes_stay_probabilities():
+    # without errors every pair survives; in the rescaled counts that
+    # probability rounds to 1 + 2**-52 here
+    counts = ZWindowCounts(101.1, 0.3, 0.0, 0.0)
+    untagged = UntaggedStats(0.0, 0.0, 0.0, 0.0, 0.0)
+    s = mcsim.sample_string(counts, untagged, seed=35)
+    stats = mcsim.expected_statistics(counts, untagged, s.n_t)
+    assert stats["bfer_survivors"] == (s.n_t // 2, 1.0)
+    emp = mcsim.empirical_statistics(mcsim.run_bfer(s, 36), mcsim.run_aopp(s, 37))
+    assert [r for r in mcsim.compare(emp, stats) if r.flagged] == []
+
+
+def test_oracle_flags_a_fault_in_the_formula_layer(monkeypatch):
+    # the oracle reads the expectations that key rates use, so a wrong
+    # class-2 count in postproc must show in the report
+    def doubled_class2(counts, untagged):
+        outcome = bfer_expectations(counts, untagged)
+        return dataclasses.replace(outcome, n_t2=2.0 * outcome.n_t2)
+
+    monkeypatch.setattr(mcsim, "bfer_expectations", doubled_class2)
+    counts, untagged = make_fixture()
+    s = mcsim.sample_string(counts, untagged, seed=40)
+    emp = mcsim.empirical_statistics(mcsim.run_bfer(s, 41), mcsim.run_aopp(s, 42))
+    rows = mcsim.compare(emp, mcsim.expected_statistics(counts, untagged, s.n_t))
+    assert [r.name for r in rows if r.flagged] == ["class2_count"]

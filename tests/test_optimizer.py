@@ -1,22 +1,26 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import pytest
 
+import snsqkd.optimizer
 from snsqkd.optimizer import DELTA_CHOICES, OptimizationSpec, optimize
 from snsqkd.pipeline import evaluate
+from snsqkd.postproc import KeyResult
 from snsqkd.presets import preset
 
 
-def test_synthetic_unimodal_recovery():
+def test_synthetic_unimodal_recovery(monkeypatch):
     # negative quadratic in log intensity with a known maximizer
     target = math.log(0.3)
 
-    def objective(proto):
-        return 100.0 - (math.log(proto.mu_z) - target) ** 2 - (proto.p_send - 0.1) ** 2
+    def objective(exp, proto, *args, **kwargs):
+        length = 100.0 - (math.log(proto.mu_z) - target) ** 2 - (proto.p_send - 0.1) ** 2
+        return SimpleNamespace(key=KeyResult("aopp", length, 1.0, length, 0.0, 0.0, 0.0))
 
-    spec = OptimizationSpec(variant="aopp", objective_override=objective,
-                            grid_mu=8, grid_p=8, restarts=3)
+    monkeypatch.setattr(snsqkd.optimizer, "evaluate", objective)
+    spec = OptimizationSpec(variant="aopp", grid_mu=8, grid_p=8, restarts=3)
     result = optimize(spec, preset("rowF", 200.0))
     assert result.params.mu_z == pytest.approx(0.3, rel=0.01)
     assert result.params.p_send == pytest.approx(0.1, rel=0.05)
