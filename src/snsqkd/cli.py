@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import mcsim, qubitmodel
 from .channel import CONVENTIONS, ExperimentParams, ProtocolParams, arm_transmittance
-from .decoy import UntaggedStats
+from .decoy import BoundViolationError, UntaggedStats
 from .optimizer import OptimizationSpec, _make_proto, optimize
 from .pipeline import VARIANTS, PointResult, evaluate, mode_for_variant
 from .postproc import ZWindowCounts
@@ -253,12 +253,22 @@ def _protocol_for(cfg: RunConfig, exp: ExperimentParams, variant: str) -> Protoc
     return optimize(_optimization_spec(cfg, variant), exp).params
 
 
+def _evaluate(
+    cfg: RunConfig, exp: ExperimentParams, proto: ProtocolParams, variant: str
+) -> PointResult:
+    """``evaluate`` with the library's refusal of the inputs as a configuration error."""
+    try:
+        return evaluate(exp, proto, variant, cfg.vacuum_credit, cfg.convention)
+    except (ValueError, BoundViolationError) as err:
+        raise ConfigError(f"variant {variant!r} at {exp.distance_km:g} km: {err}") from None
+
+
 def _scan_row(cfg: RunConfig, distance: float) -> dict[str, float]:
     row: dict[str, float] = {"distance_km": distance}
     exp = cfg.build_experiment(distance)
     for variant in cfg.variants:
         proto = _protocol_for(cfg, exp, variant)
-        point = evaluate(exp, proto, variant, cfg.vacuum_credit, cfg.convention)
+        point = _evaluate(cfg, exp, proto, variant)
         row[f"{variant}_rate"] = point.key.rate
         for name in _PROTOCOL_KEYS:
             row[f"{variant}_{name}"] = getattr(proto, name)
@@ -397,7 +407,7 @@ def cmd_point(cfg: RunConfig) -> int:
     chunks = []
     for variant in cfg.variants:
         proto = _protocol_for(cfg, exp, variant)
-        point = evaluate(exp, proto, variant, cfg.vacuum_credit, cfg.convention)
+        point = _evaluate(cfg, exp, proto, variant)
         chunks.append("\n".join(_breakdown_lines(point, exp, proto)))
     _write_output(cfg.out, "\n\n".join(chunks) + "\n")
     return 0
@@ -440,15 +450,13 @@ def cmd_plob(cfg: RunConfig, setting: str) -> int:
 
 
 def _mc_fixture(cfg: RunConfig) -> tuple[ZWindowCounts, UntaggedStats]:
-    """Counts/untagged instance rescaled to the requested string length."""
+    """Counts/untagged instance whose proportions the oracle samples."""
     distance = cfg.distance if cfg.distance is not None else 100.0
     exp = cfg.build_experiment(distance)
     variant = cfg.variants[0] if cfg.variants else "bfer"
     proto = _protocol_for(cfg, exp, variant)
-    point = evaluate(exp, proto, variant if variant != "finite" else "bfer",
-                     cfg.vacuum_credit, cfg.convention)
-    factor = cfg.bits / point.counts.n_t
-    return point.counts.scaled(factor), point.untagged.scaled(factor)
+    point = _evaluate(cfg, exp, proto, variant if variant != "finite" else "bfer")
+    return point.counts, point.untagged
 
 
 def cmd_mc_verify(cfg: RunConfig) -> int:
@@ -465,10 +473,10 @@ def cmd_mc_verify(cfg: RunConfig) -> int:
     flagged = 0
     for offset in range(cfg.n_seeds):
         seed = cfg.seed + offset
-        s = mcsim.sample_string(counts, untagged, seed)
+        s = mcsim.sample_string(counts, untagged, cfg.bits, seed)
         bfer = mcsim.run_bfer(s, seed + 1_000_003)
         aopp_run = mcsim.run_aopp(s, seed + 2_000_003)
-        rows = mcsim.compare(mcsim.empirical_statistics(bfer, aopp_run), analytic)
+        rows = mcsim.compare({**bfer, **aopp_run}, analytic)
         for row in rows:
             flagged += row.flagged
             lines.append(

@@ -46,15 +46,6 @@ class UntaggedStats:
     e1ph: float        # upper bound on the untagged phase-flip error rate
     n0: float          # effective one-sender windows that emitted vacuum
 
-    def scaled(self, factor: float) -> "UntaggedStats":
-        return UntaggedStats(
-            n1=self.n1 * factor,
-            n1_0=self.n1_0 * factor,
-            n1_1=self.n1_1 * factor,
-            e1ph=self.e1ph,
-            n0=self.n0 * factor,
-        )
-
 
 @dataclass(frozen=True)
 class DecoyObservations:

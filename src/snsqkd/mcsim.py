@@ -1,14 +1,16 @@
 """Monte Carlo oracle for the pairing formulas.
 
-Samples labeled bit strings with the same composition as an expected-count
+Samples a labeled bit string with the proportions of an expected-count
 instance, runs the literal post-processing procedures (random pairing with
 parity comparison, odd-parity sifting, actively odd-parity pairing), and
-compares every tallied statistic against its binomial law.  The laws are
-read from the formula layer (``postproc.bfer_expectations`` and
-``postproc.aopp``), so the oracle checks the code that computes key rates.
-Each statistic is reported with its z-score and flagged by its exact
-binomial tail.  The actively odd-parity pairing is sampled exactly in
-distribution by vectorized draws (``_aopp_pairs``).
+tallies each run as ``{statistic: count}``.  ``expected_statistics`` gives
+every statistic's binomial law, read from the formula layer
+(``postproc.bfer_expectations`` and ``postproc.aopp``) on the instance as
+given: each probability is a class's share of the instance's own effective
+windows, so no instance is rescaled to the string length.  ``compare``
+reports each statistic with its z-score and flags it by its exact binomial
+tail.  The actively odd-parity pairing is sampled exactly in distribution
+by vectorized draws (``_aopp_pairs``).
 
 All randomness comes from a single seeded PCG64 stream per run so results
 are reproducible; the algorithm identifier is recorded in emitted reports.
@@ -29,14 +31,11 @@ from .postproc import ZWindowCounts, aopp, bfer_expectations
 __all__ = [
     "RNG_ALGORITHM",
     "LabeledString",
-    "BferEmpirical",
-    "AoppEmpirical",
     "StatCheck",
     "sample_string",
     "run_bfer",
     "run_aopp",
     "expected_statistics",
-    "empirical_statistics",
     "compare",
 ]
 
@@ -77,63 +76,35 @@ class LabeledString:
         return BOB_BITS[self.labels]
 
 
-@dataclass(frozen=True)
-class BferEmpirical:
-    """Tally of one random-pairing error-rejection run."""
-
-    n_pairs: int
-    leftover: int
-    pair_counts: dict[str, int]        # the nine ordered label pairs
-    cc_counts: dict[str, int]          # c1c1, c1c0, c0c1, c0c0
-    n_survived: int
-    n_t1: int
-    n_t2: int
-    n_t3: int
-    err1: int
-    err2: int
-    err3: int
-    n1_survived: int
-    n_r: int                           # odd-parity pairs, before the parity comparison
-
-
-@dataclass(frozen=True)
-class AoppEmpirical:
-    """Tally of one actively-odd-parity-pairing run."""
-
-    n_a: int
-    n_both_c: int
-    n_vd_dv: int
-    n_kept: int
-    n_discarded: int
-    errors_kept: int
-    n1_kept: int
-
-
-def sample_string(counts: ZWindowCounts, untagged: UntaggedStats, seed: int) -> LabeledString:
-    """Multinomial sample of labels with the instance's proportions.
+def sample_string(
+    counts: ZWindowCounts, untagged: UntaggedStats, n_bits: int, seed: int
+) -> LabeledString:
+    """Multinomial sample of ``n_bits`` labels with the instance's proportions.
 
     Untagged flags are assigned uniformly within the one-sender labels at
     rates n1_0/n_c0 and n1_1/n_c1.
     """
     if untagged.n1_0 > counts.n_c0 or untagged.n1_1 > counts.n_c1:
         raise ValueError("untagged counts exceed the one-sender event counts")
-    n = int(round(counts.n_t))
-    if n < 2:
+    if n_bits < 2:
         raise ValueError("need at least two positions to sample")
     probs = np.array([counts.n_c0, counts.n_c1, counts.n_d, counts.n_v]) / counts.n_t
     rng = np.random.default_rng(seed)
     edges = np.cumsum(probs)
     edges[-1] = 1.0  # guard against cumulative rounding below 1
-    labels = np.searchsorted(edges, rng.random(n), side="right").astype(np.int8)
-    u = rng.random(n)
+    labels = np.searchsorted(edges, rng.random(n_bits), side="right").astype(np.int8)
+    u = rng.random(n_bits)
     rate_c0 = untagged.n1_0 / counts.n_c0 if counts.n_c0 > 0.0 else 0.0
     rate_c1 = untagged.n1_1 / counts.n_c1 if counts.n_c1 > 0.0 else 0.0
     flags = ((labels == C0) & (u < rate_c0)) | ((labels == C1) & (u < rate_c1))
     return LabeledString(labels=labels, untagged=flags)
 
 
-def run_bfer(s: LabeledString, seed: int) -> BferEmpirical:
-    """Literal random pairing, parity comparison, keep-first-on-match."""
+def run_bfer(s: LabeledString, seed: int) -> dict[str, int]:
+    """Literal random pairing, parity comparison, keep-first-on-match.
+
+    Returns the count of every random-pairing statistic by name.
+    """
     n = s.n_t
     if n < 2:
         raise ValueError("need at least two bits to pair")
@@ -152,18 +123,8 @@ def run_bfer(s: LabeledString, seed: int) -> BferEmpirical:
     merged1 = np.where(lab1 <= C1, 0, lab1 - 1)  # c -> 0, d -> 1, v -> 2
     merged2 = np.where(lab2 <= C1, 0, lab2 - 1)
     pair_hist = np.bincount(merged1 * 3 + merged2, minlength=9)
-    order3 = ("c", "d", "v")
-    pair_counts = {
-        f"{order3[i]}{order3[j]}": int(pair_hist[3 * i + j]) for i in range(3) for j in range(3)
-    }
     cc_mask = (lab1 <= C1) & (lab2 <= C1)
     cc_hist = np.bincount(lab1[cc_mask] * 2 + lab2[cc_mask], minlength=4)
-    cc_counts = {
-        "c0c0": int(cc_hist[0]),
-        "c0c1": int(cc_hist[1]),
-        "c1c0": int(cc_hist[2]),
-        "c1c1": int(cc_hist[3]),
-    }
 
     bob1 = bob[first]
     bob2 = bob[second]
@@ -179,21 +140,23 @@ def run_bfer(s: LabeledString, seed: int) -> BferEmpirical:
     if int(kept_error[untagged_pair].sum()) != 0:
         raise AssertionError("untagged survivors must be error-free")
 
-    return BferEmpirical(
-        n_pairs=n_pairs,
-        leftover=n - 2 * n_pairs,
-        pair_counts=pair_counts,
-        cc_counts=cc_counts,
-        n_survived=int(keep.sum()),
-        n_t1=int(class1.sum()),
-        n_t2=int(class2.sum()),
-        n_t3=int(class3.sum()),
-        err1=int((class1 & kept_error).sum()),
-        err2=int((class2 & kept_error).sum()),
-        err3=int((class3 & kept_error).sum()),
-        n1_survived=int(untagged_pair.sum()),
-        n_r=int(odd.sum()),
+    merged = ("c", "d", "v")
+    tally = {f"pairs_{a}{b}": int(pair_hist[3 * i + j])
+             for i, a in enumerate(merged) for j, b in enumerate(merged)}
+    tally.update((f"pairs_{_LABEL_NAMES[i]}{_LABEL_NAMES[j]}", int(cc_hist[2 * i + j]))
+                 for i in (C0, C1) for j in (C0, C1))
+    tally.update(
+        bfer_survivors=int(keep.sum()),
+        class1_count=int(class1.sum()),
+        class2_count=int(class2.sum()),
+        class3_count=int(class3.sum()),
+        class1_errors=int((class1 & kept_error).sum()),
+        class2_errors=int((class2 & kept_error).sum()),
+        class3_errors=int((class3 & kept_error).sum()),
+        bfer_untagged=int(untagged_pair.sum()),
+        odd_pairs_random=int(odd.sum()),
     )
+    return tally
 
 
 def _aopp_pairs(bob: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -214,10 +177,11 @@ def _aopp_pairs(bob: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, 
     return np.where(zero_first, zeros, ones), np.where(zero_first, ones, zeros)
 
 
-def run_aopp(s: LabeledString, seed: int) -> AoppEmpirical:
+def run_aopp(s: LabeledString, seed: int) -> dict[str, int]:
     """Literal actively odd-parity pairing on Bob's bits plus the parity check.
 
-    A string in which Bob holds only one bit value forms no pairs.
+    Returns the count of every actively paired statistic by name.  A string
+    in which Bob holds only one bit value forms no pairs.
     """
     first, second = _aopp_pairs(s.bob_bits, np.random.default_rng(seed))
 
@@ -236,32 +200,29 @@ def run_aopp(s: LabeledString, seed: int) -> AoppEmpirical:
     if not bool(keep[untagged_pair].all()):
         raise AssertionError("untagged pairs must always pass the parity check")
 
-    return AoppEmpirical(
-        n_a=int(first.size),
-        n_both_c=int(both_c.sum()),
-        n_vd_dv=int(vd_dv.sum()),
-        n_kept=int(keep.sum()),
-        n_discarded=int(first.size - keep.sum()),
-        errors_kept=int(kept_error[keep].sum()),
-        n1_kept=int(untagged_pair.sum()),
-    )
+    return {
+        "aopp_pairs": int(first.size),
+        "aopp_both_c": int(both_c.sum()),
+        "aopp_vd": int(vd_dv.sum()),
+        "aopp_kept": int(keep.sum()),
+        "aopp_untagged": int(untagged_pair.sum()),
+    }
 
 
 def expected_statistics(
     counts: ZWindowCounts, untagged: UntaggedStats, n_bits: int
 ) -> dict[str, tuple[int, float]]:
-    """Binomial law (trials, prob) of every compared statistic, read from the
-    formula layer on the instance rescaled to ``n_bits`` effective windows.
+    """Binomial law (trials, prob) of every statistic tallied on an
+    ``n_bits`` string, read from the formula layer on the instance as given.
 
-    Random-pairing statistics count over n_bits // 2 pairs, actively paired
-    ones over n_bits bits.  The active pairing treats min(N0, N1) as the
-    count of the rarer bit group, Binomial(n_bits, q_min), which assumes the
-    two groups are not balanced (choose fixtures accordingly); each kept
+    Random-pairing statistics count over n_bits // 2 pairs, each with the
+    probability mean / (n_t / 2); actively paired ones count over n_bits
+    bits, each with the probability mean / n_t, where n_t is the instance's
+    own effective-window count.  The active pairing treats min(N0, N1) as
+    the count of the rarer bit group, Binomial(n_bits, q_min), which assumes
+    the two groups are not balanced (choose fixtures accordingly); each kept
     class is a thinning of it, so it is binomial too.
     """
-    factor = n_bits / counts.n_t
-    counts = counts.scaled(factor)
-    untagged = untagged.scaled(factor)
     b = bfer_expectations(counts, untagged)
     a = aopp(counts, untagged)
     pair_means = {
@@ -283,33 +244,11 @@ def expected_statistics(
         "aopp_kept": a.n_kept,
         "aopp_untagged": a.n1_kept,
     }
-    # a class of probability one can round above it in the rescaled counts
+    # a class of probability one can round above it
+    n_t = counts.n_t
     pairs = n_bits // 2
-    out = {name: (pairs, min(mean / (0.5 * n_bits), 1.0)) for name, mean in pair_means.items()}
-    out.update((name, (n_bits, min(mean / n_bits, 1.0))) for name, mean in bit_means.items())
-    return out
-
-
-def empirical_statistics(bfer: BferEmpirical, aopp_run: AoppEmpirical) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for name, value in bfer.pair_counts.items():
-        out[f"pairs_{name}"] = float(value)
-    for name, value in bfer.cc_counts.items():
-        out[f"pairs_{name}"] = float(value)
-    out["bfer_survivors"] = float(bfer.n_survived)
-    out["class1_count"] = float(bfer.n_t1)
-    out["class2_count"] = float(bfer.n_t2)
-    out["class3_count"] = float(bfer.n_t3)
-    out["class1_errors"] = float(bfer.err1)
-    out["class2_errors"] = float(bfer.err2)
-    out["class3_errors"] = float(bfer.err3)
-    out["bfer_untagged"] = float(bfer.n1_survived)
-    out["odd_pairs_random"] = float(bfer.n_r)
-    out["aopp_pairs"] = float(aopp_run.n_a)
-    out["aopp_both_c"] = float(aopp_run.n_both_c)
-    out["aopp_vd"] = float(aopp_run.n_vd_dv)
-    out["aopp_kept"] = float(aopp_run.n_kept)
-    out["aopp_untagged"] = float(aopp_run.n1_kept)
+    out = {name: (pairs, min(mean / (0.5 * n_t), 1.0)) for name, mean in pair_means.items()}
+    out.update((name, (n_bits, min(mean / n_t, 1.0))) for name, mean in bit_means.items())
     return out
 
 
@@ -343,7 +282,7 @@ def compare(
         mean = trials * prob
         sigma = math.sqrt(trials * prob * (1.0 - prob))
         if sigma == 0.0:
-            z = 0.0 if value == mean else math.inf
+            z = 0.0 if value == mean else math.copysign(math.inf, value - mean)
         else:
             z = (value - mean) / sigma
         flagged = value != mean and _tail(value, trials, prob) < TAIL_LIMIT

@@ -10,7 +10,7 @@ a gradient direction even where the rate floors at zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -31,7 +31,6 @@ class OptimizationSpec:
     """What to optimize and how hard to try."""
 
     variant: str
-    bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
     delta_values: tuple[float, ...] | None = None
     grid_mu: int = 12
     grid_p: int = 12
@@ -50,19 +49,16 @@ class OptimizationSpec:
             raise ValueError(f"unknown convention {self.convention!r}; choose from {CONVENTIONS}")
 
     def resolved_bounds(self) -> dict[str, tuple[float, float]]:
-        """Default free variables per mode, overridden by explicit bounds."""
+        """Free variables of the mode and their search bounds."""
         if mode_for_variant(self.variant) == "finite":
-            defaults = {
+            return {
                 "mu_z": (0.05, 1.2),
                 "p_send": (0.005, 0.5),
                 "p_z": (0.2, 0.99),
                 "mu1": (0.005, 0.2),
                 "mu2": (0.02, 0.45),
             }
-        else:
-            defaults = {"mu_z": (0.05, 1.5), "p_send": (0.005, 0.6)}
-        defaults.update(self.bounds)
-        return defaults
+        return {"mu_z": (0.05, 1.5), "p_send": (0.005, 0.6)}
 
     def resolved_deltas(self) -> tuple[float, ...]:
         if self.delta_values is not None:

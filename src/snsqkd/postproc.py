@@ -83,11 +83,6 @@ class ZWindowCounts:
     def e_z(self) -> float:
         return (self.n_d + self.n_v) / self.n_t if self.n_t > 0.0 else 0.0
 
-    def scaled(self, factor: float) -> "ZWindowCounts":
-        return ZWindowCounts(
-            self.n_c0 * factor, self.n_c1 * factor, self.n_d * factor, self.n_v * factor
-        )
-
 
 @dataclass(frozen=True)
 class BferOutcome:

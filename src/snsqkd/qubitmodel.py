@@ -7,7 +7,9 @@ state's phase-flip error never exceeds the iterated bound 2e(1-e).
 
 Everything is done twice: with dense complex matrices in the explicit basis
 {|00>, |01>, |10>, |11>} (and its square for two pairs), and with the closed
-forms, cross-checked against each other.
+forms, cross-checked against each other.  ``verify_iteration_inequality``
+runs the closed forms on a full grid and the dense matrices in one pass over
+a strided subgrid.
 """
 
 from __future__ import annotations
@@ -64,10 +66,6 @@ class PairState:
     beta: float
     rho: np.ndarray
 
-    @property
-    def coherence_limit(self) -> float:
-        return abs(math.cos(self.theta) * math.sin(self.theta))
-
 
 def make_sigma(theta: float, alpha: float, beta: float) -> PairState:
     """Assemble the pair state; positivity requires alpha <= |cos(t)sin(t)|."""
@@ -104,26 +102,11 @@ def phase_error(state: PairState) -> float:
     return value
 
 
-def _two_pair_state(rho: np.ndarray) -> np.ndarray:
-    """Density matrix of two independent pairs, qubit order (A1, B1, A2, B2)."""
-    return np.kron(rho, rho)
-
-
 def _parity_keep_operator(local: np.ndarray) -> np.ndarray:
     """Joint map keeping one qubit per side: Alice's acts on (A1, A2), Bob's on
     (B1, B2).  Rows are (a_out, b_out), columns (a1, b1, a2, b2)."""
-    k = np.zeros((4, 16), dtype=complex)
-    for a_out in range(2):
-        for b_out in range(2):
-            for a1 in range(2):
-                for b1 in range(2):
-                    for a2 in range(2):
-                        for b2 in range(2):
-                            amp = local[a_out, 2 * a1 + a2] * local[b_out, 2 * b1 + b2]
-                            if amp != 0.0:
-                                col = 8 * a1 + 4 * b1 + 2 * a2 + b2
-                                k[2 * a_out + b_out, col] = amp
-    return k
+    # kron's columns run (a1, a2, b1, b2); swap a2 and b1
+    return np.kron(local, local).reshape(4, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(4, 16)
 
 
 _K_ODD = _parity_keep_operator(_M_ODD)
@@ -131,7 +114,8 @@ _K_EVEN = _parity_keep_operator(_M_EVEN)
 
 
 def _survivor(state: PairState, keep: np.ndarray) -> tuple[np.ndarray, float, float]:
-    unnormalized = keep @ _two_pair_state(state.rho) @ keep.conj().T
+    # two independent pairs, qubit order (A1, B1, A2, B2)
+    unnormalized = keep @ np.kron(state.rho, state.rho) @ keep.conj().T
     pass_prob = float(np.trace(unnormalized).real)
     if pass_prob <= 0.0:
         raise ArithmeticError("parity projection annihilated the state")
@@ -203,9 +187,11 @@ def verify_iteration_inequality(
     """Sweep a legal (theta, alpha, beta) grid and certify the iteration bound.
 
     alpha is parametrized as a fraction of its positivity limit.  The closed
-    forms run on the full grid; the dense-matrix pipeline runs on a strided
-    subgrid, including a beta sweep at fixed (theta, alpha) to confirm the
-    survivor error does not depend on the coherence phase.
+    forms run on the full grid.  The dense-matrix pipeline runs once over a
+    strided (theta, alpha) subgrid and every beta, which confirms that the
+    survivor error does not depend on the coherence phase; every
+    matrix_stride-th beta also checks the single-pair phase error and
+    records the survivor's mismatch to its closed form.
     """
     thetas = np.linspace(0.05, math.pi / 2.0 - 0.05, n_theta)
     fracs = np.linspace(0.0, 1.0, n_alpha)
@@ -222,25 +208,21 @@ def verify_iteration_inequality(
 
     matrix_checks = 0
     max_mismatch = 0.0
-    for theta in thetas[::matrix_stride]:
-        for frac in fracs[::matrix_stride]:
-            alpha = frac * abs(math.cos(theta) * math.sin(theta))
-            for beta in betas[::matrix_stride]:
-                state = make_sigma(theta, alpha, beta)
-                phase_error(state)  # raises on matrix/closed-form mismatch
-                _, e_matrix, _ = odd_parity_survivor(state)
-                closed = 0.5 * (1.0 - alpha**2 / (math.cos(theta) * math.sin(theta)) ** 2)
-                max_mismatch = max(max_mismatch, float(abs(e_matrix - closed)))
-                matrix_checks += 1
-
     beta_sweeps = 0
     max_spread = 0.0
     for theta in thetas[::matrix_stride]:
         for frac in fracs[::matrix_stride]:
             alpha = frac * abs(math.cos(theta) * math.sin(theta))
-            values = [
-                odd_parity_survivor(make_sigma(theta, alpha, beta))[1] for beta in betas
-            ]
+            closed = 0.5 * (1.0 - alpha**2 / (math.cos(theta) * math.sin(theta)) ** 2)
+            values = []
+            for index, beta in enumerate(betas):
+                state = make_sigma(theta, alpha, beta)
+                _, e_matrix, _ = odd_parity_survivor(state)
+                values.append(e_matrix)
+                if index % matrix_stride == 0:
+                    phase_error(state)  # raises on matrix/closed-form mismatch
+                    max_mismatch = max(max_mismatch, float(abs(e_matrix - closed)))
+                    matrix_checks += 1
             max_spread = max(max_spread, float(max(values) - min(values)))
             beta_sweeps += 1
 

@@ -362,6 +362,38 @@ def test_mc_verify_on_two_bit_strings(tmp_path):
     assert main(argv) == 0
 
 
+@pytest.mark.parametrize("row, distance", [("rowF", "50"), ("rowF", "100"), ("rowD", "150"),
+                                           ("rowA", "250")])
+def test_mc_verify_two_bits_of_a_large_instance(row, distance, tmp_path):
+    # the string is far shorter than the instance's expected window count;
+    # exit 1 would mean "statistic flagged"
+    argv = ["mc-verify", "--preset", row, "--distance", distance, "--variant", "bfer",
+            "--bits", "2", "--out", str(tmp_path / "z.csv")]
+    assert main(argv) == 0
+
+
+# protocol values that the library refuses once it evaluates them
+DECOYS_ABOVE_SIGNAL = "p_z = 0.9\np_send = 0.1\nmu_z = 0.1\nmu1 = 0.05\nmu2 = 0.08\n"
+ONE_PULSE = "total_pulses = 1\np_send = 0.1\nmu_z = 0.4\n"
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["point", "--preset", "rowA", "--distance", "100", "--variant", "finite"],
+     DECOYS_ABOVE_SIGNAL, "mu1 + mu2 < mu_z"),
+    (["point", "--preset", "rowC", "--distance", "100", "--variant", "bfer"],
+     ONE_PULSE, "two effective windows"),
+    (["scan", "--preset", "rowC", "--range", "100:100:1", "--variant", "bfer"],
+     ONE_PULSE, "two effective windows"),
+    (["mc-verify", "--preset", "rowC", "--distance", "100", "--variant", "bfer"],
+     ONE_PULSE, "two effective windows"),
+], ids=["point-decoys", "point-one-pulse", "scan-one-pulse", "mc-verify-one-pulse"])
+def test_refused_configuration_is_a_configuration_error(argv, config, message, tmp_path, capsys):
+    # exit 2, not a traceback with exit 1, which means "statistic flagged"
+    assert main(argv + ["--config", write_config(tmp_path, config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+
+
 OUT_COMMANDS = {
     "scan": ["scan", "--preset", "rowC", "--variant", "aopp", "--range", "100:200:50"],
     "point": ["point", "--preset", "rowC", "--variant", "aopp", "--distance", "100"],

@@ -62,13 +62,14 @@ def literal_pairing_law(bob) -> dict[tuple, Fraction]:
     return law
 
 
-def make_fixture(scale=N_BITS / 1000.0, balanced=True):
+def make_fixture(balanced=True):
+    # the oracle reads proportions, so the instance needs no rescaling to N_BITS
     if balanced:
-        counts = ZWindowCounts(400.0, 400.0, 100.0, 100.0).scaled(scale)
-        n1_0 = n1_1 = 200.0 * scale
+        counts = ZWindowCounts(400.0, 400.0, 100.0, 100.0)
+        n1_0 = n1_1 = 200.0
     else:
-        counts = ZWindowCounts(450.0, 300.0, 100.0, 150.0).scaled(scale)
-        n1_0, n1_1 = 300.0 * scale, 200.0 * scale
+        counts = ZWindowCounts(450.0, 300.0, 100.0, 150.0)
+        n1_0, n1_1 = 300.0, 200.0
     untagged = UntaggedStats(n1=n1_0 + n1_1, n1_0=n1_0, n1_1=n1_1, e1ph=0.05, n0=0.0)
     return counts, untagged
 
@@ -76,17 +77,18 @@ def make_fixture(scale=N_BITS / 1000.0, balanced=True):
 class TestSampleString:
     def test_deterministic(self):
         counts, untagged = make_fixture()
-        a = mcsim.sample_string(counts, untagged, seed=42)
-        b = mcsim.sample_string(counts, untagged, seed=42)
+        a = mcsim.sample_string(counts, untagged, N_BITS, seed=42)
+        b = mcsim.sample_string(counts, untagged, N_BITS, seed=42)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.untagged, b.untagged)
-        c = mcsim.sample_string(counts, untagged, seed=43)
+        c = mcsim.sample_string(counts, untagged, N_BITS, seed=43)
         assert not np.array_equal(a.labels, c.labels)
 
     def test_proportions_within_five_sigma(self):
         counts, untagged = make_fixture()
-        s = mcsim.sample_string(counts, untagged, seed=7)
+        s = mcsim.sample_string(counts, untagged, N_BITS, seed=7)
         n = s.n_t
+        assert n == N_BITS
         for code, expected in ((mcsim.C0, 0.4), (mcsim.C1, 0.4), (mcsim.D, 0.1), (mcsim.V, 0.1)):
             observed = int((s.labels == code).sum())
             sigma = np.sqrt(n * expected * (1.0 - expected))
@@ -94,20 +96,20 @@ class TestSampleString:
 
     def test_bit_conventions(self):
         counts, untagged = make_fixture()
-        s = mcsim.sample_string(counts, untagged, seed=1)
+        s = mcsim.sample_string(counts, untagged, N_BITS, seed=1)
         disagree = s.alice_bits != s.bob_bits
         errors = (s.labels == mcsim.D) | (s.labels == mcsim.V)
         assert np.array_equal(disagree, errors)
 
     def test_untagged_only_on_one_sender_events(self):
         counts, untagged = make_fixture()
-        s = mcsim.sample_string(counts, untagged, seed=2)
+        s = mcsim.sample_string(counts, untagged, N_BITS, seed=2)
         assert not s.untagged[(s.labels == mcsim.D) | (s.labels == mcsim.V)].any()
 
     def test_all_c_untagged(self):
-        counts = ZWindowCounts(500.0, 500.0, 10.0, 10.0).scaled(100.0)
-        untagged = UntaggedStats(n1=100_000.0, n1_0=50_000.0, n1_1=50_000.0, e1ph=0.0, n0=0.0)
-        s = mcsim.sample_string(counts, untagged, seed=3)
+        counts = ZWindowCounts(500.0, 500.0, 10.0, 10.0)
+        untagged = UntaggedStats(n1=1000.0, n1_0=500.0, n1_1=500.0, e1ph=0.0, n0=0.0)
+        s = mcsim.sample_string(counts, untagged, 102_000, seed=3)
         c_mask = s.labels <= mcsim.C1
         assert s.untagged[c_mask].all()
 
@@ -116,61 +118,56 @@ class TestSampleString:
         bad = UntaggedStats(n1=counts.n_c0 * 3, n1_0=counts.n_c0 * 1.5, n1_1=counts.n_c0 * 1.5,
                             e1ph=0.0, n0=0.0)
         with pytest.raises(ValueError):
-            mcsim.sample_string(counts, bad, seed=0)
+            mcsim.sample_string(counts, bad, N_BITS, seed=0)
 
 
 class TestRunBfer:
     def test_error_free_string_discards_nothing(self):
-        counts = ZWindowCounts(500.0, 500.0, 0.0, 0.0).scaled(100.0)
+        counts = ZWindowCounts(500.0, 500.0, 0.0, 0.0)
         untagged = UntaggedStats(n1=0.0, n1_0=0.0, n1_1=0.0, e1ph=0.0, n0=0.0)
-        s = mcsim.sample_string(counts, untagged, seed=5)
+        s = mcsim.sample_string(counts, untagged, 100_000, seed=5)
         emp = mcsim.run_bfer(s, seed=6)
-        assert emp.n_survived == emp.n_pairs
+        assert emp["bfer_survivors"] == s.n_t // 2
 
     def test_pair_conservation(self):
         counts, untagged = make_fixture()
-        s = mcsim.sample_string(counts, untagged, seed=8)
+        s = mcsim.sample_string(counts, untagged, N_BITS + 1, seed=8)
         emp = mcsim.run_bfer(s, seed=9)
-        assert sum(emp.pair_counts.values()) == emp.n_pairs
-        assert emp.pair_counts["cc"] == sum(emp.cc_counts.values())
-        assert emp.n_t1 + emp.n_t2 + emp.n_t3 == emp.n_survived
-        assert 2 * emp.n_pairs + emp.leftover == s.n_t
+        # an odd string leaves one bit unpaired
+        merged = [f"pairs_{a}{b}" for a in "cdv" for b in "cdv"]
+        assert sum(emp[name] for name in merged) == s.n_t // 2
+        assert emp["pairs_cc"] == sum(emp[f"pairs_{a}{b}"] for a in ("c0", "c1") for b in ("c0", "c1"))
+        assert emp["class1_count"] + emp["class2_count"] + emp["class3_count"] == emp["bfer_survivors"]
 
     def test_matches_expectations(self):
         counts, untagged = make_fixture()
-        s = mcsim.sample_string(counts, untagged, seed=10)
+        s = mcsim.sample_string(counts, untagged, N_BITS, seed=10)
         emp = mcsim.run_bfer(s, seed=11)
         aopp_emp = mcsim.run_aopp(s, seed=12)
-        rows = mcsim.compare(
-            mcsim.empirical_statistics(emp, aopp_emp),
-            mcsim.expected_statistics(counts, untagged, s.n_t),
-        )
+        rows = mcsim.compare({**emp, **aopp_emp}, mcsim.expected_statistics(counts, untagged, N_BITS))
         flagged = [r for r in rows if r.flagged and not r.name.startswith("aopp")]
         assert flagged == []
 
     def test_deterministic(self):
         counts, untagged = make_fixture()
-        s = mcsim.sample_string(counts, untagged, seed=13)
+        s = mcsim.sample_string(counts, untagged, N_BITS, seed=13)
         assert mcsim.run_bfer(s, seed=14) == mcsim.run_bfer(s, seed=14)
 
 
 class TestRunAopp:
     def test_pair_total_is_exactly_min(self):
         counts, untagged = make_fixture(balanced=False)
-        s = mcsim.sample_string(counts, untagged, seed=15)
+        s = mcsim.sample_string(counts, untagged, N_BITS, seed=15)
         n0 = int((s.bob_bits == 0).sum())
         n1 = int((s.bob_bits == 1).sum())
-        assert mcsim.run_aopp(s, seed=16).n_a == min(n0, n1)
+        assert mcsim.run_aopp(s, seed=16)["aopp_pairs"] == min(n0, n1)
 
     def test_matches_expectations(self):
         counts, untagged = make_fixture(balanced=False)
-        s = mcsim.sample_string(counts, untagged, seed=17)
+        s = mcsim.sample_string(counts, untagged, N_BITS, seed=17)
         emp_b = mcsim.run_bfer(s, seed=18)
         emp_a = mcsim.run_aopp(s, seed=19)
-        rows = mcsim.compare(
-            mcsim.empirical_statistics(emp_b, emp_a),
-            mcsim.expected_statistics(counts, untagged, s.n_t),
-        )
+        rows = mcsim.compare({**emp_b, **emp_a}, mcsim.expected_statistics(counts, untagged, N_BITS))
         assert [r for r in rows if r.flagged] == []
 
     @pytest.mark.parametrize("sampler", [mcsim._aopp_pairs, _aopp_pairs_sequential],
@@ -194,24 +191,30 @@ class TestRunAopp:
 
     def test_counting_identity_on_same_string(self):
         counts, untagged = make_fixture(balanced=False)
-        s = mcsim.sample_string(counts, untagged, seed=20)
-        n_r = mcsim.run_bfer(s, seed=21).n_r
-        n_a = mcsim.run_aopp(s, seed=22).n_a
+        s = mcsim.sample_string(counts, untagged, N_BITS, seed=20)
+        n_r = mcsim.run_bfer(s, seed=21)["odd_pairs_random"]
+        n_a = mcsim.run_aopp(s, seed=22)["aopp_pairs"]
         assert 2 * n_r >= n_a >= n_r
 
-    def test_errors_equal_vd_pairs(self):
+    def test_errors_equal_vd_pairs(self, monkeypatch):
         counts, untagged = make_fixture()
-        s = mcsim.sample_string(counts, untagged, seed=23)
+        s = mcsim.sample_string(counts, untagged, N_BITS, seed=23)
         emp = mcsim.run_aopp(s, seed=24)
-        assert emp.errors_kept == emp.n_vd_dv
-        assert emp.n_kept + emp.n_discarded == emp.n_a
+        assert emp["aopp_kept"] == emp["aopp_both_c"] + emp["aopp_vd"] <= emp["aopp_pairs"]
+        # run_aopp checks that every kept V/D pair, and no kept one-sender
+        # pair, is a bit-flip error; a D event on which Alice and Bob agree
+        # breaks that
+        monkeypatch.setattr(mcsim, "ALICE_BITS", np.array([0, 1, 0, 0], dtype=np.uint8))
+        with pytest.raises(AssertionError, match="bit-flip errors"):
+            mcsim.run_aopp(s, seed=24)
 
     def test_single_valued_string_forms_no_pairs(self):
         counts = ZWindowCounts(1000.0, 0.0, 10.0, 0.0)
         untagged = UntaggedStats(0.0, 0.0, 0.0, 0.0, 0.0)
-        s = mcsim.sample_string(counts, untagged, seed=25)
+        s = mcsim.sample_string(counts, untagged, 1010, seed=25)
         assert len(set(s.bob_bits.tolist())) == 1
-        assert mcsim.run_aopp(s, seed=26) == mcsim.AoppEmpirical(0, 0, 0, 0, 0, 0, 0)
+        assert mcsim.run_aopp(s, seed=26) == dict.fromkeys(
+            ("aopp_pairs", "aopp_both_c", "aopp_vd", "aopp_kept", "aopp_untagged"), 0)
 
 
 class TestCompare:
@@ -222,9 +225,9 @@ class TestCompare:
 
     def test_injected_fault_flagged(self):
         counts, untagged = make_fixture()
-        s = mcsim.sample_string(counts, untagged, seed=30)
-        emp = mcsim.empirical_statistics(mcsim.run_bfer(s, 31), mcsim.run_aopp(s, 32))
-        analytic = mcsim.expected_statistics(counts, untagged, s.n_t)
+        s = mcsim.sample_string(counts, untagged, N_BITS, seed=30)
+        emp = {**mcsim.run_bfer(s, 31), **mcsim.run_aopp(s, 32)}
+        analytic = mcsim.expected_statistics(counts, untagged, N_BITS)
         shifted = {k: (n, min(p + 10.0 * math.sqrt(p * (1.0 - p) / n), 1.0))
                    for k, (n, p) in analytic.items()}
         rows = mcsim.compare(emp, shifted)
@@ -262,8 +265,10 @@ class TestCompare:
     def test_zero_sigma(self):
         rows = mcsim.compare({"a": 1.0}, {"a": (1, 1.0)})
         assert rows[0].z == 0.0
-        rows = mcsim.compare({"a": 2.0}, {"a": (1, 1.0)})
-        assert rows[0].flagged
+        # the infinite z keeps the side of the deviation
+        for observed, prob, z in ((2.0, 1.0, math.inf), (0.0, 1.0, -math.inf), (1.0, 0.0, math.inf)):
+            (row,) = mcsim.compare({"a": observed}, {"a": (1, prob)})
+            assert row.z == z and row.flagged, (observed, prob)
 
 
 # the formula-layer field behind each statistic; random-pairing statistics
@@ -284,34 +289,50 @@ AOPP_FIELDS = {
 
 
 def test_analytic_expectations_match_formula_layer():
-    # every statistic's binomial mean is the formula layer's expectation on
-    # the instance rescaled to n_bits
+    # every statistic's probability is the formula layer's expectation on the
+    # instance as given, as a share of its n_t / 2 pairs or n_t bits
     counts, untagged = make_fixture(balanced=False)
+    outcome = bfer_expectations(counts, untagged)
+    aopp_out = aopp(counts, untagged)
+    shares = {name: getattr(outcome, f) / (0.5 * counts.n_t) for name, f in BFER_FIELDS.items()}
+    shares["class1_errors"] = (outcome.n_vd + outcome.n_dv) / (0.5 * counts.n_t)
+    shares["odd_pairs_random"] = aopp_out.n_r / (0.5 * counts.n_t)
+    shares.update((name, getattr(aopp_out, f) / counts.n_t) for name, f in AOPP_FIELDS.items())
     for n_bits in (N_BITS, N_BITS // 2 + 1):
         stats = mcsim.expected_statistics(counts, untagged, n_bits)
-        factor = n_bits / counts.n_t
-        outcome = bfer_expectations(counts.scaled(factor), untagged.scaled(factor))
-        aopp_out = aopp(counts.scaled(factor), untagged.scaled(factor))
-        pairs_ratio = (n_bits // 2) / (n_bits / 2.0)
-        expected = {name: getattr(outcome, f) * pairs_ratio for name, f in BFER_FIELDS.items()}
-        expected["class1_errors"] = (outcome.n_vd + outcome.n_dv) * pairs_ratio
-        expected["odd_pairs_random"] = aopp_out.n_r * pairs_ratio
-        expected.update((name, getattr(aopp_out, f)) for name, f in AOPP_FIELDS.items())
-        assert set(stats) == set(expected) and len(stats) == 27
+        assert set(stats) == set(shares) and len(stats) == 27
         for name, (trials, prob) in stats.items():
             assert trials == (n_bits if name.startswith("aopp") else n_bits // 2), name
-            assert trials * prob == pytest.approx(expected[name], rel=1e-12), name
+            assert prob == shares[name], name
+
+
+def test_laws_do_not_depend_on_the_instance_scale():
+    # a two-bit string of a large instance; two windows' worth of this
+    # instance would round n_t below the two that error rejection needs
+    counts = ZWindowCounts(3.1e8, 2.7e8, 4.3e7, 1.9e7)
+    untagged = UntaggedStats(n1=4.0e8, n1_0=2.1e8, n1_1=1.9e8, e1ph=0.05, n0=0.0)
+    large = mcsim.expected_statistics(counts, untagged, 2)
+    small = mcsim.expected_statistics(
+        ZWindowCounts(3.1, 2.7, 0.43, 0.19), UntaggedStats(4.0, 2.1, 1.9, 0.05, 0.0), 2)
+    assert set(large) == set(small)
+    for name, (trials, prob) in large.items():
+        assert trials == small[name][0]
+        assert prob == pytest.approx(small[name][1], rel=1e-12), name
+    s = mcsim.sample_string(counts, untagged, 2, seed=1)
+    assert s.n_t == 2
+    mcsim.compare({**mcsim.run_bfer(s, 2), **mcsim.run_aopp(s, 3)}, large)
 
 
 def test_certain_classes_stay_probabilities():
-    # without errors every pair survives; in the rescaled counts that
-    # probability rounds to 1 + 2**-52 here
-    counts = ZWindowCounts(101.1, 0.3, 0.0, 0.0)
+    # without errors every pair survives; that probability rounds to
+    # 1 + 3 * 2**-52 here
+    counts = ZWindowCounts(100.3, 0.1, 0.0, 0.0)
     untagged = UntaggedStats(0.0, 0.0, 0.0, 0.0, 0.0)
-    s = mcsim.sample_string(counts, untagged, seed=35)
+    assert bfer_expectations(counts, untagged).n_survived > 0.5 * counts.n_t
+    s = mcsim.sample_string(counts, untagged, 100, seed=35)
     stats = mcsim.expected_statistics(counts, untagged, s.n_t)
     assert stats["bfer_survivors"] == (s.n_t // 2, 1.0)
-    emp = mcsim.empirical_statistics(mcsim.run_bfer(s, 36), mcsim.run_aopp(s, 37))
+    emp = {**mcsim.run_bfer(s, 36), **mcsim.run_aopp(s, 37)}
     assert [r for r in mcsim.compare(emp, stats) if r.flagged] == []
 
 
@@ -324,7 +345,7 @@ def test_oracle_flags_a_fault_in_the_formula_layer(monkeypatch):
 
     monkeypatch.setattr(mcsim, "bfer_expectations", doubled_class2)
     counts, untagged = make_fixture()
-    s = mcsim.sample_string(counts, untagged, seed=40)
-    emp = mcsim.empirical_statistics(mcsim.run_bfer(s, 41), mcsim.run_aopp(s, 42))
-    rows = mcsim.compare(emp, mcsim.expected_statistics(counts, untagged, s.n_t))
+    s = mcsim.sample_string(counts, untagged, N_BITS, seed=40)
+    emp = {**mcsim.run_bfer(s, 41), **mcsim.run_aopp(s, 42)}
+    rows = mcsim.compare(emp, mcsim.expected_statistics(counts, untagged, N_BITS))
     assert [r.name for r in rows if r.flagged] == ["class2_count"]

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from snsqkd import qubitmodel
 from snsqkd.qubitmodel import (
     even_parity_survivor,
     make_sigma,
@@ -121,6 +123,21 @@ def test_iteration_inequality_small_grid():
     assert report.max_matrix_mismatch <= 1e-12
     assert report.max_beta_spread <= 1e-12
     assert report.grid_points == 20**3
+    # one pass over the strided (theta, alpha) grid and every beta; every
+    # fifth beta is also matrix-checked
+    assert report.beta_sweeps == 4 * 4
+    assert report.matrix_checks == 4 * 4 * 4
+
+
+@pytest.mark.parametrize("local", [qubitmodel._M_ODD, qubitmodel._M_EVEN], ids=["odd", "even"])
+def test_parity_keep_operator_entries(local):
+    # rows (a_out, b_out); columns (a1, b1, a2, b2); Alice's local map acts
+    # on (a1, a2) and Bob's on (b1, b2)
+    expected = np.zeros((4, 16), dtype=complex)
+    for a_out, b_out, a1, b1, a2, b2 in itertools.product(range(2), repeat=6):
+        expected[2 * a_out + b_out, 8 * a1 + 4 * b1 + 2 * a2 + b2] = (
+            local[a_out, 2 * a1 + a2] * local[b_out, 2 * b1 + b2])
+    assert np.array_equal(qubitmodel._parity_keep_operator(local), expected)
 
 
 def test_equality_at_balanced_theta():
