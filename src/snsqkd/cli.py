@@ -114,6 +114,20 @@ def _split_variants(text: str) -> list[str]:
     return [v.strip() for v in text.split(",") if v.strip()]
 
 
+# each distance is one optimization, about 0.2 s for an asymptotic variant,
+# so the limit alone is more than five hours of scan
+_MAX_DISTANCES = 100_000
+
+
+def _distance_count(lo: float, hi: float, step: float) -> int:
+    """How many distances lo, lo + step, ... up to hi a scan takes."""
+    # the tolerance keeps hi in the scan when the steps add up to it
+    steps = (hi - lo) / step + 1e-9
+    if steps >= _MAX_DISTANCES:  # also catches an infinite quotient
+        raise ValueError(f"more than {_MAX_DISTANCES} distances")
+    return math.floor(steps) + 1
+
+
 def _parse_range(text: str) -> tuple[float, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -126,6 +140,7 @@ def _parse_range(text: str) -> tuple[float, float, float]:
         raise ValueError(f"step must be positive, got {step!r}")
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
+    _distance_count(lo, hi, step)  # refuses a scan that could not finish
     return lo, hi, step
 
 
@@ -232,9 +247,10 @@ def plob_rate(fiber_loss_db_km: float, distance_km: float, eta_detector: float =
     gives the relative limit.  Returns inf at zero total loss.
     """
     eta = eta_detector * 10.0 ** (-fiber_loss_db_km * distance_km / 10.0)
-    if eta >= 1.0:
+    if eta >= 1.0:  # log1p(-1) raises
         return math.inf
-    return -math.log2(1.0 - eta)
+    # log1p keeps the full precision of a small eta, where log2(1 - eta) cancels
+    return -math.log1p(-eta) / math.log(2.0)
 
 
 def _optimization_spec(cfg: RunConfig, variant: str) -> OptimizationSpec:
@@ -259,7 +275,7 @@ def _evaluate(
     """``evaluate`` with the library's refusal of the inputs as a configuration error."""
     try:
         return evaluate(exp, proto, variant, cfg.vacuum_credit, cfg.convention)
-    except (ValueError, BoundViolationError) as err:
+    except (ValueError, OverflowError, BoundViolationError) as err:
         raise ConfigError(f"variant {variant!r} at {exp.distance_km:g} km: {err}") from None
 
 
@@ -310,13 +326,11 @@ def cmd_scan(cfg: RunConfig) -> int:
     if cfg.range_spec is None:
         raise ConfigError("field 'range': scan requires a distance range lo:hi:step")
     lo, hi, step = cfg.range_spec
-    distances = []
-    d = lo
-    while d <= hi + 1e-9:
-        distances.append(round(d, 9))
-        d += step
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    distances = [round(lo + i * step, 9) for i in range(_distance_count(lo, hi, step))]
+    # the pool forks all its workers at once, so it gets no more than there are distances
+    workers = min(cfg.jobs, len(distances))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_row, [cfg] * len(distances), distances))
     else:
         rows = [_scan_row(cfg, d) for d in distances]

@@ -18,12 +18,26 @@ from scipy.optimize import minimize
 from .channel import CONVENTIONS, ExperimentParams, ProtocolParams
 from .decoy import BoundViolationError
 from .pipeline import VARIANTS, evaluate, mode_for_variant
+from .postproc import KeyResult
 
 __all__ = ["OptimizationSpec", "RestartRecord", "OptimizationResult", "optimize", "DELTA_CHOICES"]
 
 DELTA_CHOICES = tuple(2.0 * math.pi / k for k in range(4, 33))
 
 _INVALID = -1e30
+
+# free variables of each mode and their search bounds; the search runs in log
+# space for every variable but p_z
+_BOUNDS = {
+    "finite": {
+        "mu_z": (0.05, 1.2),
+        "p_send": (0.005, 0.5),
+        "p_z": (0.2, 0.99),
+        "mu1": (0.005, 0.2),
+        "mu2": (0.02, 0.45),
+    },
+    "asymptotic": {"mu_z": (0.05, 1.5), "p_send": (0.005, 0.6)},
+}
 
 
 @dataclass(frozen=True)
@@ -47,26 +61,6 @@ class OptimizationSpec:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"unknown convention {self.convention!r}; choose from {CONVENTIONS}")
-
-    def resolved_bounds(self) -> dict[str, tuple[float, float]]:
-        """Free variables of the mode and their search bounds."""
-        if mode_for_variant(self.variant) == "finite":
-            return {
-                "mu_z": (0.05, 1.2),
-                "p_send": (0.005, 0.5),
-                "p_z": (0.2, 0.99),
-                "mu1": (0.005, 0.2),
-                "mu2": (0.02, 0.45),
-            }
-        return {"mu_z": (0.05, 1.5), "p_send": (0.005, 0.6)}
-
-    def resolved_deltas(self) -> tuple[float, ...]:
-        if self.delta_values is not None:
-            return self.delta_values
-        if mode_for_variant(self.variant) == "finite":
-            return DELTA_CHOICES
-        # asymptotic variants never touch the phase slice
-        return (2.0 * math.pi / 16.0,)
 
 
 @dataclass(frozen=True)
@@ -110,122 +104,84 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams) -> OptimizationResul
     search itself needs no randomness).  Returns a zero-length result, not an
     error, when no candidate produces a positive key.
     """
-    bounds = spec.resolved_bounds()
+    mode = mode_for_variant(spec.variant)
+    bounds = _BOUNDS[mode]
     names = list(bounds)
+    # asymptotic variants never touch the phase slice
+    default_deltas = DELTA_CHOICES if mode == "finite" else (2.0 * math.pi / 16.0,)
+    deltas = default_deltas if spec.delta_values is None else spec.delta_values
     evaluations = 0
+
+    def key(proto: ProtocolParams) -> KeyResult:
+        return evaluate(
+            exp, proto, spec.variant, vacuum_credit=spec.vacuum_credit, convention=spec.convention
+        ).key
 
     def objective(values: dict[str, float], delta: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        mu1 = values.get("mu1")
-        mu2 = values.get("mu2")
-        if mu1 is not None and mu2 is not None:
+        if "mu1" in values:
             # graded penalty steers the simplex back into the valid ordering
+            mu1, mu2 = values["mu1"], values["mu2"]
             violation = max(0.0, mu1 - mu2 + 1e-6) + max(0.0, mu1 + mu2 - 0.999 * values["mu_z"])
             if violation > 0.0:
                 return _INVALID * (1.0 + violation)
         try:
-            point = evaluate(
-                exp,
-                _make_proto(values, delta),
-                spec.variant,
-                vacuum_credit=spec.vacuum_credit,
-                convention=spec.convention,
-            )
+            return key(_make_proto(values, delta)).key_length
         except (BoundViolationError, ValueError):
             return _INVALID
-        return point.key.key_length
 
-    def to_vector(values: dict[str, float]) -> np.ndarray:
-        return np.array([_encode(name, values[name]) for name in names])
+    def encode(values: dict[str, float]) -> np.ndarray:
+        return np.array([values[n] if n == "p_z" else math.log(values[n]) for n in names])
 
-    def from_vector(vec: np.ndarray) -> dict[str, float]:
-        return {name: _decode(name, x) for name, x in zip(names, vec)}
+    def decode(vec: np.ndarray) -> dict[str, float]:
+        # float() keeps numpy scalars from the simplex out of ProtocolParams and output
+        return {n: float(x) if n == "p_z" else math.exp(x) for n, x in zip(names, vec)}
 
-    nm_bounds = [(_encode(n, bounds[n][0]), _encode(n, bounds[n][1])) for n in names]
+    low, high = ({n: b[side] for n, b in bounds.items()} for side in (0, 1))
+    nm_bounds = list(zip(encode(low), encode(high)))
+    # pivot on the middle slice width, then rescan the discrete set from the
+    # incumbent optimum rather than re-gridding per slice
+    pivot = deltas[len(deltas) // 2]
+    best_value, best_values, best_delta = -math.inf, None, pivot
+    restarts: list[RestartRecord] = []
 
-    def refine(start: dict[str, float], start_value: float, delta: float) -> RestartRecord:
+    def refine(start: dict[str, float], delta: float, start_value: float) -> None:
+        nonlocal best_value, best_values, best_delta
         maxfev = max(100, (spec.budget - evaluations) // max(1, spec.restarts))
         result = minimize(
-            lambda vec: -objective(from_vector(vec), delta),
-            to_vector(start),
+            lambda vec: -objective(decode(vec), delta),
+            encode(start),
             method="Nelder-Mead",
             bounds=nm_bounds,
             options={"maxfev": maxfev, "xatol": 1e-4, "fatol": 1e-12},
         )
-        final = from_vector(result.x)
-        final_value = -float(result.fun)
+        final, final_value = decode(result.x), -float(result.fun)
         if final_value < start_value:  # refinement never loses its starting cell
             final, final_value = dict(start), start_value
-        return RestartRecord(
-            start=dict(start),
-            start_value=start_value,
-            final=final,
-            final_value=final_value,
-            evaluations=int(result.nfev),
-        )
+        record = RestartRecord(dict(start), start_value, final, final_value, int(result.nfev))
+        restarts.append(record)
+        if final_value > best_value:
+            best_value, best_values, best_delta = final_value, final, delta
 
-    best_value = -math.inf
-    best_values: dict[str, float] | None = None
-    deltas = spec.resolved_deltas()
-    # pivot on the middle slice width, then rescan the discrete set from the
-    # incumbent optimum rather than re-gridding per slice
-    pivot = deltas[len(deltas) // 2]
-    best_delta = pivot
-    restarts: list[RestartRecord] = []
-
-    scored = []
-    for cell in _grid_cells(spec, bounds):
-        scored.append((objective(cell, pivot), cell))
-        if evaluations >= spec.budget:
-            break
+    cells = _grid_cells(spec, bounds)
+    # the grid stops at the budget but always scores one cell
+    scored = [(objective(cell, pivot), cell) for cell in cells[: max(1, spec.budget)]]
     scored.sort(key=lambda item: item[0], reverse=True)
-
     for start_value, start in scored[: spec.restarts]:
         if start_value <= _INVALID or evaluations >= spec.budget:
             break
-        record = refine(start, start_value, pivot)
-        restarts.append(record)
-        if record.final_value > best_value:
-            best_value = record.final_value
-            best_values = record.final
+        refine(start, pivot, start_value)
+    for delta in deltas:
+        if best_values is not None and delta != pivot and evaluations < spec.budget:
+            refine(best_values, delta, objective(best_values, delta))
 
-    if best_values is not None:
-        for delta in deltas:
-            if delta == pivot or evaluations >= spec.budget:
-                continue
-            record = refine(best_values, objective(best_values, delta), delta)
-            restarts.append(record)
-            if record.final_value > best_value:
-                best_value = record.final_value
-                best_values = record.final
-                best_delta = delta
-
-    if best_values is None or best_value <= 0.0:
-        fallback = best_values or _grid_cells(spec, bounds)[0]
-        proto = _make_proto(fallback, best_delta)
-        length = best_value if best_values is not None else _INVALID
-        return OptimizationResult(proto, min(length, 0.0), 0.0, tuple(restarts), evaluations)
-
-    proto = _make_proto(best_values, best_delta)
-    point = evaluate(
-        exp, proto, spec.variant, vacuum_credit=spec.vacuum_credit, convention=spec.convention
-    )
-    return OptimizationResult(
-        proto, point.key.key_length, point.key.rate, tuple(restarts), evaluations
-    )
-
-
-_LOG_VARS = {"mu_z", "p_send", "mu1", "mu2"}
-
-
-def _encode(name: str, value: float) -> float:
-    return math.log(value) if name in _LOG_VARS else value
-
-
-def _decode(name: str, x: float) -> float:
-    # float() keeps numpy scalars from the simplex out of ProtocolParams and output
-    return math.exp(x) if name in _LOG_VARS else float(x)
+    proto = _make_proto(best_values or cells[0], best_delta)
+    key_length, rate = min(max(best_value, _INVALID), 0.0), 0.0
+    if best_value > 0.0:
+        final_key = key(proto)
+        key_length, rate = final_key.key_length, final_key.rate
+    return OptimizationResult(proto, key_length, rate, tuple(restarts), evaluations)
 
 
 def _grid_cells(
@@ -233,24 +189,19 @@ def _grid_cells(
 ) -> list[dict[str, float]]:
     """Log-spaced (mu_z, p) grid crossed with a linear p_z grid; decoy
     intensities start from fixed heuristics and move only in refinement."""
-    mus = np.geomspace(bounds["mu_z"][0], bounds["mu_z"][1], spec.grid_mu)
-    ps = np.geomspace(bounds["p_send"][0], bounds["p_send"][1], spec.grid_p)
-    if "p_z" in bounds:
-        pzs = np.linspace(bounds["p_z"][0], bounds["p_z"][1], spec.grid_pz)
-    else:
-        pzs = np.array([1.0])
+    mus = np.geomspace(*bounds["mu_z"], spec.grid_mu)
+    ps = np.geomspace(*bounds["p_send"], spec.grid_p)
+    if "p_z" not in bounds:
+        return [{"mu_z": float(mu), "p_send": float(p)} for mu in mus for p in ps]
+    pzs = np.linspace(*bounds["p_z"], spec.grid_pz)
+    (lo1, hi1), (lo2, hi2) = bounds["mu1"], bounds["mu2"]
     cells = []
     for mu in mus:
-        for p in ps:
-            for pz in pzs:
-                cell = {"mu_z": float(mu), "p_send": float(p)}
-                if "p_z" in bounds:
-                    cell["p_z"] = float(pz)
-                if "mu1" in bounds:
-                    lo1, hi1 = bounds["mu1"]
-                    cell["mu1"] = float(np.clip(0.05 * mu, lo1, hi1))
-                if "mu2" in bounds:
-                    lo2, hi2 = bounds["mu2"]
-                    cell["mu2"] = float(np.clip(0.2 * mu, max(lo2, 2.0 * cell.get("mu1", lo2)), hi2))
-                cells.append(cell)
+        mu1 = float(np.clip(0.05 * mu, lo1, hi1))
+        mu2 = float(np.clip(0.2 * mu, max(lo2, 2.0 * mu1), hi2))
+        cells += [
+            {"mu_z": float(mu), "p_send": float(p), "p_z": float(pz), "mu1": mu1, "mu2": mu2}
+            for p in ps
+            for pz in pzs
+        ]
     return cells

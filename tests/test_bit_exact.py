@@ -1,16 +1,26 @@
-"""Pinned binary outputs of the evaluation path.
+"""Pinned binary outputs of the evaluation path and the optimizer.
 
 The finite-size optimum moves when any input to it changes in its last bit,
-so a rewrite of a formula on the evaluation path must reproduce these
-values exactly, not merely within a tolerance.  The hex strings were
-recorded from the library and are compared with ``float.hex``.
+so a rewrite of a formula on the evaluation path, or of a step of the
+search, must reproduce these values exactly, not merely within a tolerance.
+The hex strings were recorded from the library and are compared with
+``float.hex``.
 """
 
+import dataclasses
 import math
 
 import pytest
 
-from snsqkd import VARIANTS, ProtocolParams, arm_transmittance, evaluate, preset
+from snsqkd import (
+    VARIANTS,
+    OptimizationSpec,
+    ProtocolParams,
+    arm_transmittance,
+    evaluate,
+    optimize,
+    preset,
+)
 from snsqkd.channel import x_window_rates
 
 POINTS = {
@@ -113,3 +123,49 @@ def test_x_window_rates_bits(case):
     q_x, t_x = x_window_rates(mu_k, delta, exp, arm_transmittance(exp), convention, **extra)
     assert type(q_x) is float and type(t_x) is float
     assert (q_x.hex(), t_x.hex()) == X_WINDOW_HEX[case]
+
+
+SEARCHES = {
+    "aopp@rowF240": (OptimizationSpec(variant="aopp"), preset("rowF", 240.0)),
+    # four slice widths: the delta rescan runs, then the budget ends it
+    "finite@table2-400": (
+        OptimizationSpec(variant="finite", grid_mu=4, grid_p=4, grid_pz=2, restarts=2,
+                         budget=1500,
+                         delta_values=tuple(2.0 * math.pi / k for k in (8, 12, 16, 20))),
+        preset("table2", 400.0),
+    ),
+    "finite@rowA600-zero-rate": (
+        OptimizationSpec(variant="finite", grid_mu=6, grid_p=6, grid_pz=2, restarts=2,
+                         delta_values=(2.0 * math.pi / 16.0,)),
+        preset("rowA", 600.0),
+    ),
+    # every cell is invalid: the result falls back to the first grid cell
+    "bfer@one-pulse": (
+        OptimizationSpec(variant="bfer"),
+        dataclasses.replace(preset("rowF", 100.0), total_pulses=1.0),
+    ),
+}
+
+# search -> (rate, key length, evaluations, (mu_z, p_send, delta) of the result)
+SEARCH_HEX = {
+    "aopp@rowF240": (
+        "0x1.0c0403c1fd3e9p-18", "0x1.e784871481a56p+21", 1297,
+        ("0x1.f997ae160d3e0p-2", "0x1.1f8dfbdbd081bp-2", "0x1.921fb54442d18p-2")),
+    "finite@table2-400": (
+        "0x1.948b987a18439p-22", "0x1.cbea2d48385ffp+22", 1492,
+        ("0x1.5c53647901316p-2", "0x1.3c56550d9bb1ap-4", "0x1.41b2f769cf0e0p-2")),
+    "finite@rowA600-zero-rate": (
+        "0x0.0p+0", "-0x1.4c511123fd4a0p+7", 105,
+        ("0x1.999999999999bp-5", "0x1.47ae147ae147dp-8", "0x1.921fb54442d18p-2")),
+    "bfer@one-pulse": (
+        "0x0.0p+0", "-0x1.93e5939a08ceap+99", 144,
+        ("0x1.999999999999ap-5", "0x1.47ae147ae147bp-8", "0x1.921fb54442d18p-2")),
+}
+
+
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+def test_optimizer_bits(search):
+    result = optimize(*SEARCHES[search])
+    params = tuple(getattr(result.params, name).hex() for name in ("mu_z", "p_send", "delta"))
+    got = (result.rate.hex(), result.key_length.hex(), result.evaluations, params)
+    assert got == SEARCH_HEX[search]

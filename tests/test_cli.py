@@ -1,7 +1,10 @@
+import contextlib
 import dataclasses
 import errno
 import math
+import signal
 
+import mpmath
 import pytest
 
 from snsqkd import cli
@@ -41,6 +44,22 @@ class TestPlob:
     def test_unbounded_sentinel(self, capsys):
         assert main(["plob", "--preset", "rowA", "--distance", "0"]) == 0
         assert capsys.readouterr().out.strip() == "unbounded"
+
+    @pytest.mark.parametrize("eta_detector", [1.0, 0.3])
+    def test_full_precision_at_long_distance(self, eta_detector):
+        # -log2(1 - eta) cancels once eta is small: 11% off at 800 km
+        for distance in range(100, 2001, 10):
+            eta = eta_detector * 10.0 ** (-0.2 * distance / 10.0)
+            # 120 digits keep 80 of an eta as small as 1e-40 in 1 - eta
+            with mpmath.workdps(120):
+                exact = -mpmath.log(1 - mpmath.mpf(eta), 2)
+                error = abs(plob_rate(0.2, distance, eta_detector) / exact - 1)
+            assert error <= 1e-15, distance
+
+    def test_cli_far_distance_is_positive(self, capsys):
+        # 1 - eta rounds to 1 here, so log2(1 - eta) is zero
+        assert main(["plob", "--preset", "rowA", "--distance", "900"]) == 0
+        assert capsys.readouterr().out.startswith("1.442695e-18 ")
 
 
 class TestConfigFile:
@@ -85,6 +104,20 @@ class TestConfigFile:
         path = write_config(tmp_path, f"range = {spec}\n")
         with pytest.raises(ConfigError, match="range"):
             parse_config_file(path)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestScan:
@@ -375,6 +408,9 @@ def test_mc_verify_two_bits_of_a_large_instance(row, distance, tmp_path):
 # protocol values that the library refuses once it evaluates them
 DECOYS_ABOVE_SIGNAL = "p_z = 0.9\np_send = 0.1\nmu_z = 0.1\nmu1 = 0.05\nmu2 = 0.08\n"
 ONE_PULSE = "total_pulses = 1\np_send = 0.1\nmu_z = 0.4\n"
+# protocol values whose evaluation overflows a float
+BESSEL_OVERFLOW = "p_send = 0.1\nmu_z = 5000\n"
+DECOY_OVERFLOW = "p_send = 0.1\nmu1 = 710\nmu2 = 720\nmu_z = 2000\n"
 
 
 @pytest.mark.parametrize("argv, config, message", [
@@ -386,7 +422,12 @@ ONE_PULSE = "total_pulses = 1\np_send = 0.1\nmu_z = 0.4\n"
      ONE_PULSE, "two effective windows"),
     (["mc-verify", "--preset", "rowC", "--distance", "100", "--variant", "bfer"],
      ONE_PULSE, "two effective windows"),
-], ids=["point-decoys", "point-one-pulse", "scan-one-pulse", "mc-verify-one-pulse"])
+    (["point", "--preset", "rowC", "--distance", "0", "--variant", "aopp"],
+     BESSEL_OVERFLOW, "bessel_i0 overflows"),
+    (["point", "--preset", "rowC", "--distance", "100", "--variant", "finite"],
+     DECOY_OVERFLOW, "math range error"),
+], ids=["point-decoys", "point-one-pulse", "scan-one-pulse", "mc-verify-one-pulse",
+        "point-bessel-overflow", "point-decoy-overflow"])
 def test_refused_configuration_is_a_configuration_error(argv, config, message, tmp_path, capsys):
     # exit 2, not a traceback with exit 1, which means "statistic flagged"
     assert main(argv + ["--config", write_config(tmp_path, config)]) == 2
@@ -436,3 +477,67 @@ def test_write_failure_is_a_configuration_error(tmp_path, monkeypatch, capsys):
     assert main(OUT_COMMANDS["plob"] + ["--out", str(tmp_path / "z.txt")]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "cannot write" in err
+
+
+FIXED_AOPP = "preset = rowC\np_send = 0.103\nmu_z = 0.43\nvariant = aopp\n"
+
+
+@pytest.mark.parametrize("range_spec, jobs, workers", [
+    ("100:100:1", "64", []),
+    ("100:200:50", "8", [3]),
+    ("100:200:50", "2", [2]),
+])
+def test_scan_forks_no_more_workers_than_distances(range_spec, jobs, workers, tmp_path,
+                                                   monkeypatch):
+    # the real pool forks every worker up front, so it is never started here
+    created = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    argv = ["scan", "--config", write_config(tmp_path, FIXED_AOPP), "--range", range_spec,
+            "--jobs", jobs, "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 0
+    assert created == workers
+
+
+@pytest.mark.parametrize("range_spec", ["1e17:2e17:1", "0:1e9:1e-3", "0:1:1e-320"])
+def test_scan_refuses_a_range_it_cannot_finish(range_spec, capsys):
+    # 1e17 + 1 == 1e17, so stepping never reaches the end; the others ask for
+    # 1e12 distances and an infinite number
+    with time_limit(5):
+        code = main(["scan", "--preset", "rowC", "--variant", "aopp", "--range", range_spec])
+    assert code == 2
+    assert_names_field("range", capsys)
+
+
+def test_distance_limit_is_inclusive():
+    assert cli._convert("range", "0:99999:1") == (0.0, 99999.0, 1.0)
+    with pytest.raises(ConfigError, match="more than 100000 distances"):
+        cli._convert("range", "0:100000:1")
+
+
+@pytest.mark.parametrize("range_spec, distances", [
+    ("0:1:0.1", ["0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9", "1"]),
+    ("100:300:200", ["100", "300"]),
+    ("100:100:1", ["100"]),
+])
+def test_scan_distances(range_spec, distances, tmp_path):
+    out = tmp_path / "s.csv"
+    argv = ["scan", "--config", write_config(tmp_path, FIXED_AOPP), "--range", range_spec,
+            "--out", str(out)]
+    assert main(argv) == 0
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+    assert [row.split(",")[0] for row in rows] == distances
+
