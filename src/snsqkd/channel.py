@@ -34,7 +34,9 @@ __all__ = [
 Convention = Literal["visibility", "mixing"]
 CONVENTIONS: tuple[str, ...] = get_args(Convention)
 
-X_QUAD_INTERVALS = 1024
+X_QUAD_INTERVALS = 64
+# sign of the interference term for the wrong and the right detector
+_WRONG_RIGHT = np.array([[1.0], [-1.0]])
 
 
 @dataclass(frozen=True)
@@ -185,28 +187,31 @@ def x_window_rates(
     integral runs over the zero slice only).  Returns (q_x, t_x): probability
     of an effective event per post-selected window, and probability that only
     the wrong detector clicked.
+
+    The integrand is even in d, so Simpson's rule with ``n_intervals``
+    intervals runs over the half slice [0, delta/2].  Each detector's click
+    probability is formed with expm1, so a rate far below one keeps its
+    relative precision instead of being a difference of numbers near one.
     """
     if mu_k < 0.0:
         raise ValueError("mu_k must be non-negative")
     if not 0.0 < delta <= 2.0 * math.pi:
         raise ValueError(f"delta must be in (0, 2*pi], got {delta!r}")
     vis, mix = _visibility(exp, convention)
-    quiet = 1.0 - exp.dark_count
+    log_quiet = math.log1p(-exp.dark_count)
     mean = eta_arm * mu_k
     half = 0.5 * delta
 
     def integrand(phase: np.ndarray) -> np.ndarray:
-        """Stacked per-phase (effective, wrong-click) probabilities; "hi" is
-        the detector the interference favours, "lo" the other one."""
-        swing = vis * np.cos(phase)
-        silent_hi = quiet * np.exp(-mean * (1.0 + swing))
-        silent_lo = quiet * np.exp(-mean * (1.0 - swing))
-        effective = silent_hi + silent_lo - 2.0 * silent_hi * silent_lo
-        wrong_alone = (1.0 - silent_lo) * silent_hi
-        return np.stack((effective, (1.0 - mix) * wrong_alone + mix * (effective - wrong_alone)))
+        """Per-phase probabilities, negated, that only the wrong detector
+        (row 0) or only the right one (row 1) clicks; the right detector is
+        the one the interference favours."""
+        # log-probabilities that the wrong (row 0) and the right (row 1) detector stay dark
+        log_silent = (log_quiet - mean) + (mean * vis) * np.cos(phase) * _WRONG_RIGHT
+        return np.expm1(log_silent) * np.exp(log_silent[::-1])
 
-    q_x, t_x = simpson(integrand, -half, half, n_intervals) / delta
-    return float(q_x), float(t_x)
+    wrong, right = simpson(integrand, 0.0, half, n_intervals) / -half
+    return float(wrong + right), float((1.0 - mix) * wrong + mix * right)
 
 
 def single_photon_quantities(exp: ExperimentParams, eta_arm: float) -> tuple[float, float]:

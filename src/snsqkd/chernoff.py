@@ -18,9 +18,15 @@ __all__ = [
     "post_rejection_bounds",
 ]
 
-_DELTA1_BRACKET_START = 1.0e6
 _DELTA2_HI = 1.0 - 1e-15
-_ROOT_TOL = 5e-324  # run bisection down to floating-point resolution
+# The closed-form brackets of the deviation roots are widened by this
+# relative margin: as c = ln(2/xi)/E falls, the upper bound of delta1 closes
+# in on the root (a relative gap of about c/18, 1e-13 at E = 1e13) faster
+# than the rounding of the equation shrinks (about 1e-10 of the root there).
+_BRACKET_MARGIN = 1e-6
+# Each root is solved to this tolerance relative to its bracket's upper end,
+# well below the rounding of the equations (about 1e-10 relative at E = 1e13).
+_ROOT_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -80,27 +86,45 @@ def _validate(expected: float, xi: float) -> float:
     return math.log(xi / 2.0)
 
 
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    return lo * (1.0 - _BRACKET_MARGIN), hi * (1.0 + _BRACKET_MARGIN)
+
+
 def _solve_delta1(expected: float, target: float) -> float:
+    """Root of the upper equation (1 + d) ln(1 + d) - d = c, c = ln(2/xi)/E.
+
+    d^2/(2 + 2d/3) <= (1 + d) ln(1 + d) - d <= d^2/2 puts the root between
+    sqrt(2c) and c/3 + sqrt(c^2/9 + 2c).
+    """
+    c = -target / expected
+    if math.isinf(c):
+        raise ValueError(f"expected value {expected!r} is too small for a finite upper bound")
+
     def upper_eq(delta: float) -> float:
         return expected * _upper_log_tail(delta) - target
 
-    hi = _DELTA1_BRACKET_START
-    while upper_eq(hi) > 0.0:
-        hi *= 10.0
-        if hi > 1e305:  # pragma: no cover - unreachable for positive expected
-            raise ArithmeticError("failed to bracket the upper deviation root")
-    return find_root(upper_eq, 0.0, hi, _ROOT_TOL)
+    root_2c = math.sqrt(2.0 * c)
+    lo, hi = _widen(root_2c, c / 3.0 + math.hypot(c / 3.0, root_2c))
+    return find_root(upper_eq, lo, hi, _ROOT_RTOL * hi)
 
 
 def _solve_delta2(expected: float, target: float) -> float | None:
-    """Root of the lower equation, or None when no root exists in (0, 1)."""
+    """Root of the lower equation d + (1 - d) ln(1 - d) = c, or None when no
+    root exists in (0, 1).
+
+    d^2/2 <= d + (1 - d) ln(1 - d) <= d^2/(2 - 2d) puts the root between
+    sqrt(c^2 + 2c) - c and sqrt(2c).
+    """
     if expected * _lower_log_tail(_DELTA2_HI) > target:
         return None
+    c = -target / expected
 
     def lower_eq(delta: float) -> float:
         return expected * _lower_log_tail(delta) - target
 
-    return find_root(lower_eq, 0.0, _DELTA2_HI, _ROOT_TOL)
+    lo, hi = _widen(math.sqrt(c * c + 2.0 * c) - c, math.sqrt(2.0 * c))
+    hi = min(hi, _DELTA2_HI)
+    return find_root(lower_eq, lo, hi, _ROOT_RTOL * hi)
 
 
 def solve_deltas(expected: float, xi: float) -> ChernoffDelta:

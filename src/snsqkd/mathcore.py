@@ -1,8 +1,9 @@
-"""Shared numeric primitives: entropy, Bessel I0, quadrature, bisection."""
+"""Shared numeric primitives: entropy, Bessel I0, quadrature, bracketed root finding."""
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -61,11 +62,16 @@ def bessel_i0(x: float) -> float:
 
 
 def find_root(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Bisection root of a sign-changing function on [lo, hi].
+    """Root of a sign-changing function on [lo, hi].
 
-    Halves the bracket until its width is at most ``tol`` (or until the
-    midpoint is no longer representable between the endpoints, whichever
-    comes first) and returns the midpoint.
+    Regula falsi with the Illinois modification: each step evaluates the
+    secant point of the bracket ends and keeps the sub-bracket that still
+    changes sign; when the same end is replaced twice in a row, the function
+    value held at the other end is halved, so both ends converge.  A secant
+    point that is not strictly inside the bracket is replaced by the
+    midpoint.  Stops when the bracket is at most ``tol`` wide (or when no
+    float lies strictly between its ends, whichever comes first) and returns
+    its midpoint; an exact zero is returned at once.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
@@ -79,18 +85,39 @@ def find_root(fn: Callable[[float], float], lo: float, hi: float, tol: float) ->
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"fn({lo!r}) and fn({hi!r}) have the same sign")
+    kept = 0  # +1: the last step kept lo, -1: it kept hi
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
+        x = hi - fhi * (hi - lo) / (fhi - flo)
+        if not lo < x < hi:  # also catches NaN from infinite values
+            x = 0.5 * (lo + hi)
+            if x <= lo or x >= hi:
+                break
+        fx = fn(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (flo > 0.0):
+            lo, flo = x, fx
+            if kept == -1:
+                fhi *= 0.5
+            kept = -1
         else:
-            hi = mid
+            hi, fhi = x, fx
+            if kept == 1:
+                flo *= 0.5
+            kept = 1
     return 0.5 * (lo + hi)
+
+
+@lru_cache(maxsize=8)
+def _simpson_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-interval composite Simpson rule on [0, 1]."""
+    weights = np.full(n + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    weights /= 3.0 * n
+    nodes = np.linspace(0.0, 1.0, n + 1)
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every call
+    return nodes, weights
 
 
 def simpson(
@@ -100,15 +127,17 @@ def simpson(
 
     ``fn`` must accept a numpy array of nodes and may return stacked rows of
     integrands, one per leading index; each row is integrated along the last
-    axis.  A scalar integrand gives a float.  n is rounded up to even.
+    axis, by the same summation as a single integrand.  A scalar integrand
+    gives a float.  n is rounded up to even; the unit rule for each n is
+    built once and reused.
     """
     if b <= a:
         raise ValueError("simpson requires b > a")
     if n % 2:
         n += 1
-    nodes = np.linspace(a, b, n + 1)
-    vals = np.asarray(fn(nodes), dtype=float)
-    h = (b - a) / n
-    total = h / 3.0 * (vals[..., 0] + vals[..., -1] + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
-                       + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
+    nodes, weights = _simpson_rule(n)
+    vals = np.asarray(fn(a + (b - a) * nodes), dtype=float)
+    # a product and a row sum, not vals @ weights: a matrix product does not
+    # sum a stacked row in the same order as the same row on its own
+    total = (b - a) * (vals * weights).sum(axis=-1)
     return float(total) if total.ndim == 0 else total

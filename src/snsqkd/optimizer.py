@@ -61,6 +61,13 @@ class OptimizationSpec:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"unknown convention {self.convention!r}; choose from {CONVENTIONS}")
+        if self.delta_values is not None and not (
+            self.delta_values and all(0.0 < d <= 2.0 * math.pi for d in self.delta_values)
+        ):
+            raise ValueError(
+                f"delta_values must be a non-empty set of widths in (0, 2*pi], "
+                f"got {self.delta_values!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -172,6 +179,9 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams) -> OptimizationResul
         if start_value <= _INVALID or evaluations >= spec.budget:
             break
         refine(start, pivot, start_value)
+    if best_values is None and scored[0][0] > _INVALID:
+        # no restart ran (the grid spent the budget): the best scored cell stands
+        best_value, best_values = scored[0]
     for delta in deltas:
         if best_values is not None and delta != pivot and evaluations < spec.budget:
             refine(best_values, delta, objective(best_values, delta))

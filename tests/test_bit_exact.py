@@ -39,67 +39,67 @@ KEY_LENGTH_HEX = {
     ("rowC@100", "visibility", False): {
         "original": "-0x1.2ae6d816fc280p+28", "refined": "0x1.65d6cdbaa6c40p+24",
         "bfer": "0x1.a89b500995b00p+27", "oddsift": "0x1.3888d8792d86ap+27",
-        "aopp": "0x1.1c6049f5f7e9bp+28", "finite": "0x1.6e67c6bb4e034p+27"},
+        "aopp": "0x1.1c6049f5f7e9bp+28", "finite": "0x1.6e67c6bb549c2p+27"},
     ("rowC@100", "visibility", True): {
         "original": "-0x1.2ae65dec88798p+28", "refined": "0x1.65de7061e1ac0p+24",
         "bfer": "0x1.a89b500995b00p+27", "oddsift": "0x1.3888d8792d86ap+27",
-        "aopp": "0x1.1c6049f5f7e9bp+28", "finite": "0x1.6e67c6bb4e034p+27"},
+        "aopp": "0x1.1c6049f5f7e9bp+28", "finite": "0x1.6e67c6bb549c2p+27"},
     ("rowC@100", "mixing", False): {
         "original": "-0x1.2c0164290cc3cp+28", "refined": "0x1.58c0a5794c600p+24",
         "bfer": "0x1.a8468797c8580p+27", "oddsift": "0x1.388142ff2049cp+27",
-        "aopp": "0x1.1c53bdf0f867fp+28", "finite": "0x1.6d4bff1badf3ap+27"},
+        "aopp": "0x1.1c53bdf0f867fp+28", "finite": "0x1.6d4bff1bb48aap+27"},
     ("rowC@100", "mixing", True): {
         "original": "-0x1.2c00e9fe99154p+28", "refined": "0x1.58c8482087480p+24",
         "bfer": "0x1.a8468797c8580p+27", "oddsift": "0x1.388142ff2049cp+27",
-        "aopp": "0x1.1c53bdf0f867fp+28", "finite": "0x1.6d4bff1badf3ap+27"},
+        "aopp": "0x1.1c53bdf0f867fp+28", "finite": "0x1.6d4bff1bb48aap+27"},
     ("rowF@240", "visibility", False): {
         "original": "-0x1.a159cee968ddcp+20", "refined": "-0x1.a906e94412b80p+19",
         "bfer": "0x1.548f5f92118a6p+19", "oddsift": "0x1.b791916d1c25ap+18",
-        "aopp": "0x1.a4550ca4bf54bp+19", "finite": "0x1.21d6828da388ep+19"},
+        "aopp": "0x1.a4550ca4bf54bp+19", "finite": "0x1.21d6828d93ceep+19"},
     ("rowF@240", "visibility", True): {
         "original": "-0x1.9f97640bf3964p+20", "refined": "-0x1.a582138928290p+19",
         "bfer": "0x1.548f5f92118a6p+19", "oddsift": "0x1.b791916d1c25ap+18",
-        "aopp": "0x1.a4550ca4bf54bp+19", "finite": "0x1.21d6828da388ep+19"},
+        "aopp": "0x1.a4550ca4bf54bp+19", "finite": "0x1.21d6828d93ceep+19"},
     ("rowF@240", "mixing", False): {
         "original": "-0x1.a169ad0b896c8p+20", "refined": "-0x1.a92072a9dbc40p+19",
         "bfer": "0x1.548c6dca349bdp+19", "oddsift": "0x1.b790b33ccc44ep+18",
-        "aopp": "0x1.a453ff065d26bp+19", "finite": "0x1.21cf25478949dp+19"},
+        "aopp": "0x1.a453ff065d26bp+19", "finite": "0x1.21cf25477a12dp+19"},
     ("rowF@240", "mixing", True): {
         "original": "-0x1.9fa7422e14250p+20", "refined": "-0x1.a59b9ceef1350p+19",
         "bfer": "0x1.548c6dca349bdp+19", "oddsift": "0x1.b790b33ccc44ep+18",
-        "aopp": "0x1.a453ff065d26bp+19", "finite": "0x1.21cf25478949dp+19"},
+        "aopp": "0x1.a453ff065d26bp+19", "finite": "0x1.21cf25477a12dp+19"},
     ("table2@502", "visibility", False): {
         "original": "-0x1.30abfa26245e2p+26", "refined": "-0x1.9fa530d39c4f8p+25",
         "bfer": "-0x1.0adcb2695019fp+23", "oddsift": "0x1.45e92210ae989p+20",
-        "aopp": "0x1.055c7113b5b0bp+21", "finite": "-0x1.0eeaf15276096p+23"},
+        "aopp": "0x1.055c7113b5b0bp+21", "finite": "-0x1.0eeaf14fc0bcfp+23"},
     ("table2@502", "visibility", True): {
         "original": "-0x1.303e41e18efb4p+26", "refined": "-0x1.9ec9c04a7189bp+25",
         "bfer": "-0x1.0adcb2695019fp+23", "oddsift": "0x1.45e92210ae989p+20",
-        "aopp": "0x1.055c7113b5b0bp+21", "finite": "-0x1.0eeaf15276096p+23"},
+        "aopp": "0x1.055c7113b5b0bp+21", "finite": "-0x1.0eeaf14fc0bcfp+23"},
     ("table2@502", "mixing", False): {
         "original": "-0x1.30ac0c8881f2cp+26", "refined": "-0x1.9fa54940680c6p+25",
         "bfer": "-0x1.0adcce4acb6cep+23", "oddsift": "0x1.45e9118c1a938p+20",
-        "aopp": "0x1.055c60ff09a17p+21", "finite": "-0x1.0eeb0e1c93462p+23"},
+        "aopp": "0x1.055c60ff09a17p+21", "finite": "-0x1.0eeb0e17643bfp+23"},
     ("table2@502", "mixing", True): {
         "original": "-0x1.303e5443ec8fep+26", "refined": "-0x1.9ec9d8b73d469p+25",
         "bfer": "-0x1.0adcce4acb6cep+23", "oddsift": "0x1.45e9118c1a938p+20",
-        "aopp": "0x1.055c60ff09a17p+21", "finite": "-0x1.0eeb0e1c93462p+23"},
+        "aopp": "0x1.055c60ff09a17p+21", "finite": "-0x1.0eeb0e17643bfp+23"},
 }
 
 # (preset, distance, mu_k, delta, convention, n_intervals) -> (q_x, t_x)
 X_WINDOW_HEX = {
     ("rowC", 100.0, 0.05, 2.0 * math.pi / 16.0, "visibility", None):
-        ("0x1.46c817e22edcfp-8", "0x1.13f04832e7be2p-12"),
+        ("0x1.46c817e22ed66p-8", "0x1.13f04832e2954p-12"),
     ("rowC", 100.0, 0.05, 2.0 * math.pi / 16.0, "mixing", None):
-        ("0x1.46dbb68c93bc1p-8", "0x1.148d1f94368b7p-12"),
+        ("0x1.46dbb68c93b57p-8", "0x1.148d1f9431624p-12"),
     ("table2", 502.0, 0.005, 2.0 * math.pi / 23.0, "visibility", None):
-        ("0x1.266b4bf8b8000p-22", "0x1.4083e403e889dp-25"),
+        ("0x1.266b4bf6a597fp-22", "0x1.4083e3ff997d6p-25"),
     ("rowF", 0.0, 0.3, 2.0 * math.pi, "mixing", None):
-        ("0x1.49c7aa834a2dcp-3", "0x1.49c7aa834a2dcp-4"),
-    ("rowE", 300.0, 0.1, 0.4, "visibility", 64):
-        ("0x1.f8a401fee3155p-15", "0x1.a2b6c6fa3a485p-18"),
+        ("0x1.49c7aa834a2dep-3", "0x1.49c7aa834a2dep-4"),
+    ("rowE", 300.0, 0.1, 0.4, "visibility", 16):
+        ("0x1.f8a401fee4351p-15", "0x1.a2b6c6f6d6a73p-18"),
     ("rowA", 50.0, 0.0, 1.0, "mixing", None):
-        ("0x1.5798ee0000000p-26", "0x1.5798ee05f9021p-27"),
+        ("0x1.5798ede9635e7p-26", "0x1.5798ede9635e7p-27"),
 }
 
 
@@ -152,8 +152,8 @@ SEARCH_HEX = {
         "0x1.0c0403c1fd3e9p-18", "0x1.e784871481a56p+21", 1297,
         ("0x1.f997ae160d3e0p-2", "0x1.1f8dfbdbd081bp-2", "0x1.921fb54442d18p-2")),
     "finite@table2-400": (
-        "0x1.948b987a18439p-22", "0x1.cbea2d48385ffp+22", 1492,
-        ("0x1.5c53647901316p-2", "0x1.3c56550d9bb1ap-4", "0x1.41b2f769cf0e0p-2")),
+        "0x1.948b987cd8354p-22", "0x1.cbea2d4b58aaap+22", 1519,
+        ("0x1.5c53647901316p-2", "0x1.3c56550d9bb18p-4", "0x1.41b2f769cf0e0p-2")),
     "finite@rowA600-zero-rate": (
         "0x0.0p+0", "-0x1.4c511123fd4a0p+7", 105,
         ("0x1.999999999999bp-5", "0x1.47ae147ae147dp-8", "0x1.921fb54442d18p-2")),

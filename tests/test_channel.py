@@ -1,8 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from snsqkd import PRESETS, preset
 from snsqkd.channel import (
     ExperimentParams,
     ProtocolParams,
@@ -164,6 +166,25 @@ class TestPhaseAveragedRate:
             assert effective_rate_phase_averaged(mu, 0.0, exp, eta) > q_nn
 
 
+def x_window_oracle(mu, delta, exp, eta, convention):
+    """(q_x, t_x) by mpmath quadrature over the whole slice, at the working
+    precision, from the per-detector dark probabilities."""
+    e_mis = mp.mpf(exp.misalignment)
+    vis, mix = (1 - 2 * e_mis, 0) if convention == "visibility" else (1, e_mis)
+    mean = mp.mpf(eta) * mp.mpf(mu)
+    quiet = 1 - mp.mpf(exp.dark_count)
+
+    def alone(sign):
+        # only the detector on the `sign` side of the interference clicks
+        def rate(phase):
+            swing = mean * vis * mp.cos(phase)
+            return (1 - quiet * mp.exp(-mean - sign * swing)) * quiet * mp.exp(-mean + sign * swing)
+        return mp.quad(rate, [-delta / 2, delta / 2]) / delta
+
+    wrong, right = alone(-1), alone(1)
+    return float(wrong + right), float((1 - mix) * wrong + mix * right)
+
+
 class TestXWindowRates:
     def test_vacuum(self):
         exp = make_exp()
@@ -224,6 +245,26 @@ class TestXWindowRates:
         exp = make_exp(misalignment=0.1, dark_count=0.0)
         q, t = x_window_rates(0.05, 0.1, exp, 0.03, convention="mixing")
         assert t / q == pytest.approx(0.1, rel=0.05)
+
+    def test_against_arbitrary_precision_quadrature(self):
+        # Over this sweep the 1024-interval rule over the whole slice, whose
+        # integrand took each click probability as one minus a number near
+        # one, was off by up to 9.1e-9 (q_x) and 7.0e-9 (t_x).
+        worst_q = worst_t = 0.0
+        with mp.workdps(20):
+            for name in sorted(PRESETS):
+                for distance in (0.0, 300.0, 600.0):
+                    exp = preset(name, distance)
+                    eta = arm_transmittance(exp)
+                    for mu in (1e-3, 0.05, 0.5):
+                        for delta in (2.0 * math.pi / k for k in (4, 16, 32)):
+                            for convention in ("visibility", "mixing"):
+                                q_ref, t_ref = x_window_oracle(mu, delta, exp, eta, convention)
+                                q_x, t_x = x_window_rates(mu, delta, exp, eta, convention)
+                                worst_q = max(worst_q, abs(q_x / q_ref - 1.0))
+                                worst_t = max(worst_t, abs(t_x / t_ref - 1.0))
+        assert worst_q <= 1e-10
+        assert worst_t <= 1e-9
 
 
 class TestSinglePhoton:

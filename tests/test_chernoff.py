@@ -1,8 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import snsqkd.chernoff
 from snsqkd.chernoff import (
     EpsilonBudget,
     chernoff_lower,
@@ -10,6 +12,7 @@ from snsqkd.chernoff import (
     post_rejection_bounds,
     solve_deltas,
 )
+from snsqkd.mathcore import find_root
 
 
 def upper_tail(delta, y):
@@ -18,6 +21,26 @@ def upper_tail(delta, y):
 
 def lower_tail(delta, y):
     return math.exp(y * (-delta - (1.0 - delta) * math.log1p(-delta)))
+
+
+# expected counts and failure probabilities from a handful of events to the
+# largest window counts, with xi from loose to far below the paper's 1e-10
+SWEEP = [(float(y), xi) for y in np.geomspace(1e-2, 1e13, 61) for xi in (0.4, 1e-3, 1e-10, 1e-20)]
+
+
+def deviation_oracle(y, xi):
+    """(delta1, delta2) to 50 digits; delta2 is None where the lower equation
+    has no root below the solver's cap 1 - 1e-15."""
+    with mp.workdps(50):
+        c = mp.log(2 / mp.mpf(xi)) / y
+        upper = mp.findroot(lambda d: (1 + d) * mp.log1p(d) - d - c,
+                            (mp.sqrt(2 * c) / 2, 2 * c + 2), solver="anderson")
+        cap = 1 - mp.mpf(1e-15)
+        if cap + (1 - cap) * mp.log1p(-cap) < c:
+            return float(upper), None
+        lower = mp.findroot(lambda d: d + (1 - d) * mp.log1p(-d) - c,
+                            (mp.sqrt(c * c + 2 * c) - c, cap), solver="anderson")
+        return float(upper), float(lower)
 
 
 class TestDeltas:
@@ -52,9 +75,46 @@ class TestDeltas:
             assert chernoff_lower(10.0, 1e-10) == 0.0
 
     def test_tiny_expected_upper_still_bounded(self):
-        # the upper bracket expands as needed for very small expected counts
+        # the closed-form bracket of the upper root covers very small expected counts
         bound = chernoff_upper(1e-3, 1e-10)
         assert 0.0 < bound < 100.0
+
+    def test_upper_refused_when_its_equation_overflows(self):
+        # ln(2/xi)/E is infinite: no finite deviation solves the upper equation
+        with pytest.raises(ValueError, match="too small"):
+            chernoff_upper(1e-320, 1e-10)
+
+    def test_against_arbitrary_precision_roots(self):
+        # The bisection from [0, 1e6] reached 1.15e-10 (delta1) and 1.08e-10
+        # (delta2) here: the equations themselves round to about that much.
+        worst1 = worst2 = 0.0
+        for y, xi in SWEEP:
+            deltas = solve_deltas(y, xi)
+            delta1, delta2 = deviation_oracle(y, xi)
+            worst1 = max(worst1, abs(deltas.delta1 / delta1 - 1.0))
+            assert deltas.lower_vacuous == (delta2 is None)
+            if delta2 is not None:
+                worst2 = max(worst2, abs(deltas.delta2 / delta2 - 1.0))
+        assert worst1 <= 1.2e-10
+        assert worst2 <= 1.1e-10
+
+    def test_each_root_takes_few_evaluations(self, monkeypatch):
+        # bisection from [0, 1e6] (upper) or [0, 1) (lower) down to the last
+        # float took 73 evaluations per solve on average, and up to 95
+        counts = []
+
+        def counting_find_root(fn, lo, hi, tol):
+            calls = []
+            root = find_root(lambda x: calls.append(x) or fn(x), lo, hi, tol)
+            counts.append(len(calls))
+            return root
+
+        monkeypatch.setattr(snsqkd.chernoff, "find_root", counting_find_root)
+        for y, xi in SWEEP:
+            solve_deltas(y, xi)
+        assert len(counts) > len(SWEEP)
+        assert max(counts) <= 25
+        assert sum(counts) / len(counts) <= 12
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

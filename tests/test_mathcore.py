@@ -125,6 +125,29 @@ class TestFindRoot:
     def test_exact_zero_endpoint(self):
         assert find_root(lambda x: x, 0.0, 1.0, 1e-9) == 0.0
 
+    def test_stale_end_does_not_stall_convergence(self):
+        # plain regula falsi keeps the right end here for hundreds of steps;
+        # bisection to the same width would take 50 evaluations
+        calls = []
+
+        def steep(x):
+            calls.append(x)
+            return x**12 - 0.5
+
+        root = find_root(steep, 0.0, 1.5, 1e-15)
+        assert root == pytest.approx(0.5 ** (1.0 / 12.0), abs=1e-15)
+        assert len(calls) <= 30
+
+    def test_infinite_end_falls_back_to_the_midpoint(self):
+        # the secant through an infinite value is NaN, never inside the bracket
+        root = find_root(lambda x: math.inf if x > 2.0 else x - 1.0, 0.0, 3.0, 1e-12)
+        assert root == pytest.approx(1.0, abs=1e-12)
+
+    def test_stops_at_adjacent_floats(self):
+        lo = 1.0
+        hi = math.nextafter(lo, 2.0)
+        assert find_root(lambda x: x - 1.0 - 2.0**-53, lo, hi, 5e-324) in (lo, hi)
+
 
 def test_simpson_sine():
     assert simpson(np.sin, 0.0, math.pi, 1024) == pytest.approx(2.0, abs=1e-10)

@@ -90,3 +90,28 @@ def test_spec_refuses_unknown_variant_or_convention(kwargs):
     # used to return rate 0 with key length -1e30
     with pytest.raises(ValueError, match="unknown"):
         OptimizationSpec(**kwargs)
+
+
+@pytest.mark.parametrize("budget", [100, 144])
+def test_budget_spent_in_the_grid_keeps_the_best_scored_cell(budget):
+    # the budget ends inside (or exactly at the end of) the 144-cell grid, so
+    # no restart runs; the result used to be the first cell with rate 0
+    spec = OptimizationSpec(variant="aopp", budget=budget)
+    exp = preset("rowF", 240.0)
+    result = optimize(spec, exp)
+    assert not result.restarts and result.evaluations == budget
+    point = evaluate(exp, result.params, "aopp").key
+    assert result.rate > 0.0
+    assert (result.rate, result.key_length) == (point.rate, point.key_length)
+    cells = snsqkd.optimizer._grid_cells(spec, snsqkd.optimizer._BOUNDS["asymptotic"])
+    scored = [evaluate(exp, snsqkd.optimizer._make_proto(cell, result.params.delta), "aopp")
+              .key.key_length for cell in cells[:budget]]
+    assert result.key_length == max(scored)
+
+
+@pytest.mark.parametrize("deltas", [(), (0.0,), (-0.1,), (2.0 * math.pi + 1e-9,), (math.nan,),
+                                    (0.4, 7.0)])
+def test_spec_refuses_empty_or_out_of_range_slice_widths(deltas):
+    # an empty set used to end in an IndexError at the pivot slice width
+    with pytest.raises(ValueError, match="delta_values"):
+        OptimizationSpec(variant="aopp", delta_values=deltas)
