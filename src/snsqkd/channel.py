@@ -193,8 +193,8 @@ def x_window_rates(
     probability is formed with expm1, so a rate far below one keeps its
     relative precision instead of being a difference of numbers near one.
     """
-    if mu_k < 0.0:
-        raise ValueError("mu_k must be non-negative")
+    if not 0.0 <= mu_k < math.inf:  # an infinite intensity makes the integrand NaN
+        raise ValueError(f"mu_k must be in [0, inf), got {mu_k!r}")
     if not 0.0 < delta <= 2.0 * math.pi:
         raise ValueError(f"delta must be in (0, 2*pi], got {delta!r}")
     vis, mix = _visibility(exp, convention)

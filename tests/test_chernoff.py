@@ -85,8 +85,8 @@ class TestDeltas:
             chernoff_upper(1e-320, 1e-10)
 
     def test_against_arbitrary_precision_roots(self):
-        # The bisection from [0, 1e6] reached 1.15e-10 (delta1) and 1.08e-10
-        # (delta2) here: the equations themselves round to about that much.
+        # the rounding of the equations sets the floor: about 1.1e-10 of the
+        # root at the largest expected counts here
         worst1 = worst2 = 0.0
         for y, xi in SWEEP:
             deltas = solve_deltas(y, xi)
@@ -99,8 +99,8 @@ class TestDeltas:
         assert worst2 <= 1.1e-10
 
     def test_each_root_takes_few_evaluations(self, monkeypatch):
-        # bisection from [0, 1e6] (upper) or [0, 1) (lower) down to the last
-        # float took 73 evaluations per solve on average, and up to 95
+        # halving [0, 1e6] (upper) or [0, 1) (lower) down to the last float
+        # would take 73 evaluations per root on average here, and up to 95
         counts = []
 
         def counting_find_root(fn, lo, hi, tol):
