@@ -65,7 +65,7 @@ class OptimizationSpec:
             self.delta_values and all(0.0 < d <= 2.0 * math.pi for d in self.delta_values)
         ):
             raise ValueError(
-                f"delta_values must be a non-empty set of widths in (0, 2*pi], "
+                "delta_values must be a non-empty set of widths in (0, 2*pi], "
                 f"got {self.delta_values!r}"
             )
 
@@ -180,7 +180,7 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams) -> OptimizationResul
             break
         refine(start, pivot, start_value)
     if best_values is None and scored[0][0] > _INVALID:
-        # no restart ran (the grid spent the budget): the best scored cell stands
+        # no restart ran (the grid spent the budget, or restarts=0): the best cell stands
         best_value, best_values = scored[0]
     for delta in deltas:
         if best_values is not None and delta != pivot and evaluations < spec.budget:

@@ -92,20 +92,21 @@ def test_spec_refuses_unknown_variant_or_convention(kwargs):
         OptimizationSpec(**kwargs)
 
 
-@pytest.mark.parametrize("budget", [100, 144])
-def test_budget_spent_in_the_grid_keeps_the_best_scored_cell(budget):
-    # the budget ends inside (or exactly at the end of) the 144-cell grid, so
-    # no restart runs; the result used to be the first cell with rate 0
-    spec = OptimizationSpec(variant="aopp", budget=budget)
+@pytest.mark.parametrize("kwargs, scored", [({"budget": 100}, 100), ({"budget": 144}, 144),
+                                            ({"restarts": 0}, 144)])
+def test_grid_without_restarts_keeps_the_best_scored_cell(kwargs, scored):
+    # the budget ends inside (or exactly at the end of) the 144-cell grid, or
+    # no restart is asked for; the result used to be the first cell with rate 0
+    spec = OptimizationSpec(variant="aopp", **kwargs)
     exp = preset("rowF", 240.0)
     result = optimize(spec, exp)
-    assert not result.restarts and result.evaluations == budget
+    assert not result.restarts and result.evaluations == scored
     point = evaluate(exp, result.params, "aopp").key
     assert result.rate > 0.0
     assert (result.rate, result.key_length) == (point.rate, point.key_length)
     cells = snsqkd.optimizer._grid_cells(spec, snsqkd.optimizer._BOUNDS["asymptotic"])
     scored = [evaluate(exp, snsqkd.optimizer._make_proto(cell, result.params.delta), "aopp")
-              .key.key_length for cell in cells[:budget]]
+              .key.key_length for cell in cells[:scored]]
     assert result.key_length == max(scored)
 
 
