@@ -105,9 +105,9 @@ def test_grid_without_restarts_keeps_the_best_scored_cell(kwargs, scored):
     assert result.rate > 0.0
     assert (result.rate, result.key_length) == (point.rate, point.key_length)
     cells = snsqkd.optimizer._grid_cells(spec, snsqkd.optimizer._BOUNDS["asymptotic"])
-    scored = [evaluate(exp, snsqkd.optimizer._make_proto(cell, result.params.delta), "aopp")
-              .key.key_length for cell in cells[:scored]]
-    assert result.key_length == max(scored)
+    lengths = [evaluate(exp, snsqkd.optimizer._make_proto(cell, result.params.delta), "aopp")
+               .key.key_length for cell in cells[:scored]]
+    assert result.key_length == max(lengths)
 
 
 @pytest.mark.parametrize("deltas", [(), (0.0,), (-0.1,), (2.0 * math.pi + 1e-9,), (math.nan,),
