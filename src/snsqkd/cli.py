@@ -443,7 +443,8 @@ def cmd_optimize(cfg: RunConfig) -> int:
             f"  evaluations {result.evaluations}, restarts {len(result.restarts)}:",
         ]
         lines += [
-            f"    start {r.start_value:.6e} -> final {r.final_value:.6e} ({r.evaluations} evals)"
+            f"    start {r.start_value:.6e} -> final {r.final_value:.6e} ({r.evaluations} evals, "
+            f"{'converged' if r.converged else 'hit evaluation cap'})"
             for r in result.restarts
         ]
     _write_output(cfg.out, "\n".join(lines) + "\n")

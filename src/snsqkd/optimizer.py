@@ -38,6 +38,14 @@ _BOUNDS = {
     },
     "asymptotic": {"mu_z": (0.05, 1.5), "p_send": (0.005, 0.6)},
 }
+# Nelder-Mead function-value tolerance of each mode; every refinement also
+# needs its simplex within 1e-4 in the search space.  An absolute 1e-12 on key
+# lengths of 1e5-1e9 (an ulp of 1e-11 to 1e-7) holds only when all vertices
+# agree to the bit, so rounding noise can keep the simplex cycling to maxfev:
+# asymptotic searches stop on the simplex alone.  The finite search stalls the
+# same way (ROADMAP, Known defects) but keeps 1e-12 until the benchmark's
+# evaluation reference is re-recorded.
+_FATOL = {"finite": 1e-12, "asymptotic": math.inf}
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,7 @@ class RestartRecord:
     final: dict[str, float]
     final_value: float
     evaluations: int
+    converged: bool  # False when the refinement ended at its evaluation cap
 
 
 @dataclass(frozen=True)
@@ -161,12 +170,14 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams) -> OptimizationResul
             encode(start),
             method="Nelder-Mead",
             bounds=nm_bounds,
-            options={"maxfev": maxfev, "xatol": 1e-4, "fatol": 1e-12},
+            options={"maxfev": maxfev, "xatol": 1e-4, "fatol": _FATOL[mode]},
         )
         final, final_value = decode(result.x), -float(result.fun)
         if final_value < start_value:  # refinement never loses its starting cell
             final, final_value = dict(start), start_value
-        record = RestartRecord(dict(start), start_value, final, final_value, int(result.nfev))
+        record = RestartRecord(
+            dict(start), start_value, final, final_value, int(result.nfev), bool(result.success)
+        )
         restarts.append(record)
         if final_value > best_value:
             best_value, best_values, best_delta = final_value, final, delta

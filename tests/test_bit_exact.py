@@ -149,8 +149,8 @@ SEARCHES = {
 # search -> (rate, key length, evaluations, (mu_z, p_send, delta) of the result)
 SEARCH_HEX = {
     "aopp@rowF240": (
-        "0x1.0c0403c1fd3e9p-18", "0x1.e784871481a56p+21", 1297,
-        ("0x1.f997ae160d3e0p-2", "0x1.1f8dfbdbd081bp-2", "0x1.921fb54442d18p-2")),
+        "0x1.0c0403c066019p-18", "0x1.e78487119ce24p+21", 449,
+        ("0x1.f9949fc90554ep-2", "0x1.1f8d625e0d97ep-2", "0x1.921fb54442d18p-2")),
     "finite@table2-400": (
         "0x1.948b987cd8354p-22", "0x1.cbea2d4b58aaap+22", 1519,
         ("0x1.5c53647901316p-2", "0x1.3c56550d9bb18p-4", "0x1.41b2f769cf0e0p-2")),

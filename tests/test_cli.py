@@ -234,14 +234,25 @@ class TestQubitCheck:
 
 
 class TestOptimizeCommand:
-    def test_prints_params_and_restarts(self, capsys):
+    def test_prints_params_and_restarts(self, monkeypatch, capsys):
         assert main(["optimize", "--preset", "rowF", "--distance", "240",
                      "--variant", "aopp"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("variant aopp: rate ")
-        assert "restarts" in out and "start" in out
+        assert "restarts 5:" in out
         rate = float(out.splitlines()[0].split()[3])
         assert rate == pytest.approx(3.99e-6, rel=0.5)
+        restarts = [line for line in out.splitlines() if line.startswith("    start ")]
+        assert len(restarts) == 5
+        assert all(line.endswith(" evals, converged)") for line in restarts)
+        # a finite refinement still cycles to its cap of (300 - 32) // 2 = 134 evaluations
+        full = cli._optimization_spec
+        monkeypatch.setattr(cli, "_optimization_spec", lambda cfg, variant: dataclasses.replace(
+            full(cfg, variant), grid_mu=4, grid_p=4, grid_pz=2, restarts=2, budget=300,
+            delta_values=(2.0 * math.pi / 16.0,)))
+        assert main(["optimize", "--preset", "table2", "--distance", "300",
+                     "--variant", "finite"]) == 0
+        assert "(134 evals, hit evaluation cap)" in capsys.readouterr().out
 
 
 def test_parallel_scan_matches_sequential(tmp_path):

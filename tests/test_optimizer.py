@@ -116,3 +116,24 @@ def test_spec_refuses_empty_or_out_of_range_slice_widths(deltas):
     # an empty set used to end in an IndexError at the pivot slice width
     with pytest.raises(ValueError, match="delta_values"):
         OptimizationSpec(variant="aopp", delta_values=deltas)
+
+
+# rowD points whose refinements ran to their evaluation cap while an absolute
+# function-value tolerance of 1e-12 asked vertices with key lengths near
+# 1e5-1e9 to agree to the bit: the searches took 7,982, 7,781, 4,971 and 5,064
+# evaluations and found these rates
+STALLED_SEARCHES = {
+    "refined@50": ("refined", 50.0, "0x1.823fdc3d4b9b0p-11"),
+    "bfer@50": ("bfer", 50.0, "0x1.1bde1816015f8p-11"),
+    "refined@200": ("refined", 200.0, "0x1.54e1e16b7bed0p-16"),
+    "bfer@350": ("bfer", 350.0, "0x1.8209fade02e77p-22"),
+}
+
+
+@pytest.mark.parametrize("search", sorted(STALLED_SEARCHES))
+def test_asymptotic_refinements_stop_when_the_simplex_converges(search):
+    variant, distance, rate_hex = STALLED_SEARCHES[search]
+    result = optimize(OptimizationSpec(variant=variant), preset("rowD", distance))
+    assert result.evaluations <= 2000
+    assert result.restarts and all(record.converged for record in result.restarts)
+    assert result.rate == pytest.approx(float.fromhex(rate_hex), rel=1e-8)
