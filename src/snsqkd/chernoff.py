@@ -52,8 +52,9 @@ class EpsilonBudget:
     def from_failure_prob(cls, xi: float) -> "EpsilonBudget":
         """Standard assignment: eps_bar=3*xi, eps_n1=6*xi, the rest equal xi,
         which composes to eps_tot = 22*xi."""
-        if not 0.0 < xi < 1.0:
-            raise ValueError(f"xi must be in (0, 1), got {xi!r}")
+        # the Chernoff tails take log(xi/2), so xi/2 must not underflow to zero
+        if not (0.0 < xi / 2.0 and xi < 1.0):
+            raise ValueError(f"failure_prob must be in (0, 1) and at least 1e-323, got {xi!r}")
         return cls(eps_cor=xi, eps_hat=xi, eps_pa=xi, eps_bar=3.0 * xi, eps_n1=6.0 * xi, xi=xi)
 
 
@@ -81,8 +82,8 @@ def _lower_log_tail(delta: float) -> float:
 def _validate(expected: float, xi: float) -> float:
     if expected <= 0.0:
         raise ValueError(f"expected value must be positive, got {expected!r}")
-    if not 0.0 < xi < 1.0:
-        raise ValueError(f"xi must be in (0, 1), got {xi!r}")
+    if not (0.0 < xi / 2.0 and xi < 1.0):
+        raise ValueError(f"xi must be in (0, 1) and at least 1e-323, got {xi!r}")
     return math.log(xi / 2.0)
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import betainc, ndtr
 
 from .decoy import UntaggedStats
 from .postproc import ZWindowCounts, aopp, bfer_expectations
@@ -43,9 +42,11 @@ RNG_ALGORITHM = "numpy-pcg64"
 
 # compare() flags a count whose binomial tail is below the one-sided normal
 # tail at Z_LIMIT sigmas: the significance of |z| > Z_LIMIT, exact also for
-# classes that expect less than one event.
+# classes that expect less than one event.  TAIL_LIMIT is
+# scipy.special.ndtr(-Z_LIMIT), written out so that importing this module loads
+# no scipy; 0.5*erfc(Z_LIMIT/sqrt(2)) is a different float (...946e-07).
 Z_LIMIT = 5.0
-TAIL_LIMIT = float(ndtr(-Z_LIMIT))
+TAIL_LIMIT = 2.866515718791933e-07
 
 # Label codes and the bit a label implies on each side.  One-sender events
 # agree on the bit; both-send (D) and neither-send (V) events are the
@@ -265,6 +266,8 @@ class StatCheck:
 def _tail(value: float, trials: int, prob: float) -> float:
     """Probability of a Binomial(trials, prob) count at least as far from the
     mean as ``value``, on the side where ``value`` lies."""
+    from scipy.special import betainc
+
     if value > trials * prob:  # P(X >= value)
         return float(betainc(value, trials - value + 1.0, prob)) if value <= trials else 0.0
     return float(betainc(trials - value, value + 1.0, 1.0 - prob))  # P(X <= value)

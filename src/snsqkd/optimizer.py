@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channel import CONVENTIONS, ExperimentParams, ProtocolParams
 from .decoy import BoundViolationError
@@ -99,6 +98,15 @@ class OptimizationResult:
     @property
     def positive(self) -> bool:
         return self.key_length > 0.0
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported at the first refinement so that
+    commands which never optimize do not pay for loading it.  A module-level
+    function: ``refine`` looks it up by name at each call."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _make_proto(values: dict[str, float], delta: float) -> ProtocolParams:

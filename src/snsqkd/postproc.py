@@ -333,8 +333,10 @@ def key_length_finite(
     ``bfer`` must come from ``bfer_expectations`` on the same ``untagged``.
     """
     n1_lower, e1_upper = post_rejection_bounds(bfer.n1_survived, untagged.e1ph, budget.xi)
-    penalty = -math.log2(2.0 / budget.eps_cor) - 2.0 * math.log2(
-        1.0 / (math.sqrt(2.0) * budget.eps_pa * budget.eps_hat)
+    # log2(eps_cor/2) + 2*log2(sqrt(2)*eps_pa*eps_hat) as sums of logarithms:
+    # the products underflow for a failure probability below about 1e-155
+    penalty = (math.log2(budget.eps_cor) - 1.0) + 2.0 * (
+        0.5 + math.log2(budget.eps_pa) + math.log2(budget.eps_hat)
     )
     return _key_result(
         "finite",

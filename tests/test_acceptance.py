@@ -294,3 +294,33 @@ def test_criterion_10_distance_gain():
         ", ".join(f"{row} +{gain:.1f} km" for row, gain in gains.items())
         + f" (at least 60 km each), runtime {elapsed:.1f}s",
     )
+
+
+def test_criterion_11_advantage_grows_with_misalignment_and_distance():
+    # the abstract: the advantage holds "at regime of long distance and large
+    # misalignment error rate"; rows D, E and F differ only in misalignment
+    # (0.05, 0.10, 0.15), so the optimized aopp/original rate ratio must rise
+    # along the rows and from 100 to 200 km on each row
+    rows = ("rowD", "rowE", "rowF")
+    ratios = {
+        distance: [
+            optimize(OptimizationSpec(variant="aopp"), preset(row, distance)).rate
+            / optimize(OptimizationSpec(variant="original"), preset(row, distance)).rate
+            for row in rows
+        ]
+        for distance in (100.0, 200.0)
+    }
+    near, far = ratios[100.0], ratios[200.0]
+    ok = (
+        all(a < b for a, b in zip(near, near[1:]))
+        and all(a < b for a, b in zip(far, far[1:]))
+        and all(a < b for a, b in zip(near, far))
+    )
+    report(
+        "criterion 11 (aopp/original ratio rises with misalignment and distance)",
+        ok,
+        "; ".join(
+            f"{distance:g} km " + ", ".join(f"{row} {r:.3f}" for row, r in zip(rows, values))
+            for distance, values in ratios.items()
+        ),
+    )

@@ -123,6 +123,9 @@ class TestDeltas:
             chernoff_lower(-5.0, 1e-10)
         with pytest.raises(ValueError):
             solve_deltas(100.0, 1.5)
+        # log(xi/2) would be log(0), a bare "math domain error"
+        with pytest.raises(ValueError, match="at least 1e-323"):
+            chernoff_upper(10.0, 5e-324)
 
 
 class TestPostRejection:

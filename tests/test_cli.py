@@ -1,8 +1,12 @@
 import contextlib
 import dataclasses
 import errno
+import json
 import math
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -204,6 +208,20 @@ class TestPoint:
     def test_requires_distance(self, capsys):
         assert main(["point", "--preset", "rowC", "--variant", "bfer"]) == 2
 
+    def test_finite_at_a_tiny_failure_prob(self, tmp_path, capsys):
+        # the finite penalty printed key_length -inf at 1e-200, and 5e-324
+        # ended in a ZeroDivisionError traceback (exit 1, "statistic flagged")
+        protocol = "p_z = 0.9\np_send = 0.1\nmu_z = 0.4\nmu1 = 0.02\nmu2 = 0.1\n"
+        argv = ["point", "--variant", "finite", "--distance", "300", "--config"]
+        cfg = write_config(tmp_path, f"preset = table2\nfailure_prob = 1e-200\n{protocol}")
+        assert main(argv + [cfg]) == 0
+        out = capsys.readouterr().out
+        line = next(l for l in out.splitlines() if l.startswith("key_length"))
+        assert math.isfinite(float(line.split()[-1]))
+        cfg = write_config(tmp_path, f"preset = table2\nfailure_prob = 5e-324\n{protocol}")
+        assert main(argv + [cfg]) == 2
+        assert "failure_prob" in capsys.readouterr().err
+
 
 class TestMcVerify:
     def test_clean_run_exits_zero(self, tmp_path):
@@ -253,6 +271,43 @@ class TestOptimizeCommand:
         assert main(["optimize", "--preset", "table2", "--distance", "300",
                      "--variant", "finite"]) == 0
         assert "(134 evals, hit evaluation cap)" in capsys.readouterr().out
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def scipy_after(code):
+    """scipy modules loaded in a fresh interpreter after running ``code``."""
+    script = (f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
+              "import json\nprint(json.dumps(sorted(m for m in sys.modules "
+              "if m == 'scipy' or m.startswith('scipy.'))))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+START_UP = {
+    "point": ["point", "--config", "FIXED", "--variant", "aopp", "--distance", "100"],
+    "plob": ["plob", "--preset", "rowA", "--distance", "100"],
+    "qubit-check": ["qubit-check", "--grid-points", "5"],
+}
+
+
+@pytest.mark.parametrize("command", ["import"] + list(START_UP))
+def test_commands_that_never_optimize_load_no_scipy(command, tmp_path):
+    # scipy.special and scipy.optimize took most of the start-up of every command
+    cfg = write_config(tmp_path, "preset = rowC\np_send = 0.1\nmu_z = 0.4\n")
+    argv = [cfg if arg == "FIXED" else arg for arg in START_UP.get(command, [])]
+    run = f"assert cli.main({argv!r}) == 0" if argv else ""
+    assert scipy_after(f"import snsqkd, snsqkd.cli as cli\n{run}") == []
+
+
+def test_optimizing_loads_scipy_optimize():
+    loaded = scipy_after(
+        "from snsqkd import OptimizationSpec, optimize, preset\n"
+        "optimize(OptimizationSpec('aopp', grid_mu=3, grid_p=3, restarts=1), preset('rowC', 100))"
+    )
+    assert "scipy.optimize" in loaded
 
 
 def test_parallel_scan_matches_sequential(tmp_path):

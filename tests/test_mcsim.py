@@ -218,6 +218,12 @@ class TestRunAopp:
 
 
 class TestCompare:
+    def test_tail_limit_is_the_normal_tail_at_z_limit(self):
+        # written as a literal so that importing mcsim loads no scipy
+        from scipy.special import ndtr
+
+        assert mcsim.TAIL_LIMIT == float(ndtr(-mcsim.Z_LIMIT))
+
     def test_identical_inputs_give_zero(self):
         analytic = {"a": (20, 0.5), "b": (10, 0.5)}
         rows = mcsim.compare({"a": 10.0, "b": 5.0}, analytic)

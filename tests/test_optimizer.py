@@ -83,6 +83,16 @@ def test_result_carries_python_floats_only():
     assert all(type(r.final_value) is float for r in result.restarts)
 
 
+def test_finite_search_at_a_tiny_failure_prob():
+    # the finite penalty used to raise ZeroDivisionError here, past the
+    # objective's ValueError handler
+    spec = OptimizationSpec(variant="finite", grid_mu=4, grid_p=4, grid_pz=2, restarts=2,
+                            budget=300, delta_values=(2.0 * math.pi / 16.0,))
+    exp = dataclasses.replace(preset("table2", 300.0), failure_prob=1e-200)
+    result = optimize(spec, exp)
+    assert result.positive and math.isfinite(result.key_length)
+
+
 @pytest.mark.parametrize("kwargs", [{"variant": "bogus"},
                                     {"variant": "aopp", "convention": "Mixing"}])
 def test_spec_refuses_unknown_variant_or_convention(kwargs):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from snsqkd.channel import ExperimentParams, ProtocolParams, window_rates
 from snsqkd.chernoff import EpsilonBudget
 from snsqkd.decoy import UntaggedStats, untagged_asymptotic
 from snsqkd.mathcore import binary_entropy
+from snsqkd.pipeline import evaluate
 from snsqkd.postproc import (
     ZWindowCounts,
     aopp,
@@ -21,9 +23,12 @@ from snsqkd.postproc import (
     odd_parity_sift,
     z_window_counts,
 )
+from snsqkd.presets import preset
 
 F_EC = 1.1
 N_PULSES = 1e12
+FINITE_PROTO = ProtocolParams(p_z=0.9, p_send=0.1, mu_z=0.4,
+                              decoy_intensities=(0.0, 0.02, 0.1))
 
 
 def make_untagged(n1, e1ph, n1_0=None, n0=0.0):
@@ -213,6 +218,22 @@ class TestFiniteKey:
         plain = key_length_bfer(outcome, F_EC, 1e20)
         assert finite.key_length == pytest.approx(plain.key_length, rel=1e-3)
         assert finite.key_length < plain.key_length
+
+
+    @pytest.mark.parametrize("failure_prob", [1e-200, 1e-323, 0.5])
+    def test_finite_at_any_failure_prob(self, failure_prob):
+        # eps_pa*eps_hat underflows below about 1e-155: the key length was
+        # -inf, and below about 2e-162 a ZeroDivisionError
+        exp = dataclasses.replace(preset("table2", 300.0), failure_prob=failure_prob)
+        key = evaluate(exp, FINITE_PROTO, "finite").key
+        xi = math.log2(failure_prob)
+        assert key.finite_penalty == (xi - 1.0) + 2.0 * (0.5 + xi + xi)
+        assert math.isfinite(key.key_length) and key.key_length > 0.0
+
+    def test_refuses_the_smallest_failure_prob(self):
+        exp = dataclasses.replace(preset("table2", 300.0), failure_prob=5e-324)
+        with pytest.raises(ValueError, match="failure_prob"):
+            evaluate(exp, FINITE_PROTO, "finite")
 
 
 class TestOddSift:
