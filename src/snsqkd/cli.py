@@ -440,7 +440,8 @@ def cmd_optimize(cfg: RunConfig) -> int:
             f"variant {variant}: rate {result.rate:.6e} ({result.rate.hex()})",
             f"  p_z={proto.p_z!r} p_send={proto.p_send!r} mu_z={proto.mu_z!r}",
             f"  mu1={proto.mu1!r} mu2={proto.mu2!r} delta={proto.delta!r}",
-            f"  evaluations {result.evaluations}, restarts {len(result.restarts)}:",
+            f"  evaluations {result.evaluations} ({result.repeated} repeated points), "
+            f"restarts {len(result.restarts)}:",
         ]
         lines += [
             f"    start {r.start_value:.6e} -> final {r.final_value:.6e} ({r.evaluations} evals, "

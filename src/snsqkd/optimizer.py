@@ -9,6 +9,7 @@ a gradient direction even where the rate floors at zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,6 +95,7 @@ class OptimizationResult:
     rate: float
     restarts: tuple[RestartRecord, ...]
     evaluations: int
+    repeated: int  # evaluations answered from the memo, not by ``evaluate``
 
     @property
     def positive(self) -> bool:
@@ -141,9 +143,12 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams) -> OptimizationResul
             exp, proto, spec.variant, vacuum_credit=spec.vacuum_credit, convention=spec.convention
         ).key
 
-    def objective(values: dict[str, float], delta: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
+    # a collapsed or bound-clipped simplex asks for the same floats again a few
+    # calls later; each call still counts as an evaluation, so the search
+    # makes the same decisions while each distinct point is scored once
+    @functools.lru_cache(maxsize=16)
+    def score(items: tuple[tuple[str, float], ...], delta: float) -> float:
+        values = dict(items)
         if "mu1" in values:
             # graded penalty steers the simplex back into the valid ordering
             mu1, mu2 = values["mu1"], values["mu2"]
@@ -154,6 +159,11 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams) -> OptimizationResul
             return key(_make_proto(values, delta)).key_length
         except (BoundViolationError, ValueError):
             return _INVALID
+
+    def objective(values: dict[str, float], delta: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return score(tuple(values.items()), delta)
 
     def encode(values: dict[str, float]) -> np.ndarray:
         return np.array([values[n] if n == "p_z" else math.log(values[n]) for n in names])
@@ -210,7 +220,9 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams) -> OptimizationResul
     if best_value > 0.0:
         final_key = key(proto)
         key_length, rate = final_key.key_length, final_key.rate
-    return OptimizationResult(proto, key_length, rate, tuple(restarts), evaluations)
+    return OptimizationResult(
+        proto, key_length, rate, tuple(restarts), evaluations, score.cache_info().hits
+    )
 
 
 def _grid_cells(

@@ -263,14 +263,23 @@ class TestOptimizeCommand:
         restarts = [line for line in out.splitlines() if line.startswith("    start ")]
         assert len(restarts) == 5
         assert all(line.endswith(" evals, converged)") for line in restarts)
+        assert "  evaluations 449 (0 repeated points), restarts 5:" in out
         # a finite refinement still cycles to its cap of (300 - 32) // 2 = 134 evaluations
         full = cli._optimization_spec
+        budget = 300
         monkeypatch.setattr(cli, "_optimization_spec", lambda cfg, variant: dataclasses.replace(
-            full(cfg, variant), grid_mu=4, grid_p=4, grid_pz=2, restarts=2, budget=300,
+            full(cfg, variant), grid_mu=4, grid_p=4, grid_pz=2, restarts=2, budget=budget,
             delta_values=(2.0 * math.pi / 16.0,)))
         assert main(["optimize", "--preset", "table2", "--distance", "300",
                      "--variant", "finite"]) == 0
-        assert "(134 evals, hit evaluation cap)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "(134 evals, hit evaluation cap)" in out
+        assert "  evaluations 266 (0 repeated points), restarts 2:" in out
+        # with a larger cap the stalled simplex asks for points it has scored
+        budget = 1500
+        assert main(["optimize", "--preset", "table2", "--distance", "400",
+                     "--variant", "finite"]) == 0
+        assert "  evaluations 1133 (171 repeated points), restarts 2:" in capsys.readouterr().out
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

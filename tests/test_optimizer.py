@@ -147,3 +147,59 @@ def test_asymptotic_refinements_stop_when_the_simplex_converges(search):
     assert result.evaluations <= 2000
     assert result.restarts and all(record.converged for record in result.restarts)
     assert result.rate == pytest.approx(float.fromhex(rate_hex), rel=1e-8)
+
+
+# a small finite search whose two restarts both end at their evaluation cap,
+# and its result recorded before optimize scored each repeated point once
+CAPPED_FINITE = (
+    OptimizationSpec(variant="finite", grid_mu=4, grid_p=4, grid_pz=2, restarts=2, budget=1500,
+                     delta_values=(2.0 * math.pi / 16.0,)),
+    preset("table2", 400.0),
+)
+CAPPED_FINITE_HEX = ("0x1.8e25173eeae6ap-22", "0x1.c4a3699ed31abp+22", 1133,
+                     ("0x1.fae147ae147aep-1", "0x1.3a839758a8d35p-4", "0x1.5c418c18d42f3p-2",
+                      "0x1.47ae147ae1482p-8", "0x1.47ae147ae147ep-6"))
+
+
+def bits(result):
+    params = tuple(getattr(result.params, name).hex()
+                   for name in ("p_z", "p_send", "mu_z", "mu1", "mu2"))
+    return result.rate.hex(), result.key_length.hex(), result.evaluations, params
+
+
+def test_repeated_points_are_scored_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(snsqkd.optimizer, "evaluate", counted)
+    result = optimize(*CAPPED_FINITE)
+    assert result.restarts and not any(record.converged for record in result.restarts)
+    assert bits(result) == CAPPED_FINITE_HEX
+    assert result.repeated > 0
+    # every distinct point once, and the optimum once more for its rate
+    assert len(calls) == result.evaluations - result.repeated + 1 < result.evaluations
+
+
+def test_interleaved_searches_share_no_scores(monkeypatch):
+    # both searches score the same grid cells, so a score that outlived its
+    # call, or was shared between calls, would land on the other's cells
+    spec = OptimizationSpec(variant="aopp", grid_mu=6, grid_p=6, restarts=2)
+    outer_search = (spec, preset("rowC", 100.0))
+    inner_search = (dataclasses.replace(spec, variant="bfer"), preset("rowF", 240.0))
+    alone = {"outer": "0x1.32a6a25935ad8p-11", "inner": "0x1.2c4c197a00bd1p-20"}
+    inner = []
+
+    def evaluate_after_inner_search(*args, **kwargs):
+        if not inner:
+            inner.append(None)
+            inner[0] = optimize(*inner_search)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(snsqkd.optimizer, "evaluate", evaluate_after_inner_search)
+    outer = optimize(*outer_search)
+    assert {"outer": outer.rate.hex(), "inner": inner[0].rate.hex()} == alone
+    assert (outer.evaluations, inner[0].evaluations) == (168, 157)
+    assert optimize(*outer_search) == outer and optimize(*inner_search) == inner[0]
