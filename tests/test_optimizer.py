@@ -161,12 +161,6 @@ CAPPED_FINITE_HEX = ("0x1.8e25173eeae6ap-22", "0x1.c4a3699ed31abp+22", 1133,
                       "0x1.47ae147ae1482p-8", "0x1.47ae147ae147ep-6"))
 
 
-def bits(result):
-    params = tuple(getattr(result.params, name).hex()
-                   for name in ("p_z", "p_send", "mu_z", "mu1", "mu2"))
-    return result.rate.hex(), result.key_length.hex(), result.evaluations, params
-
-
 def test_repeated_points_are_scored_once(monkeypatch):
     calls = []
 
@@ -177,7 +171,10 @@ def test_repeated_points_are_scored_once(monkeypatch):
     monkeypatch.setattr(snsqkd.optimizer, "evaluate", counted)
     result = optimize(*CAPPED_FINITE)
     assert result.restarts and not any(record.converged for record in result.restarts)
-    assert bits(result) == CAPPED_FINITE_HEX
+    params = tuple(getattr(result.params, name).hex()
+                   for name in ("p_z", "p_send", "mu_z", "mu1", "mu2"))
+    assert (result.rate.hex(), result.key_length.hex(), result.evaluations, params) \
+        == CAPPED_FINITE_HEX
     assert result.repeated > 0
     # every distinct point once, and the optimum once more for its rate
     assert len(calls) == result.evaluations - result.repeated + 1 < result.evaluations
@@ -185,7 +182,8 @@ def test_repeated_points_are_scored_once(monkeypatch):
 
 def test_interleaved_searches_share_no_scores(monkeypatch):
     # both searches score the same grid cells, so a score that outlived its
-    # call, or was shared between calls, would land on the other's cells
+    # call, or was shared between calls, would land on the other's cells;
+    # the rates are those each search gives alone, recorded before the memo
     spec = OptimizationSpec(variant="aopp", grid_mu=6, grid_p=6, restarts=2)
     outer_search = (spec, preset("rowC", 100.0))
     inner_search = (dataclasses.replace(spec, variant="bfer"), preset("rowF", 240.0))
