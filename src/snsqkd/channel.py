@@ -122,7 +122,7 @@ class ProtocolParams:
         return self.decoy_intensities[2]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WindowRates:
     """Expected per-window effective-event probabilities at the signal intensity."""
 

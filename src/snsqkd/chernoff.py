@@ -3,6 +3,7 @@ failure-probability budget of the composable security statement."""
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -49,9 +50,11 @@ class EpsilonBudget:
         return self.eps_cor + self.eps_sec
 
     @classmethod
+    @functools.lru_cache(maxsize=32)
     def from_failure_prob(cls, xi: float) -> "EpsilonBudget":
         """Standard assignment: eps_bar=3*xi, eps_n1=6*xi, the rest equal xi,
-        which composes to eps_tot = 22*xi."""
+        which composes to eps_tot = 22*xi.  Equal ``xi`` share one (frozen)
+        instance, so a finite evaluation neither validates nor builds it anew."""
         # the Chernoff tails take log(xi/2), so xi/2 must not underflow to zero
         if not (0.0 < xi / 2.0 and xi < 1.0):
             raise ValueError(f"failure_prob must be in (0, 1) and at least 1e-323, got {xi!r}")

@@ -27,6 +27,7 @@ __all__ = [
     "BoundViolationError",
     "untagged_asymptotic",
     "decoy_observations",
+    "check_decoy_order",
     "untagged_decoy",
 ]
 
@@ -36,7 +37,7 @@ class BoundViolationError(RuntimeError):
     numerator went negative); signals parameter misconfiguration."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UntaggedStats:
     """Untagged-bit count and phase-flip error bound before post-processing."""
 
@@ -47,7 +48,7 @@ class UntaggedStats:
     n0: float          # effective one-sender windows that emitted vacuum
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DecoyObservations:
     """Counting rates used by the decoy bounds (expected values in simulation)."""
 
@@ -93,6 +94,15 @@ def decoy_observations(
     )
 
 
+def check_decoy_order(proto: ProtocolParams) -> None:
+    """Refuse decoy intensities the vacuum + two weak decoy bounds cannot use."""
+    mu1, mu2 = proto.mu1, proto.mu2
+    if not mu1 + mu2 < proto.mu_z:
+        raise ValueError(
+            f"decoy bounds require mu1 + mu2 < mu_z, got {mu1!r} + {mu2!r} vs {proto.mu_z!r}"
+        )
+
+
 def untagged_decoy(
     exp: ExperimentParams, proto: ProtocolParams, obs: DecoyObservations
 ) -> UntaggedStats:
@@ -102,11 +112,8 @@ def untagged_decoy(
     rates; the phase error is upper-bounded from the post-selected decoy
     error rate after subtracting the vacuum (dark-count) contribution.
     """
+    check_decoy_order(proto)
     mu1, mu2 = proto.mu1, proto.mu2
-    if not mu1 + mu2 < proto.mu_z:
-        raise ValueError(
-            f"decoy bounds require mu1 + mu2 < mu_z, got {mu1!r} + {mu2!r} vs {proto.mu_z!r}"
-        )
     yield_num = mu2**2 * (math.exp(mu1) * obs.s_mu1 - obs.s_0) - mu1**2 * (
         math.exp(mu2) * obs.s_mu2 - obs.s_0
     )

@@ -6,7 +6,13 @@ from dataclasses import dataclass
 
 from .channel import Convention, ExperimentParams, ProtocolParams, WindowRates, window_rates
 from .chernoff import EpsilonBudget
-from .decoy import UntaggedStats, decoy_observations, untagged_asymptotic, untagged_decoy
+from .decoy import (
+    UntaggedStats,
+    check_decoy_order,
+    decoy_observations,
+    untagged_asymptotic,
+    untagged_decoy,
+)
 from .postproc import (
     AoppOutcome,
     BferOutcome,
@@ -35,7 +41,7 @@ def mode_for_variant(variant: str) -> str:
     return "finite" if variant == "finite" else "asymptotic"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PointResult:
     """Full breakdown of one (parameters, distance, variant) evaluation."""
 
@@ -67,6 +73,8 @@ def evaluate(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     mode = mode_for_variant(variant)
+    if mode == "finite":
+        check_decoy_order(proto)  # before any channel work
     rates = window_rates(exp, proto, convention)
     counts = z_window_counts(exp, proto, rates)
     f_ec = exp.error_correction_f

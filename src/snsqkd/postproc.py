@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ZWindowCounts:
     """Effective signal-window events split by who decided to send.
 
@@ -84,7 +84,7 @@ class ZWindowCounts:
         return (self.n_d + self.n_v) / self.n_t if self.n_t > 0.0 else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BferOutcome:
     """Expected pair bookkeeping of one error-rejection round.
 
@@ -120,7 +120,7 @@ class BferOutcome:
     e1ph_iter: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OddSiftOutcome:
     """Error rejection keeping only the odd-parity survivors."""
 
@@ -131,7 +131,7 @@ class OddSiftOutcome:
     e_ph_iter: float    # iterated phase-flip error of the survivors
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AoppOutcome:
     """Actively odd-parity pairing: every pair holds one 0 and one 1 of Bob's."""
 
@@ -145,7 +145,7 @@ class AoppOutcome:
     e_ph_iter: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class KeyResult:
     """Final key length with its term breakdown; the length is left unclamped
     (the optimizer needs the sign), only the per-pulse rate is floored at 0."""

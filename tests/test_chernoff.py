@@ -174,3 +174,14 @@ class TestEpsilonBudget:
     def test_validation(self):
         with pytest.raises(ValueError):
             EpsilonBudget.from_failure_prob(0.0)
+
+    def test_equal_failure_probs_share_one_budget(self):
+        budget = EpsilonBudget.from_failure_prob(1.7e-10)
+        assert EpsilonBudget.from_failure_prob(float("1.7e-10")) is budget
+        assert EpsilonBudget.from_failure_prob(1.8e-10) is not budget
+
+    def test_refusal_is_not_cached(self):
+        # the memo holds results only, so a refused value is refused every time
+        for _ in range(3):
+            with pytest.raises(ValueError, match="failure_prob"):
+                EpsilonBudget.from_failure_prob(5e-324)

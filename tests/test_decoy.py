@@ -149,3 +149,18 @@ def test_observations_from_channel():
     assert obs.s_0 == pytest.approx(2.0 * exp.dark_count, rel=1e-6)
     assert obs.s_mu2 > obs.s_mu1 > obs.s_0
     assert 0.0 < obs.t_delta < 1.0
+
+
+def test_finite_evaluate_refuses_misordered_decoys_before_channel_work(monkeypatch):
+    import snsqkd.decoy
+    import snsqkd.pipeline
+    from snsqkd.pipeline import evaluate
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("channel work ran for a protocol the decoy bounds refuse")
+
+    monkeypatch.setattr(snsqkd.decoy, "x_window_rates", forbidden)
+    monkeypatch.setattr(snsqkd.pipeline, "window_rates", forbidden)
+    proto = make_proto(mu_z=0.15, decoy_intensities=(0.0, 0.05, 0.1))
+    with pytest.raises(ValueError, match=r"mu1 \+ mu2 < mu_z"):
+        evaluate(make_exp(), proto, "finite")
