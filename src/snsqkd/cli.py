@@ -54,10 +54,10 @@ class RunConfig:
     preset: str | None = None
     experiment: dict[str, float] = field(default_factory=dict)
     protocol: dict[str, float] = field(default_factory=dict)
-    variants: list[str] = field(default_factory=list)
+    variant: list[str] = field(default_factory=list)
     mode: str | None = None
     distance: float | None = None
-    range_spec: tuple[float, float, float] | None = None
+    range: tuple[float, float, float] | None = None
     seed: int = 0
     out: str | None = None
     bits: int = 1_000_000
@@ -89,18 +89,6 @@ class RunConfig:
         except ValueError as err:
             raise ConfigError(f"invalid protocol parameters: {err}") from err
 
-    def validate_variants(self) -> None:
-        if not self.variants:
-            raise ConfigError("field 'variant': at least one pipeline variant is required")
-        for name in self.variants:
-            if name not in VARIANTS:
-                raise ConfigError(f"field 'variant': unknown variant {name!r}; choose from {VARIANTS}")
-            if self.mode is not None and mode_for_variant(name) != self.mode:
-                raise ConfigError(
-                    f"field 'mode': variant {name!r} runs in {mode_for_variant(name)!r} mode, "
-                    f"config requests {self.mode!r}"
-                )
-
 
 def _parse_bool(text: str) -> bool:
     if text.lower() in ("true", "1", "yes"):
@@ -110,8 +98,16 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _split_variants(text: str) -> list[str]:
-    return [v.strip() for v in text.split(",") if v.strip()]
+def _parse_variants(text: str) -> list[str]:
+    names = [v.strip() for v in text.split(",") if v.strip()]
+    if not names:
+        raise ValueError(_REQUIRED["variant"])
+    for i, name in enumerate(names):
+        if name not in VARIANTS:
+            raise ValueError(f"unknown variant {name!r}; choose from {VARIANTS}")
+        if name in names[:i]:
+            raise ValueError(f"variant {name!r} is repeated")
+    return names
 
 
 # each distance is one optimization, about 0.2 s for an asymptotic variant,
@@ -173,13 +169,49 @@ _FIELDS = {
     "inject_fault": _parse_bool,
     "distance": float,
     "range": _parse_range,
-    "variant": _split_variants,
+    "variant": _parse_variants,
     **dict.fromkeys(_EXPERIMENT_KEYS + _PROTOCOL_KEYS, float),
 }
 _CHOICES = {"preset": tuple(PRESETS), "mode": ("asymptotic", "finite"), "convention": CONVENTIONS}
 # numpy seeds are non-negative; sampling needs two bits, a pair-state grid
 # one point per axis
 _MINIMA = {"seed": 0, "bits": 2, "n_seeds": 1, "grid_points": 1, "jobs": 1}
+
+# the add_argument options of each key that is a flag of some command; the
+# flag is '--' plus the key with '-' for '_'
+_FLAGS: dict[str, dict[str, str]] = {
+    "preset": {"help": f"device preset, one of {sorted(PRESETS)}"},
+    "seed": {"help": "base seed recorded in outputs, at least 0"},
+    "out": {"help": "output path (default: stdout)"},
+    "mode": {"help": f"pipeline mode, one of {_CHOICES['mode']}"},
+    "variant": {"action": "append", "help": "pipeline variant(s), comma-separable"},
+    "distance": {"help": "distance in km"},
+    "range": {"help": "distance range lo:hi:step in km"},
+    "jobs": {"help": "parallel distance evaluations, at least 1"},
+    "convention": {"help": f"misalignment model, one of {CONVENTIONS}"},
+    "vacuum_credit": {"action": "store_const", "const": "true"},
+    "bits": {"help": "sampled string length, at least 2"},
+    "n_seeds": {"help": "number of seeds to run, at least 1"},
+    "inject_fault": {"action": "store_const", "const": "true"},
+    "grid_points": {"help": "grid size per axis, at least 1"},
+}
+_PIPELINE_KEYS = ("preset", "variant", "mode", "convention", "vacuum_credit")
+# each command's flags besides --config and --out, and the keys it cannot run
+# without; a config file may set any key, and a command ignores those it does
+# not read
+_COMMANDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "scan": (_PIPELINE_KEYS + ("range", "jobs", "seed"), ("variant", "range")),
+    "point": (_PIPELINE_KEYS + ("distance",), ("variant", "distance")),
+    "optimize": (_PIPELINE_KEYS + ("distance",), ("variant", "distance")),
+    "plob": (("preset", "distance"), ("distance",)),
+    "mc-verify": (_PIPELINE_KEYS + ("distance", "seed", "bits", "n_seeds", "inject_fault"), ()),
+    "qubit-check": (("grid_points",), ()),
+}
+_REQUIRED = {
+    "variant": "at least one pipeline variant is required",
+    "distance": "{command} requires a distance",
+    "range": "{command} requires a distance range lo:hi:step",
+}
 
 
 def _convert(key: str, text: str) -> object:
@@ -216,10 +248,10 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then config file, then command-line flags."""
+    """Defaults, then config file, then command-line flags, then the checks across keys."""
     cfg = RunConfig()
     merged: dict[str, object] = {}
-    if getattr(args, "config", None):
+    if args.config:
         merged.update(parse_config_file(args.config))
     for key in _FIELDS:
         text = getattr(args, key, None)
@@ -231,12 +263,17 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             cfg.experiment[key] = value  # type: ignore[assignment]
         elif key in _PROTOCOL_KEYS:
             cfg.protocol[key] = value  # type: ignore[assignment]
-        elif key == "variant":
-            cfg.variants = value  # type: ignore[assignment]
-        elif key == "range":
-            cfg.range_spec = value  # type: ignore[assignment]
         else:
             setattr(cfg, key, value)
+    for name in cfg.variant:
+        if cfg.mode is not None and mode_for_variant(name) != cfg.mode:
+            raise ConfigError(
+                f"field 'mode': variant {name!r} runs in {mode_for_variant(name)!r} mode, "
+                f"config requests {cfg.mode!r}"
+            )
+    for key in _COMMANDS[args.command][1]:
+        if key not in merged:
+            raise ConfigError(f"field {key!r}: " + _REQUIRED[key].format(command=args.command))
     return cfg
 
 
@@ -256,7 +293,6 @@ def plob_rate(fiber_loss_db_km: float, distance_km: float, eta_detector: float =
 def _optimization_spec(cfg: RunConfig, variant: str) -> OptimizationSpec:
     return OptimizationSpec(
         variant=variant,
-        seed=cfg.seed,
         vacuum_credit=cfg.vacuum_credit,
         convention=cfg.convention,
     )
@@ -282,7 +318,7 @@ def _evaluate(
 def _scan_row(cfg: RunConfig, distance: float) -> dict[str, float]:
     row: dict[str, float] = {"distance_km": distance}
     exp = cfg.build_experiment(distance)
-    for variant in cfg.variants:
+    for variant in cfg.variant:
         proto = _protocol_for(cfg, exp, variant)
         point = _evaluate(cfg, exp, proto, variant)
         row[f"{variant}_rate"] = point.key.rate
@@ -297,13 +333,13 @@ def _config_header(cfg: RunConfig, columns: list[str]) -> list[str]:
     lines = ["# key-rate scan"]
     resolved = {
         "preset": cfg.preset,
-        "variants": ",".join(cfg.variants),
+        "variants": ",".join(cfg.variant),
         "mode": cfg.mode,
         "seed": cfg.seed,
         "rng": mcsim.RNG_ALGORITHM,
         "convention": cfg.convention,
         "vacuum_credit": cfg.vacuum_credit,
-        "range": cfg.range_spec,
+        "range": cfg.range,
         **{f"experiment.{k}": v for k, v in sorted(cfg.experiment.items())},
         **{f"protocol.{k}": v for k, v in sorted(cfg.protocol.items())},
     }
@@ -322,10 +358,7 @@ def _format_cell(name: str, value: float) -> str:
 
 
 def cmd_scan(cfg: RunConfig) -> int:
-    cfg.validate_variants()
-    if cfg.range_spec is None:
-        raise ConfigError("field 'range': scan requires a distance range lo:hi:step")
-    lo, hi, step = cfg.range_spec
+    lo, hi, step = cfg.range
     distances = [round(lo + i * step, 9) for i in range(_distance_count(lo, hi, step))]
     # the pool forks all its workers at once, so it gets no more than there are distances
     workers = min(cfg.jobs, len(distances))
@@ -336,7 +369,7 @@ def cmd_scan(cfg: RunConfig) -> int:
         rows = [_scan_row(cfg, d) for d in distances]
 
     columns: list[str] = ["distance_km"]
-    for variant in cfg.variants:
+    for variant in cfg.variant:
         columns += [f"{variant}_rate", f"{variant}_rate_hex"]
         columns += [f"{variant}_{name}" for name in _PROTOCOL_KEYS]
     columns += ["plob_absolute", "plob_absolute_hex", "plob_relative", "plob_relative_hex"]
@@ -414,12 +447,9 @@ def _breakdown_lines(point: PointResult, exp: ExperimentParams, proto: ProtocolP
 
 
 def cmd_point(cfg: RunConfig) -> int:
-    cfg.validate_variants()
-    if cfg.distance is None:
-        raise ConfigError("field 'distance': point requires a distance")
     exp = cfg.build_experiment(cfg.distance)
     chunks = []
-    for variant in cfg.variants:
+    for variant in cfg.variant:
         proto = _protocol_for(cfg, exp, variant)
         point = _evaluate(cfg, exp, proto, variant)
         chunks.append("\n".join(_breakdown_lines(point, exp, proto)))
@@ -428,12 +458,9 @@ def cmd_point(cfg: RunConfig) -> int:
 
 
 def cmd_optimize(cfg: RunConfig) -> int:
-    cfg.validate_variants()
-    if cfg.distance is None:
-        raise ConfigError("field 'distance': optimize requires a distance")
     exp = cfg.build_experiment(cfg.distance)
     lines = []
-    for variant in cfg.variants:
+    for variant in cfg.variant:
         result = optimize(_optimization_spec(cfg, variant), exp)
         proto = result.params
         lines += [
@@ -453,8 +480,6 @@ def cmd_optimize(cfg: RunConfig) -> int:
 
 
 def cmd_plob(cfg: RunConfig, setting: str) -> int:
-    if cfg.distance is None:
-        raise ConfigError("field 'distance': plob requires a distance")
     exp = cfg.build_experiment(cfg.distance)
     eta_det = 1.0 if setting == "absolute" else exp.detector_eff
     rate = plob_rate(exp.fiber_loss_db_km, cfg.distance, eta_det)
@@ -469,7 +494,7 @@ def _mc_fixture(cfg: RunConfig) -> tuple[ZWindowCounts, UntaggedStats]:
     """Counts/untagged instance whose proportions the oracle samples."""
     distance = cfg.distance if cfg.distance is not None else 100.0
     exp = cfg.build_experiment(distance)
-    variant = cfg.variants[0] if cfg.variants else "bfer"
+    variant = cfg.variant[0] if cfg.variant else "bfer"
     proto = _protocol_for(cfg, exp, variant)
     point = _evaluate(cfg, exp, proto, variant if variant != "finite" else "bfer")
     return point.counts, point.untagged
@@ -530,56 +555,27 @@ def _write_output(out: str | None, text: str) -> None:
             raise ConfigError(f"field 'out': cannot write {out!r}: {err.strerror}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument("--preset", help=f"device preset, one of {sorted(PRESETS)}")
-    parser.add_argument("--seed", help="base seed recorded in outputs, at least 0")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--mode", help=f"pipeline mode, one of {_CHOICES['mode']}")
-    parser.add_argument("--variant", action="append", help="pipeline variant(s), comma-separable")
-    parser.add_argument("--distance", help="distance in km")
-    parser.add_argument("--range", dest="range", help="distance range lo:hi:step in km")
-    parser.add_argument("--jobs", help="parallel distance evaluations, at least 1")
-    parser.add_argument("--convention", help=f"misalignment model, one of {CONVENTIONS}")
-    parser.add_argument("--vacuum-credit", dest="vacuum_credit", action="store_const", const="true")
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="snsqkd", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (keys, _) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        p.add_argument("--config", help="flat key=value configuration file")
+        for key in ("out",) + keys:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
+        if name == "plob":
+            p.add_argument("--eta-setting", choices=("absolute", "relative"), default="absolute")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="snsqkd", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("scan", "point", "optimize"):
-        p = sub.add_parser(name)
-        _add_common(p)
-
-    p = sub.add_parser("plob")
-    _add_common(p)
-    p.add_argument("--eta-setting", choices=("absolute", "relative"), default="absolute")
-
-    p = sub.add_parser("mc-verify")
-    _add_common(p)
-    p.add_argument("--bits", help="sampled string length, at least 2")
-    p.add_argument("--n-seeds", dest="n_seeds", help="number of seeds to run, at least 1")
-    p.add_argument("--inject-fault", dest="inject_fault", action="store_const", const="true")
-
-    p = sub.add_parser("qubit-check")
-    _add_common(p)
-    p.add_argument("--grid-points", dest="grid_points", help="grid size per axis, at least 1")
-
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at each call, so that a rebound cmd_* function is the one that runs
+    run = {"scan": cmd_scan, "point": cmd_point, "optimize": cmd_optimize,
+           "plob": lambda cfg: cmd_plob(cfg, args.eta_setting),
+           "mc-verify": cmd_mc_verify, "qubit-check": cmd_qubit_check}[args.command]
     try:
-        cfg = build_config(args)
-        if args.command == "scan":
-            return cmd_scan(cfg)
-        if args.command == "point":
-            return cmd_point(cfg)
-        if args.command == "optimize":
-            return cmd_optimize(cfg)
-        if args.command == "plob":
-            return cmd_plob(cfg, args.eta_setting)
-        if args.command == "mc-verify":
-            return cmd_mc_verify(cfg)
-        return cmd_qubit_check(cfg)
+        return run(build_config(args))
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

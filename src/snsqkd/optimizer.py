@@ -126,9 +126,9 @@ def _make_proto(values: dict[str, float], delta: float) -> ProtocolParams:
 def optimize(spec: OptimizationSpec, exp: ExperimentParams) -> OptimizationResult:
     """Maximize the spec's variant over the free protocol parameters.
 
-    Deterministic for a given spec (the seed is recorded for provenance; the
-    search itself needs no randomness).  Returns a zero-length result, not an
-    error, when no candidate produces a positive key.
+    Deterministic for a given spec: the search needs no randomness and
+    ignores ``spec.seed``.  Returns a zero-length result, not an error, when
+    no candidate produces a positive key.
     """
     mode = mode_for_variant(spec.variant)
     bounds = _BOUNDS[mode]

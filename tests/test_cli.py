@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import errno
@@ -408,14 +409,20 @@ MALFORMED = {
     "variant": "bogus",
     **dict.fromkeys(cli._EXPERIMENT_KEYS + cli._PROTOCOL_KEYS, "abc"),
 }
-# the subcommand that has each flag taking a value; the experiment and
+# a subcommand that takes each flag taking a value; the experiment and
 # protocol keys have no flag, and the two boolean flags take no value
 FLAG_COMMAND = {
-    **dict.fromkeys(("preset", "mode", "convention", "seed", "jobs", "distance", "range",
-                     "variant"), "point"),
-    "bits": "mc-verify",
-    "n_seeds": "mc-verify",
+    **dict.fromkeys(("preset", "mode", "convention", "distance", "variant"), "point"),
+    **dict.fromkeys(("range", "jobs"), "scan"),
+    **dict.fromkeys(("seed", "bits", "n_seeds"), "mc-verify"),
     "grid_points": "qubit-check",
+}
+# a valid run of each of those subcommands, given only flags it takes
+FLAG_BASE = {
+    "point": ["--preset", "rowC", "--variant", "bfer", "--distance", "100"],
+    "scan": ["--preset", "rowC", "--variant", "bfer", "--range", "100:200:50"],
+    "mc-verify": ["--preset", "rowC", "--variant", "bfer", "--distance", "100"],
+    "qubit-check": [],
 }
 
 
@@ -438,8 +445,8 @@ def test_malformed_config_value_names_the_key(key, tmp_path, capsys):
 
 @pytest.mark.parametrize("key", list(FLAG_COMMAND))
 def test_malformed_flag_value_names_the_key(key, capsys):
-    argv = [FLAG_COMMAND[key], "--preset", "rowC", "--variant", "bfer", "--distance", "100",
-            f"--{key.replace('_', '-')}={MALFORMED[key]}"]
+    command = FLAG_COMMAND[key]
+    argv = [command, *FLAG_BASE[command], f"--{key.replace('_', '-')}={MALFORMED[key]}"]
     assert main(argv) == 2
     assert_names_field(key, capsys)
 
@@ -616,3 +623,79 @@ def test_scan_distances(range_spec, distances, tmp_path):
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
     assert [row.split(",")[0] for row in rows] == distances
 
+
+
+
+# the flags of each subcommand besides --config and --out: only those it reads
+COMMAND_FLAGS = {
+    "scan": "preset variant mode convention vacuum-credit range jobs seed",
+    "point": "preset variant mode convention vacuum-credit distance",
+    "optimize": "preset variant mode convention vacuum-credit distance",
+    "plob": "preset distance eta-setting",
+    "mc-verify": "preset variant mode convention vacuum-credit distance seed bits n-seeds "
+                 "inject-fault",
+    "qubit-check": "grid-points",
+}
+# the flags besides --config and --out that every subcommand used to take
+FORMERLY_SHARED = "preset seed mode variant distance range jobs convention vacuum-credit".split()
+
+
+def command_flags(command):
+    return {"--config", "--out"} | {f"--{name}" for name in COMMAND_FLAGS[command].split()}
+
+
+def exit_code(argv):
+    """What a run exits with, whether main returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exit:
+        return exit.code
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    commands = next(action.choices for action in cli._parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    flags = {name: {option for action in parser._actions for option in action.option_strings
+                    if option not in ("-h", "--help")}
+             for name, parser in commands.items()}
+    assert flags == {command: command_flags(command) for command in COMMAND_FLAGS}
+    assert sum(map(len, flags.values())) == 46
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_a_flag_the_command_does_not_read_exits_two(command, capsys):
+    for flag in sorted({f"--{name}" for name in FORMERLY_SHARED} - command_flags(command)):
+        assert exit_code([command, flag]) == 2, flag
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mc-verify", "--preset", "rowC", "--distance", "100", "--variant", "bogus",
+      "--bits", "1000"], "field 'variant'"),
+    (MC_ARGV + ["--mode", "finite", "--variant", "aopp"], "field 'mode'"),
+    (["scan", "--preset", "rowC", "--variant", "aopp", "--range", "100:100:1",
+      "--distance", "300"], "unrecognized arguments: --distance 300"),
+    (["qubit-check", "--grid-points", "5", "--preset", "rowC"],
+     "unrecognized arguments: --preset rowC"),
+    (["plob", "--preset", "rowA", "--distance", "100", "--variant", "aopp"],
+     "unrecognized arguments: --variant aopp"),
+], ids=["mc-verify-unknown-variant", "mc-verify-mode", "scan-distance", "qubit-check-preset",
+        "plob-variant"])
+def test_input_a_command_used_to_ignore_exits_two(argv, message, capsys):
+    # mc-verify ended in a traceback (exit 1, "statistic flagged") or ran
+    # despite the mode; the others ran and ignored the flag
+    assert exit_code(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["scan", "--preset", "rowC", "--variant", "aopp,aopp", "--range", "100:100:1"], ""),
+    (["scan", "--preset", "rowC", "--variant", "aopp", "--variant", "bfer,aopp",
+      "--range", "100:100:1"], ""),
+    (["point", "--preset", "rowC", "--distance", "100"], "variant = bfer, aopp, bfer\n"),
+], ids=["comma", "repeated-flag", "config"])
+def test_repeated_variant_is_a_configuration_error(argv, config, tmp_path, capsys):
+    # a scan ran the aopp optimization twice and wrote two aopp_rate columns
+    assert main(argv + ["--config", write_config(tmp_path, config)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "field 'variant'" in err and "is repeated" in err
