@@ -492,6 +492,11 @@ def cmd_plob(cfg: RunConfig, setting: str) -> int:
 
 def _mc_fixture(cfg: RunConfig) -> tuple[ZWindowCounts, UntaggedStats]:
     """Counts/untagged instance whose proportions the oracle samples."""
+    if len(cfg.variant) > 1:
+        raise ConfigError(
+            f"field 'variant': mc-verify samples one variant's instance; give one --variant, "
+            f"not {','.join(cfg.variant)!r}"
+        )
     distance = cfg.distance if cfg.distance is not None else 100.0
     exp = cfg.build_experiment(distance)
     variant = cfg.variant[0] if cfg.variant else "bfer"

@@ -5,6 +5,10 @@ when it is free, followed by Nelder-Mead refinement from the best grid
 cells.  The phase-slice width is scanned over a discrete set of fractions of
 the circle.  The objective is the unclamped key length, so the search keeps
 a gradient direction even where the rate floors at zero.
+
+The refinement, ``minimize``, reproduces scipy's bounded Nelder-Mead
+(``scipy.optimize.minimize(method="Nelder-Mead", bounds=...)``) bit for bit
+on lists of Python floats, so the package needs no ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +30,11 @@ __all__ = ["OptimizationSpec", "RestartRecord", "OptimizationResult", "optimize"
 DELTA_CHOICES = tuple(2.0 * math.pi / k for k in range(4, 33))
 
 _INVALID = -1e30
+
+# Nelder-Mead coefficients (reflection, expansion, contraction, shrink) and
+# start-simplex steps, as scipy sets them
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
 
 # free variables of each mode and their search bounds; the search runs in log
 # space for every variable but p_z
@@ -102,13 +112,129 @@ class OptimizationResult:
         return self.key_length > 0.0
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported at the first refinement so that
-    commands which never optimize do not pay for loading it.  A module-level
-    function: ``refine`` looks it up by name at each call."""
-    from scipy.optimize import minimize as scipy_minimize
+class _Spent(Exception):
+    """The evaluation cap was reached before a call."""
 
-    return scipy_minimize(*args, **kwargs)
+
+def minimize(
+    func: Callable[[list[float]], float],
+    x0: list[float],
+    bounds: list[tuple[float, float]],
+    *,
+    maxfev: int,
+    xatol: float,
+    fatol: float,
+) -> tuple[list[float], float, int, bool]:
+    """Bounded Nelder-Mead from ``x0``, on lists of floats.
+
+    Reproduces ``scipy.optimize.minimize(func, x0, method="Nelder-Mead",
+    bounds=bounds, options={"maxfev": maxfev, "xatol": xatol, "fatol":
+    fatol})`` step for step and bit for bit: the same start simplex (clipped
+    after vertices above an upper bound are reflected inside), the same
+    moves and coefficients, every trial point clipped to the box, the same
+    stop test and the same vertex order.  Ties between vertex values are
+    ordered by ``np.argsort``'s default kind, as scipy orders them.  ``x0``
+    and the bounds must be finite.  Returns ``(x, fun, nfev, converged)``;
+    ``converged`` is False when the search stopped at ``maxfev``.
+
+    A module-level function: ``refine`` looks it up by name at each call.
+    """
+    lo = [b[0] for b in bounds]
+    hi = [b[1] for b in bounds]
+    n = len(x0)
+    calls = 0
+
+    def clip(x: list[float]) -> list[float]:
+        # np.clip against vector bounds: a coordinate equal to a bound becomes the bound
+        out = []
+        for v, low, high in zip(x, lo, hi):
+            v = low if v <= low else v
+            out.append(high if v >= high else v)
+        return out
+
+    def f(x: list[float]) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _Spent
+        calls += 1
+        return func(x)
+
+    x0 = clip(x0)
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
+        sim.append(y)
+    # a vertex past an upper bound is reflected inside, so clipping cannot
+    # collapse the simplex onto the bound
+    sim = [clip([2 * h - v if v > h else v for v, h in zip(x, hi)]) for x in sim]
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _Spent:
+        pass
+    # scipy sorts the start simplex twice; an unstable sort may reorder ties again
+    sim, fsim = _by_value(*_by_value(sim, fsim))
+
+    while calls < maxfev:
+        try:
+            best, f_best = sim[0], fsim[0]
+            if all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best)) and all(
+                abs(f_best - fx) <= fatol for fx in fsim[1:]
+            ):
+                break
+            # the centroid of all vertices but the worst, summed left to right
+            # as np.add.reduce sums the rows of scipy's simplex array
+            xbar = sim[0]
+            for x in sim[1:-1]:
+                xbar = [a + b for a, b in zip(xbar, x)]
+            xbar = [a / n for a in xbar]
+            worst = sim[-1]
+            xr = clip([(1 + _RHO) * c - _RHO * w for c, w in zip(xbar, worst)])
+            fxr = f(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = clip([(1 + _RHO * _CHI) * c - _RHO * _CHI * w for c, w in zip(xbar, worst)])
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:  # outside contraction
+                xc = clip([(1 + _PSI * _RHO) * c - _PSI * _RHO * w for c, w in zip(xbar, worst)])
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:  # inside contraction
+                xcc = clip([(1 - _PSI) * c + _PSI * w for c, w in zip(xbar, worst)])
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    # the vertex moves before it is scored, so a cap reached
+                    # here leaves it paired with its old value
+                    sim[j] = clip([b + _SIGMA * (v - b) for v, b in zip(sim[j], best)])
+                    fsim[j] = f(sim[j])
+        except _Spent:
+            pass
+        sim, fsim = _by_value(sim, fsim)
+
+    # np.argsort puts NaNs last, and np.min returns NaN if there is one
+    fun = math.nan if any(fx != fx for fx in fsim) else fsim[0]
+    return sim[0], fun, calls, calls < maxfev
+
+
+def _by_value(sim: list[list[float]], fsim: list[float]) -> tuple[list[list[float]], list[float]]:
+    """Vertices and values in ``np.argsort(fsim)`` order.  Its default kind is
+    not stable on every platform, and the order it gives ties decides which
+    vertex the next move replaces."""
+    order = np.argsort(fsim).tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
 
 
 def _make_proto(values: dict[str, float], delta: float) -> ProtocolParams:
@@ -165,12 +291,11 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams) -> OptimizationResul
         evaluations += 1
         return score(tuple(values.items()), delta)
 
-    def encode(values: dict[str, float]) -> np.ndarray:
-        return np.array([values[n] if n == "p_z" else math.log(values[n]) for n in names])
+    def encode(values: dict[str, float]) -> list[float]:
+        return [values[n] if n == "p_z" else math.log(values[n]) for n in names]
 
-    def decode(vec: np.ndarray) -> dict[str, float]:
-        # float() keeps numpy scalars from the simplex out of ProtocolParams and output
-        return {n: float(x) if n == "p_z" else math.exp(x) for n, x in zip(names, vec)}
+    def decode(vec: list[float]) -> dict[str, float]:
+        return {n: x if n == "p_z" else math.exp(x) for n, x in zip(names, vec)}
 
     low, high = ({n: b[side] for n, b in bounds.items()} for side in (0, 1))
     nm_bounds = list(zip(encode(low), encode(high)))
@@ -183,19 +308,18 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams) -> OptimizationResul
     def refine(start: dict[str, float], delta: float, start_value: float) -> None:
         nonlocal best_value, best_values, best_delta
         maxfev = max(100, (spec.budget - evaluations) // max(1, spec.restarts))
-        result = minimize(
+        x, fun, nfev, converged = minimize(
             lambda vec: -objective(decode(vec), delta),
             encode(start),
-            method="Nelder-Mead",
-            bounds=nm_bounds,
-            options={"maxfev": maxfev, "xatol": 1e-4, "fatol": _FATOL[mode]},
+            nm_bounds,
+            maxfev=maxfev,
+            xatol=1e-4,
+            fatol=_FATOL[mode],
         )
-        final, final_value = decode(result.x), -float(result.fun)
+        final, final_value = decode(x), -fun
         if final_value < start_value:  # refinement never loses its starting cell
             final, final_value = dict(start), start_value
-        record = RestartRecord(
-            dict(start), start_value, final, final_value, int(result.nfev), bool(result.success)
-        )
+        record = RestartRecord(dict(start), start_value, final, final_value, nfev, converged)
         restarts.append(record)
         if final_value > best_value:
             best_value, best_values, best_delta = final_value, final, delta

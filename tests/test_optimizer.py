@@ -3,9 +3,10 @@ import math
 from types import SimpleNamespace
 
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
 import snsqkd.optimizer
-from snsqkd.optimizer import DELTA_CHOICES, OptimizationSpec, optimize
+from snsqkd.optimizer import DELTA_CHOICES, OptimizationSpec, minimize, optimize
 from snsqkd.pipeline import evaluate
 from snsqkd.postproc import KeyResult
 from snsqkd.presets import preset
@@ -201,3 +202,46 @@ def test_interleaved_searches_share_no_scores(monkeypatch):
     assert {"outer": outer.rate.hex(), "inner": inner[0].rate.hex()} == alone
     assert (outer.evaluations, inner[0].evaluations) == (168, 157)
     assert optimize(*outer_search) == outer and optimize(*inner_search) == inner[0]
+
+
+def rosenbrock(x):
+    x = [float(v) for v in x]
+    return math.fsum(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2 for a, b in zip(x, x[1:]))
+
+
+def plateau(x):
+    # the squared distance from (0.5, ..., 0.5) in steps of 1/8: most trial
+    # points tie with a vertex, and most moves past the first few are shrinks
+    return math.floor(8.0 * math.fsum((float(v) - 0.5) ** 2 for v in x)) / 8.0
+
+
+# objective, start, bounds, maxfev
+NELDER_MEAD_CASES = {
+    "rosenbrock-2d": (rosenbrock, [-1.2, 1.0], [(-2.0, 2.0), (-1.0, 3.0)], 1000),
+    # the optimum (1, ..., 1) lies outside the box, past the second upper bound
+    "rosenbrock-5d": (rosenbrock, [0.5, -0.4, 0.9, 1.3, 0.2],
+                      [(-1.5, 1.5), (-1.5, 0.8), (-1.5, 1.5), (-1.5, 1.5), (-1.5, 1.5)], 4000),
+    # the first two start steps land above their upper bounds and are
+    # reflected inside; the zero coordinate takes the fixed step
+    "above-upper-bound": (rosenbrock, [0.99, 1.95, 0.0],
+                          [(-1.0, 1.0), (-2.0, 2.0), (-0.5, 0.5)], 2000),
+    # where numpy's default sort is not stable (numpy 2.4 on AVX-512), ordering
+    # tied vertices with a stable sort ends this search elsewhere
+    "plateau-4d": (plateau, [0.6, 0.0, 0.2, -0.8], [(-1.0, 1.0)] * 4, 2000),
+    # the first shrink scores its four vertices at evaluations 32-35, so the
+    # cap leaves it with two vertices scored and a third moved but unscored
+    "cap-inside-shrink": (plateau, [0.6, 0.0, 0.2, -0.8], [(-1.0, 1.0)] * 4, 33),
+}
+
+
+@pytest.mark.parametrize("fatol", [math.inf, 1e-12])
+@pytest.mark.parametrize("case", sorted(NELDER_MEAD_CASES))
+def test_minimize_takes_scipys_steps(case, fatol):
+    func, x0, bounds, maxfev = NELDER_MEAD_CASES[case]
+    options = {"maxfev": maxfev, "xatol": 1e-4, "fatol": fatol}
+    x, fun, nfev, converged = minimize(func, x0, bounds, **options)
+    ref = scipy_minimize(func, x0, method="Nelder-Mead", bounds=bounds, options=options)
+    assert [v.hex() for v in x] == [float(v).hex() for v in ref.x]
+    assert (fun.hex(), nfev, converged) == (float(ref.fun).hex(), ref.nfev, bool(ref.success))
+    assert all(type(v) is float for v in x)
+    assert converged == (case != "cap-inside-shrink")
