@@ -7,9 +7,12 @@ state's phase-flip error never exceeds the iterated bound 2e(1-e).
 
 Everything is done twice: with dense complex matrices in the explicit basis
 {|00>, |01>, |10>, |11>} (and its square for two pairs), and with the closed
-forms, cross-checked against each other.  ``verify_iteration_inequality``
-runs the closed forms on a full grid and the dense matrices in one pass over
-a strided subgrid.
+forms, cross-checked against each other.  The dense matrices run stacked
+over the coherence phase beta: ``make_sigma`` takes a float or a 1-D array
+of beta, and every matrix function works on the last two axes, a single
+state being the 0-d case of the same code.  ``verify_iteration_inequality``
+runs the closed forms on a full grid and the dense matrices over a strided
+(theta, alpha) subgrid, one stacked call per sweep over beta.
 """
 
 from __future__ import annotations
@@ -59,16 +62,28 @@ _M_EVEN = _pair_projector({(0, 0): 0, (1, 1): 1})
 @dataclass(frozen=True)
 class PairState:
     """Two-qubit state with diagonal weights cos^2/sin^2 and a coherence
-    alpha*e^{+-i*beta} between |00> and |11>."""
+    alpha*e^{+-i*beta} between |00> and |11>.
+
+    beta is a float or a 1-D array; rho has shape beta.shape + (4, 4), one
+    density matrix per coherence phase."""
 
     theta: float
     alpha: float
-    beta: float
+    beta: float | np.ndarray
     rho: np.ndarray
 
 
-def make_sigma(theta: float, alpha: float, beta: float) -> PairState:
-    """Assemble the pair state; positivity requires alpha <= |cos(t)sin(t)|."""
+def make_sigma(theta: float, alpha: float, beta: float | np.ndarray) -> PairState:
+    """Assemble the pair state, or a stack of them over a 1-D array of beta;
+    positivity requires alpha <= |cos(t)sin(t)|."""
+    for name, value in (("theta", theta), ("alpha", alpha)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    betas = np.asarray(beta, dtype=float)
+    if betas.ndim > 1:
+        raise ValueError(f"beta must be a float or a 1-D array, got shape {betas.shape}")
+    if not np.isfinite(betas).all():
+        raise ValueError(f"beta must be finite, got {beta!r}")
     if alpha < 0.0:
         raise ValueError(f"alpha must be non-negative, got {alpha!r}")
     limit = abs(math.cos(theta) * math.sin(theta))
@@ -76,30 +91,43 @@ def make_sigma(theta: float, alpha: float, beta: float) -> PairState:
         raise ValueError(
             f"alpha={alpha!r} violates positivity (limit {limit!r} at theta={theta!r})"
         )
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = math.cos(theta) ** 2
-    rho[3, 3] = math.sin(theta) ** 2
-    rho[3, 0] = alpha * np.exp(-1j * beta)
-    rho[0, 3] = alpha * np.exp(1j * beta)
-    return PairState(theta=theta, alpha=alpha, beta=beta, rho=rho)
+    rho = np.zeros(betas.shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = math.cos(theta) ** 2
+    rho[..., 3, 3] = math.sin(theta) ** 2
+    rho[..., 3, 0] = alpha * np.exp(-1j * betas)
+    rho[..., 0, 3] = alpha * np.exp(1j * betas)
+    return PairState(theta=theta, alpha=alpha, beta=betas if betas.ndim else float(betas), rho=rho)
 
 
-def _phase_error_of_matrix(rho: np.ndarray) -> float:
+def _output(values: np.ndarray) -> float | np.ndarray:
+    """A Python float for a single state, the float64 array for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def _cross_check(what: str, matrix: np.ndarray, closed: float | np.ndarray) -> None:
+    """Raise unless every matrix value lies within tolerance of its closed
+    form; written as `not err <= tol`, so that a NaN fails."""
+    matrix, closed = np.broadcast_arrays(matrix, closed)
+    bad = np.flatnonzero(~(np.abs(matrix - closed) <= _CROSS_CHECK_TOL))
+    if bad.size:
+        raise ArithmeticError(
+            f"{what} mismatch: matrix {float(matrix.flat[bad[0]])!r} "
+            f"vs closed form {float(closed.flat[bad[0]])!r}"
+        )
+
+
+def _phase_error_of_matrix(rho: np.ndarray) -> np.ndarray:
     plus = _M_PLUS @ rho @ _M_PLUS.conj().T
     minus = _M_MINUS @ rho @ _M_MINUS.conj().T
-    return float(np.trace(plus + minus).real)
+    return np.trace(plus + minus, axis1=-2, axis2=-1).real
 
 
-def phase_error(state: PairState) -> float:
-    """Phase-flip error rate of one pair, matrix value cross-checked against
-    the closed form (1 - 2*alpha*cos(beta))/2."""
+def phase_error(state: PairState) -> float | np.ndarray:
+    """Phase-flip error rate of one pair (or of each state of a stack), matrix
+    value cross-checked against the closed form (1 - 2*alpha*cos(beta))/2."""
     value = _phase_error_of_matrix(state.rho)
-    closed = 0.5 * (1.0 - 2.0 * state.alpha * math.cos(state.beta))
-    if abs(value - closed) > _CROSS_CHECK_TOL:
-        raise ArithmeticError(
-            f"phase error mismatch: matrix {value!r} vs closed form {closed!r}"
-        )
-    return value
+    _cross_check("phase error", value, 0.5 * (1.0 - 2.0 * state.alpha * np.cos(state.beta)))
+    return _output(value)
 
 
 def _parity_keep_operator(local: np.ndarray) -> np.ndarray:
@@ -113,38 +141,46 @@ _K_ODD = _parity_keep_operator(_M_ODD)
 _K_EVEN = _parity_keep_operator(_M_EVEN)
 
 
-def _survivor(state: PairState, keep: np.ndarray) -> tuple[np.ndarray, float, float]:
+def _two_copies(rho: np.ndarray) -> np.ndarray:
+    """kron(rho, rho) over the last two axes; np.kron itself does not batch."""
+    pairs = rho[..., :, None, :, None] * rho[..., None, :, None, :]
+    return pairs.reshape(rho.shape[:-2] + (16, 16))
+
+
+def _survivor(state: PairState, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # two independent pairs, qubit order (A1, B1, A2, B2)
-    unnormalized = keep @ np.kron(state.rho, state.rho) @ keep.conj().T
-    pass_prob = float(np.trace(unnormalized).real)
-    if pass_prob <= 0.0:
+    unnormalized = keep @ _two_copies(state.rho) @ keep.conj().T
+    pass_prob = np.trace(unnormalized, axis1=-2, axis2=-1).real
+    if not np.all(pass_prob > 0.0):
         raise ArithmeticError("parity projection annihilated the state")
-    survivor = unnormalized / pass_prob
+    survivor = unnormalized / pass_prob[..., None, None]
     return survivor, _phase_error_of_matrix(survivor), pass_prob
 
 
-def odd_parity_survivor(state: PairState) -> tuple[np.ndarray, float, float]:
+def odd_parity_survivor(
+    state: PairState,
+) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
     """Survivor of one odd-parity rejection round on two pairs.
 
-    Returns (normalized survivor matrix, its phase error, pass probability);
-    the phase error is cross-checked against the closed form
-    (1 - alpha^2/(cos^2 sin^2))/2, which is independent of beta.
+    Returns (normalized survivor matrix, its phase error, pass probability),
+    each stacked over beta for a stacked state; every phase error is
+    cross-checked against the closed form (1 - alpha^2/(cos^2 sin^2))/2,
+    which is independent of beta.
     """
     cos2sin2 = (math.cos(state.theta) * math.sin(state.theta)) ** 2
     if cos2sin2 == 0.0:
         raise ValueError(f"degenerate theta={state.theta!r}: no odd-parity survivors")
     survivor, e_odd, pass_prob = _survivor(state, _K_ODD)
-    closed = 0.5 * (1.0 - state.alpha**2 / cos2sin2)
-    if abs(e_odd - closed) > _CROSS_CHECK_TOL:
-        raise ArithmeticError(
-            f"odd-parity error mismatch: matrix {e_odd!r} vs closed form {closed!r}"
-        )
-    return survivor, e_odd, pass_prob
+    _cross_check("odd-parity error", e_odd, 0.5 * (1.0 - state.alpha**2 / cos2sin2))
+    return survivor, _output(e_odd), _output(pass_prob)
 
 
-def even_parity_survivor(state: PairState) -> tuple[np.ndarray, float, float]:
+def even_parity_survivor(
+    state: PairState,
+) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
     """Survivor of the even-parity branch (kept for the counterexample check)."""
-    return _survivor(state, _K_EVEN)
+    survivor, e_even, pass_prob = _survivor(state, _K_EVEN)
+    return survivor, _output(e_even), _output(pass_prob)
 
 
 def pure_state_parity_errors(phi: float) -> tuple[float, float]:
@@ -187,12 +223,18 @@ def verify_iteration_inequality(
     """Sweep a legal (theta, alpha, beta) grid and certify the iteration bound.
 
     alpha is parametrized as a fraction of its positivity limit.  The closed
-    forms run on the full grid.  The dense-matrix pipeline runs once over a
-    strided (theta, alpha) subgrid and every beta, which confirms that the
-    survivor error does not depend on the coherence phase; every
-    matrix_stride-th beta also checks the single-pair phase error and
-    records the survivor's mismatch to its closed form.
+    forms run on the full grid.  The dense-matrix pipeline runs over a
+    strided (theta, alpha) subgrid: each point makes one odd-parity survivor
+    call stacked over every beta, which confirms that the survivor error
+    does not depend on the coherence phase, and one single-pair phase error
+    call stacked over every matrix_stride-th beta, at which the survivor's
+    mismatch to its closed form is also recorded.  Only one sweep's stack is
+    held at a time.  Every size and the stride must be at least 1.
     """
+    for name, value in (("n_theta", n_theta), ("n_alpha", n_alpha), ("n_beta", n_beta),
+                        ("matrix_stride", matrix_stride)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
     thetas = np.linspace(0.05, math.pi / 2.0 - 0.05, n_theta)
     fracs = np.linspace(0.0, 1.0, n_alpha)
     betas = np.linspace(0.0, 2.0 * math.pi, n_beta, endpoint=False)
@@ -210,20 +252,19 @@ def verify_iteration_inequality(
     max_mismatch = 0.0
     beta_sweeps = 0
     max_spread = 0.0
+    checked = betas[::matrix_stride]
     for theta in thetas[::matrix_stride]:
         for frac in fracs[::matrix_stride]:
             alpha = frac * abs(math.cos(theta) * math.sin(theta))
             closed = 0.5 * (1.0 - alpha**2 / (math.cos(theta) * math.sin(theta)) ** 2)
-            values = []
-            for index, beta in enumerate(betas):
-                state = make_sigma(theta, alpha, beta)
-                _, e_matrix, _ = odd_parity_survivor(state)
-                values.append(e_matrix)
-                if index % matrix_stride == 0:
-                    phase_error(state)  # raises on matrix/closed-form mismatch
-                    max_mismatch = max(max_mismatch, float(abs(e_matrix - closed)))
-                    matrix_checks += 1
-            max_spread = max(max_spread, float(max(values) - min(values)))
+            # one stacked call per sweep over beta; both raise on a
+            # matrix/closed-form mismatch
+            _, e_matrix, _ = odd_parity_survivor(make_sigma(theta, alpha, betas))
+            phase_error(make_sigma(theta, alpha, checked))
+            mismatch = np.abs(e_matrix[::matrix_stride] - closed).max()
+            max_mismatch = max(max_mismatch, float(mismatch))
+            matrix_checks += checked.size
+            max_spread = max(max_spread, float(e_matrix.max() - e_matrix.min()))
             beta_sweeps += 1
 
     return IterationReport(

@@ -40,6 +40,35 @@ class TestMakeSigma:
         with pytest.raises(ValueError):
             make_sigma(math.pi / 4.0, -0.1, 0.0)
 
+    @pytest.mark.parametrize("name, args", [
+        ("theta", (math.nan, 0.1, 0.3)),
+        ("theta", (math.inf, 0.1, 0.3)),
+        ("alpha", (1.0, math.nan, 0.3)),
+        ("alpha", (1.0, math.inf, 0.3)),
+        ("beta", (1.0, 0.1, math.inf)),
+        ("beta", (1.0, 0.1, math.nan)),
+        ("beta", (1.0, 0.1, np.array([0.0, 1.0, math.nan]))),
+    ])
+    def test_non_finite_argument_is_refused(self, name, args):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make_sigma(*args)
+
+    def test_stack_shape(self):
+        state = make_sigma(1.0, 0.2, np.linspace(0.0, 1.0, 7))
+        assert state.rho.shape == (7, 4, 4)
+        assert make_sigma(1.0, 0.2, 0.5).rho.shape == (4, 4)
+        with pytest.raises(ValueError, match="1-D"):
+            make_sigma(1.0, 0.2, np.zeros((2, 3)))
+
+
+def test_nan_fails_the_cross_check():
+    # `not err <= tol`: a NaN on either side counts as a mismatch
+    with pytest.raises(ArithmeticError, match="nan"):
+        qubitmodel._cross_check("phase error", np.array([0.25, math.nan]), 0.25)
+    with pytest.raises(ArithmeticError, match="nan"):
+        qubitmodel._cross_check("phase error", 0.25, math.nan)
+    qubitmodel._cross_check("phase error", np.array([0.25, 0.25]), 0.25)
+
 
 class TestPhaseError:
     def test_pure_bell(self):
@@ -127,6 +156,77 @@ def test_iteration_inequality_small_grid():
     # fifth beta is also matrix-checked
     assert report.beta_sweeps == 4 * 4
     assert report.matrix_checks == 4 * 4 * 4
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"n_theta": 0}, "n_theta"),
+    ({"n_alpha": 0}, "n_alpha"),
+    ({"n_beta": 0}, "n_beta"),
+    ({"n_theta": -3}, "n_theta"),
+    ({"matrix_stride": 0}, "matrix_stride"),
+    ({"matrix_stride": -1}, "matrix_stride"),
+])
+def test_grid_arguments_below_one_are_refused(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+        verify_iteration_inequality(**{"n_theta": 5, "n_alpha": 5, "n_beta": 5, "matrix_stride": 2,
+                                       **kwargs})
+
+
+def test_one_survivor_call_per_beta_sweep(monkeypatch):
+    calls = []
+    survivor = qubitmodel.odd_parity_survivor
+
+    def counting(state):
+        calls.append(state.rho.shape)
+        return survivor(state)
+
+    monkeypatch.setattr(qubitmodel, "odd_parity_survivor", counting)
+    report = verify_iteration_inequality(20, 20, 20, matrix_stride=5)
+    assert report.passed
+    assert calls == [(20, 4, 4)] * 16
+
+
+def _random_stacks(seed=11, pairs=12, size=9):
+    rng = np.random.default_rng(seed)
+    for _ in range(pairs):
+        theta = float(rng.uniform(0.02, math.pi / 2.0 - 0.02))
+        alpha = float(rng.uniform(0.0, 1.0)) * abs(math.cos(theta) * math.sin(theta))
+        betas = np.concatenate([
+            [0.0, 2.0 * math.pi - 1e-9, np.nextafter(2.0 * math.pi, 0.0)],
+            rng.uniform(0.0, 2.0 * math.pi, size),
+        ])
+        yield theta, alpha, betas
+
+
+@pytest.mark.parametrize("function", [odd_parity_survivor, even_parity_survivor],
+                         ids=["odd", "even"])
+def test_stacked_survivor_equals_single_calls(function):
+    for theta, alpha, betas in _random_stacks():
+        survivors, errors, probs = function(make_sigma(theta, alpha, betas))
+        assert survivors.shape == betas.shape + (4, 4)
+        assert errors.dtype == probs.dtype == np.float64
+        for i, beta in enumerate(betas):
+            survivor, error, prob = function(make_sigma(theta, alpha, float(beta)))
+            assert type(error) is float and type(prob) is float
+            assert errors[i] == error and probs[i] == prob
+            assert np.array_equal(survivors[i], survivor)
+
+
+def test_stacked_phase_error_equals_single_calls():
+    for theta, alpha, betas in _random_stacks():
+        values = phase_error(make_sigma(theta, alpha, betas))
+        assert values.dtype == np.float64
+        singles = [phase_error(make_sigma(theta, alpha, float(beta))) for beta in betas]
+        assert all(type(value) is float for value in singles)
+        assert np.array_equal(values, singles)
+
+
+def test_two_copy_state_equals_kron():
+    for theta, alpha, betas in _random_stacks():
+        stack = make_sigma(theta, alpha, betas).rho
+        expected = np.array([np.kron(rho, rho) for rho in stack])
+        assert np.array_equal(qubitmodel._two_copies(stack), expected)
+        assert np.array_equal(qubitmodel._two_copies(stack[0]), np.kron(stack[0], stack[0]))
 
 
 @pytest.mark.parametrize("local", [qubitmodel._M_ODD, qubitmodel._M_EVEN], ids=["odd", "even"])
