@@ -25,20 +25,14 @@ from . import mcsim, qubitmodel
 from .channel import CONVENTIONS, ExperimentParams, ProtocolParams, arm_transmittance
 from .decoy import BoundViolationError, UntaggedStats
 from .optimizer import OptimizationSpec, _make_proto, optimize
-from .pipeline import VARIANTS, PointResult, evaluate, mode_for_variant
-from .postproc import ZWindowCounts
+from .pipeline import MODES, VARIANTS, PointResult, evaluate, mode_for_variant
+from .postproc import BferOutcome, ZWindowCounts
 from .presets import PRESETS, preset
 
 __all__ = ["RunConfig", "ConfigError", "plob_rate", "main", "console_main"]
 
-_EXPERIMENT_KEYS = (
-    "dark_count",
-    "detector_eff",
-    "error_correction_f",
-    "misalignment",
-    "fiber_loss_db_km",
-    "total_pulses",
-    "failure_prob",
+_EXPERIMENT_KEYS = tuple(
+    f.name for f in dataclasses.fields(ExperimentParams) if f.name != "distance_km"
 )
 _PROTOCOL_KEYS = ("p_z", "p_send", "mu_z", "mu1", "mu2", "delta")
 
@@ -81,9 +75,14 @@ class RunConfig:
             raise ConfigError(str(err)) from err
 
     def fixed_protocol(self) -> ProtocolParams | None:
-        """Protocol from config when fully specified; None means optimize."""
-        if "p_send" not in self.protocol or "mu_z" not in self.protocol:
+        """Protocol from config when it sets any protocol key; None means optimize."""
+        if not self.protocol:
             return None
+        if "p_send" not in self.protocol or "mu_z" not in self.protocol:
+            raise ConfigError(
+                "fields 'p_send' and 'mu_z' are both needed to fix the protocol; "
+                f"the config sets only {sorted(self.protocol)}"
+            )
         try:
             return _make_proto(self.protocol, self.protocol.get("delta", ProtocolParams.delta))
         except ValueError as err:
@@ -110,8 +109,8 @@ def _parse_variants(text: str) -> list[str]:
     return names
 
 
-# each distance is one optimization, about 0.2 s for an asymptotic variant,
-# so the limit alone is more than five hours of scan
+# each distance is one optimization, about 10 ms for an asymptotic variant
+# (rowD, shared 2-core machine), so the limit alone is 17 minutes of scan
 _MAX_DISTANCES = 100_000
 
 
@@ -172,7 +171,7 @@ _FIELDS = {
     "variant": _parse_variants,
     **dict.fromkeys(_EXPERIMENT_KEYS + _PROTOCOL_KEYS, float),
 }
-_CHOICES = {"preset": tuple(PRESETS), "mode": ("asymptotic", "finite"), "convention": CONVENTIONS}
+_CHOICES = {"preset": tuple(PRESETS), "mode": MODES, "convention": CONVENTIONS}
 # numpy seeds are non-negative; sampling needs two bits, a pair-state grid
 # one point per axis
 _MINIMA = {"seed": 0, "bits": 2, "n_seeds": 1, "grid_points": 1, "jobs": 1}
@@ -274,6 +273,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for key in _COMMANDS[args.command][1]:
         if key not in merged:
             raise ConfigError(f"field {key!r}: " + _REQUIRED[key].format(command=args.command))
+    if args.command in ("scan", "point", "mc-verify"):
+        cfg.fixed_protocol()  # refuses a partial or invalid protocol before any work
     return cfg
 
 
@@ -412,8 +413,8 @@ def _breakdown_lines(point: PointResult, exp: ExperimentParams, proto: ProtocolP
         f"untagged_vacuum     n0={point.untagged.n0!r}",
         f"phase_error_bound   {point.untagged.e1ph!r}",
     ]
-    if point.bfer is not None:
-        b = point.bfer
+    if isinstance(point.outcome, BferOutcome):
+        b = point.outcome
         lines += [
             "",
             f"bfer_survivors      {b.n_survived!r}",

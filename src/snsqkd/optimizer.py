@@ -86,6 +86,12 @@ class OptimizationSpec:
                 "delta_values must be a non-empty set of widths in (0, 2*pi], "
                 f"got {self.delta_values!r}"
             )
+        # an empty grid leaves no cell to start from; a negative restart count
+        # would slice the scored cells from the end
+        minima = {"grid_mu": 1, "grid_p": 1, "grid_pz": 1, "restarts": 0, "budget": 1}
+        for name, least in minima.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -260,7 +266,7 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams) -> OptimizationResul
     bounds = _BOUNDS[mode]
     names = list(bounds)
     # asymptotic variants never touch the phase slice
-    default_deltas = DELTA_CHOICES if mode == "finite" else (2.0 * math.pi / 16.0,)
+    default_deltas = DELTA_CHOICES if mode == "finite" else (ProtocolParams.delta,)
     deltas = default_deltas if spec.delta_values is None else spec.delta_values
     evaluations = 0
 
@@ -325,8 +331,7 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams) -> OptimizationResul
             best_value, best_values, best_delta = final_value, final, delta
 
     cells = _grid_cells(spec, bounds)
-    # the grid stops at the budget but always scores one cell
-    scored = [(objective(cell, pivot), cell) for cell in cells[: max(1, spec.budget)]]
+    scored = [(objective(cell, pivot), cell) for cell in cells[: spec.budget]]
     scored.sort(key=lambda item: item[0], reverse=True)
     for start_value, start in scored[: spec.restarts]:
         if start_value <= _INVALID or evaluations >= spec.budget:

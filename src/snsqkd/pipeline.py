@@ -31,10 +31,10 @@ from .postproc import (
     z_window_counts,
 )
 
-__all__ = ["VARIANTS", "ASYMPTOTIC_VARIANTS", "PointResult", "evaluate", "mode_for_variant"]
+__all__ = ["VARIANTS", "MODES", "PointResult", "evaluate", "mode_for_variant"]
 
-ASYMPTOTIC_VARIANTS = ("original", "refined", "bfer", "oddsift", "aopp")
-VARIANTS = ASYMPTOTIC_VARIANTS + ("finite",)
+VARIANTS = ("original", "refined", "bfer", "oddsift", "aopp", "finite")
+MODES = ("asymptotic", "finite")
 
 
 def mode_for_variant(variant: str) -> str:
@@ -43,7 +43,8 @@ def mode_for_variant(variant: str) -> str:
 
 @dataclass(slots=True)
 class PointResult:
-    """Full breakdown of one (parameters, distance, variant) evaluation."""
+    """Full breakdown of one (parameters, distance, variant) evaluation; ``outcome``
+    is the two-way round's record, None for ``original`` and ``refined``."""
 
     variant: str
     mode: str
@@ -51,9 +52,7 @@ class PointResult:
     counts: ZWindowCounts
     untagged: UntaggedStats
     key: KeyResult
-    bfer: BferOutcome | None = None
-    sift: OddSiftOutcome | None = None
-    aopp_outcome: AoppOutcome | None = None
+    outcome: BferOutcome | OddSiftOutcome | AoppOutcome | None = None
     budget: EpsilonBudget | None = None
 
 
@@ -79,29 +78,26 @@ def evaluate(
     counts = z_window_counts(exp, proto, rates)
     f_ec = exp.error_correction_f
     n = exp.total_pulses
+    outcome = budget = None
 
     if mode == "finite":
         untagged = untagged_decoy(exp, proto, decoy_observations(exp, proto, convention))
         budget = EpsilonBudget.from_failure_prob(exp.failure_prob)
-        bfer = bfer_expectations(counts, untagged)
-        key = key_length_finite(bfer, untagged, budget, f_ec, n)
-        return PointResult(variant, mode, rates, counts, untagged, key, bfer=bfer, budget=budget)
-
-    untagged = untagged_asymptotic(exp, proto, rates)
-    if variant == "original":
-        key = key_length_original(counts, untagged, f_ec, n, vacuum_credit)
-        return PointResult(variant, mode, rates, counts, untagged, key)
-    if variant == "refined":
-        key = key_length_refined(counts, untagged, f_ec, n, vacuum_credit)
-        return PointResult(variant, mode, rates, counts, untagged, key)
-    if variant == "bfer":
-        bfer = bfer_expectations(counts, untagged)
-        key = key_length_bfer(bfer, f_ec, n)
-        return PointResult(variant, mode, rates, counts, untagged, key, bfer=bfer)
-    if variant == "oddsift":
-        sift = odd_parity_sift(counts, untagged)
-        key = key_length_oddsift(sift, f_ec, n)
-        return PointResult(variant, mode, rates, counts, untagged, key, sift=sift)
-    outcome = aopp(counts, untagged)
-    key = key_length_aopp(outcome, f_ec, n)
-    return PointResult(variant, mode, rates, counts, untagged, key, aopp_outcome=outcome)
+        outcome = bfer_expectations(counts, untagged)
+        key = key_length_finite(outcome, untagged, budget, f_ec, n)
+    else:
+        untagged = untagged_asymptotic(exp, proto, rates)
+        if variant == "original":
+            key = key_length_original(counts, untagged, f_ec, n, vacuum_credit)
+        elif variant == "refined":
+            key = key_length_refined(counts, untagged, f_ec, n, vacuum_credit)
+        elif variant == "bfer":
+            outcome = bfer_expectations(counts, untagged)
+            key = key_length_bfer(outcome, f_ec, n)
+        elif variant == "oddsift":
+            outcome = odd_parity_sift(counts, untagged)
+            key = key_length_oddsift(outcome, f_ec, n)
+        else:
+            outcome = aopp(counts, untagged)
+            key = key_length_aopp(outcome, f_ec, n)
+    return PointResult(variant, mode, rates, counts, untagged, key, outcome, budget)

@@ -150,7 +150,6 @@ class KeyResult:
     """Final key length with its term breakdown; the length is left unclamped
     (the optimizer needs the sign), only the per-pulse rate is floored at 0."""
 
-    variant: str
     key_length: float
     total_pulses: float
     untagged_term: float
@@ -164,7 +163,6 @@ class KeyResult:
 
 
 def _key_result(
-    variant: str,
     total_pulses: float,
     untagged_term: float,
     phase_term: float,
@@ -172,7 +170,6 @@ def _key_result(
     finite_penalty: float = 0.0,
 ) -> KeyResult:
     return KeyResult(
-        variant=variant,
         key_length=untagged_term + phase_term + ec_term + finite_penalty,
         total_pulses=total_pulses,
         untagged_term=untagged_term,
@@ -225,7 +222,7 @@ def key_length_original(
     """
     untagged_term, phase_term = _one_way_terms(counts, untagged, vacuum_credit)
     ec_term = -f_ec * counts.n_t * binary_entropy(counts.e_z)
-    return _key_result("original", total_pulses, untagged_term, phase_term, ec_term)
+    return _key_result(total_pulses, untagged_term, phase_term, ec_term)
 
 
 def key_length_refined(
@@ -240,7 +237,7 @@ def key_length_refined(
     ec = counts.n_group0 * binary_entropy(counts.e_group0) + counts.n_group1 * binary_entropy(
         counts.e_group1
     )
-    return _key_result("refined", total_pulses, untagged_term, phase_term, -f_ec * ec)
+    return _key_result(total_pulses, untagged_term, phase_term, -f_ec * ec)
 
 
 def bfer_expectations(counts: ZWindowCounts, untagged: UntaggedStats) -> BferOutcome:
@@ -311,7 +308,6 @@ def _class_ec(bfer: BferOutcome) -> float:
 def key_length_bfer(bfer: BferOutcome, f_ec: float, total_pulses: float) -> KeyResult:
     """Key length after error rejection, keeping all survivor classes."""
     return _key_result(
-        "bfer",
         total_pulses,
         bfer.n1_survived,
         -bfer.n1_survived * binary_entropy(bfer.e1ph_iter),
@@ -339,7 +335,6 @@ def key_length_finite(
         0.5 + math.log2(budget.eps_pa) + math.log2(budget.eps_hat)
     )
     return _key_result(
-        "finite",
         total_pulses,
         n1_lower,
         -n1_lower * binary_entropy(e1_upper),
@@ -373,7 +368,6 @@ def odd_parity_sift(counts: ZWindowCounts, untagged: UntaggedStats) -> OddSiftOu
 
 def key_length_oddsift(sift: OddSiftOutcome, f_ec: float, total_pulses: float) -> KeyResult:
     return _key_result(
-        "oddsift",
         total_pulses,
         sift.n1_kept,
         -sift.n1_kept * binary_entropy(sift.e_ph_iter),
@@ -410,7 +404,6 @@ def aopp(counts: ZWindowCounts, untagged: UntaggedStats) -> AoppOutcome:
 
 def key_length_aopp(outcome: AoppOutcome, f_ec: float, total_pulses: float) -> KeyResult:
     return _key_result(
-        "aopp",
         total_pulses,
         outcome.n1_kept,
         -outcome.n1_kept * binary_entropy(outcome.e_ph_iter),

@@ -54,9 +54,9 @@ def test_criterion_1_bfer_error_rates():
         elapsed = time.time() - start
         observed = {
             "e_z": point.counts.e_z,
-            "e1": point.bfer.e1,
-            "e2": point.bfer.e2,
-            "e3": point.bfer.e3,
+            "e1": point.outcome.e1,
+            "e2": point.outcome.e2,
+            "e3": point.outcome.e3,
         }
         for name, (target, tolerance) in limits.items():
             checks.append(

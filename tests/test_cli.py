@@ -591,6 +591,35 @@ def test_scan_forks_no_more_workers_than_distances(range_spec, jobs, workers, tm
     assert created == workers
 
 
+PARTIAL_PROTOCOL = "preset = rowC\np_z = 0.5\nmu1 = 0.03\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["point", "--variant", "aopp", "--distance", "100"],
+    ["scan", "--variant", "aopp", "--range", "100:200:50", "--jobs", "2"],
+    ["mc-verify", "--variant", "bfer", "--distance", "100", "--bits", "1000"],
+], ids=["point", "scan-jobs", "mc-verify"])
+def test_partial_protocol_is_refused_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    # the keys used to be dropped: point optimized and printed p_z=1.0 mu1=0.02
+    def work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("ProcessPoolExecutor", "optimize", "evaluate"):
+        monkeypatch.setattr(cli, name, work)
+    assert main(argv + ["--config", write_config(tmp_path, PARTIAL_PROTOCOL)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "'p_send' and 'mu_z'" in err and "['mu1', 'p_z']" in err
+
+
+def test_optimize_ignores_protocol_keys(tmp_path, capsys):
+    argv = ["optimize", "--variant", "aopp", "--distance", "100"]
+    assert main(argv + ["--config", write_config(tmp_path, PARTIAL_PROTOCOL)]) == 0
+    ignored = capsys.readouterr().out
+    assert main(argv + ["--preset", "rowC"]) == 0
+    assert capsys.readouterr().out == ignored
+
+
 @pytest.mark.parametrize("range_spec", ["1e17:2e17:1", "0:1e9:1e-3", "0:1:1e-320"])
 def test_scan_refuses_a_range_it_cannot_finish(range_spec, capsys):
     # 1e17 + 1 == 1e17, so stepping never reaches the end; the others ask for

@@ -72,6 +72,17 @@ class TestBesselI0:
         for x in (0.5, 7.5, 14.999, 15.0, 15.001, 42.0, 250.0, 699.9):
             assert bessel_i0(x) == pytest.approx(float(mp.besseli(0, x)), rel=1e-12)
 
+    @pytest.mark.parametrize("x, expected", [(0.5, "0x1.104072392c800p+0"),
+                                             (7.5, "0x1.0c294bb62234ep+8"),
+                                             (14.999, "0x1.4b5e5a0fc1dafp+18")])
+    def test_pinned_values(self, x, expected):
+        # every model input evaluates below 15 (kappa <= mu_z <= 1.5), at these bits
+        assert bessel_i0(x).hex() == expected
+
+    def test_series_against_arbitrary_precision_up_to_the_overflow_limit(self):
+        for x in np.geomspace(15.0, 700.0, 50):
+            assert bessel_i0(float(x)) == pytest.approx(float(mp.besseli(0, float(x))), rel=1e-13)
+
     def test_monotone_increasing(self):
         xs = np.linspace(0.0, 700.0, 500)
         vals = [bessel_i0(float(x)) for x in xs]

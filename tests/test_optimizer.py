@@ -18,7 +18,7 @@ def test_synthetic_unimodal_recovery(monkeypatch):
 
     def objective(exp, proto, *args, **kwargs):
         length = 100.0 - (math.log(proto.mu_z) - target) ** 2 - (proto.p_send - 0.1) ** 2
-        return SimpleNamespace(key=KeyResult("aopp", length, 1.0, length, 0.0, 0.0, 0.0))
+        return SimpleNamespace(key=KeyResult(length, 1.0, length, 0.0, 0.0, 0.0))
 
     monkeypatch.setattr(snsqkd.optimizer, "evaluate", objective)
     spec = OptimizationSpec(variant="aopp", grid_mu=8, grid_p=8, restarts=3)
@@ -104,7 +104,7 @@ def test_spec_refuses_unknown_variant_or_convention(kwargs):
 
 
 @pytest.mark.parametrize("kwargs, scored", [({"budget": 100}, 100), ({"budget": 144}, 144),
-                                            ({"restarts": 0}, 144)])
+                                            ({"restarts": 0}, 144), ({"budget": 1}, 1)])
 def test_grid_without_restarts_keeps_the_best_scored_cell(kwargs, scored):
     # the budget ends inside (or exactly at the end of) the 144-cell grid, or
     # no restart is asked for; the result used to be the first cell with rate 0
@@ -119,6 +119,18 @@ def test_grid_without_restarts_keeps_the_best_scored_cell(kwargs, scored):
     lengths = [evaluate(exp, snsqkd.optimizer._make_proto(cell, result.params.delta), "aopp")
                .key.key_length for cell in cells[:scored]]
     assert result.key_length == max(lengths)
+
+
+@pytest.mark.parametrize("kwargs", [{"grid_mu": 0}, {"grid_p": 0}, {"grid_pz": 0},
+                                    {"restarts": -1}, {"budget": 0}, {"budget": -5}],
+                         ids=lambda kwargs: "{}={}".format(*next(iter(kwargs.items()))))
+def test_spec_refuses_search_sizes_that_break_the_search(kwargs):
+    # an empty grid ended in an IndexError, restarts=-1 sliced the scored
+    # cells from the end (143 restarts at rowC/100 km), and a budget below 1
+    # still scored one cell
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=name):
+        OptimizationSpec(variant="finite", **kwargs)
 
 
 @pytest.mark.parametrize("deltas", [(), (0.0,), (-0.1,), (2.0 * math.pi + 1e-9,), (math.nan,),

@@ -12,7 +12,7 @@ from snsqkd.chernoff import ChernoffDelta, EpsilonBudget, solve_deltas
 from snsqkd.decoy import DecoyObservations, UntaggedStats, decoy_observations
 from snsqkd.mcsim import LabeledString, StatCheck
 from snsqkd.optimizer import OptimizationResult, OptimizationSpec, RestartRecord
-from snsqkd.pipeline import PointResult, evaluate
+from snsqkd.pipeline import VARIANTS, PointResult, evaluate
 from snsqkd.postproc import AoppOutcome, BferOutcome, KeyResult, OddSiftOutcome, ZWindowCounts
 from snsqkd.presets import preset
 from snsqkd.qubitmodel import IterationReport, PairState, make_sigma
@@ -23,14 +23,14 @@ PROTO = ProtocolParams(p_z=0.9, p_send=0.1, mu_z=0.4, decoy_intensities=(0.0, 0.
 
 def _evaluation_records():
     finite = evaluate(EXP, PROTO, "finite")
-    sift = evaluate(EXP, PROTO, "oddsift").sift
-    outcome = evaluate(EXP, PROTO, "aopp").aopp_outcome
+    sift = evaluate(EXP, PROTO, "oddsift").outcome
+    outcome = evaluate(EXP, PROTO, "aopp").outcome
     return {
         WindowRates: finite.rates,
         UntaggedStats: finite.untagged,
         DecoyObservations: decoy_observations(EXP, PROTO),
         ZWindowCounts: finite.counts,
-        BferOutcome: finite.bfer,
+        BferOutcome: finite.outcome,
         OddSiftOutcome: sift,
         AoppOutcome: outcome,
         KeyResult: finite.key,
@@ -67,18 +67,39 @@ def test_evaluation_records_are_slotted(cls):
 
 
 def test_replace_still_works_on_bfer_outcome():
-    bfer = evaluate(EXP, PROTO, "finite").bfer
+    bfer = evaluate(EXP, PROTO, "finite").outcome
     doubled = dataclasses.replace(bfer, n_t2=2.0 * bfer.n_t2)
     assert doubled.n_t2 == 2.0 * bfer.n_t2 and doubled.n_t1 == bfer.n_t1
-    assert doubled is not bfer and bfer == evaluate(EXP, PROTO, "finite").bfer
+    assert doubled is not bfer and bfer == evaluate(EXP, PROTO, "finite").outcome
 
 
 @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
 def test_point_result_survives_pickle(protocol):
     point = evaluate(EXP, PROTO, "finite")
     copy = pickle.loads(pickle.dumps(point, protocol=protocol))
-    assert copy == point and type(copy.bfer) is BferOutcome
+    assert copy == point and type(copy.outcome) is BferOutcome
     assert copy.key.rate == point.key.rate
+
+
+# the record of each variant's two-way round; the one-way variants have none
+OUTCOME_TYPES = {
+    "original": type(None),
+    "refined": type(None),
+    "bfer": BferOutcome,
+    "oddsift": OddSiftOutcome,
+    "aopp": AoppOutcome,
+    "finite": BferOutcome,
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_outcome_holds_the_two_way_record(variant):
+    assert type(evaluate(EXP, PROTO, variant).outcome) is OUTCOME_TYPES[variant]
+
+
+def test_key_result_does_not_name_its_variant():
+    # the variant is a fact of the PointResult alone
+    assert "variant" not in {field.name for field in dataclasses.fields(KeyResult)}
 
 
 @pytest.mark.parametrize("cls", list(_reports()), ids=lambda cls: cls.__name__)
