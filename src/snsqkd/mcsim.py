@@ -3,13 +3,14 @@
 Samples a labeled bit string with the proportions of an expected-count
 instance, runs the literal post-processing procedures (random pairing with
 parity comparison, odd-parity sifting, actively odd-parity pairing), and
-tallies each run as ``{statistic: count}``.  ``expected_statistics`` gives
-every statistic's binomial law, read from the formula layer
-(``postproc.bfer_expectations`` and ``postproc.aopp``) on the instance as
-given: each probability is a class's share of the instance's own effective
-windows, so no instance is rescaled to the string length.  ``compare``
-reports each statistic with its z-score and flags it by its exact binomial
-tail.  The actively odd-parity pairing is sampled exactly in distribution
+tallies each run as ``{statistic: count}``, read from one histogram of the
+pairs' classes (the label and untagged flag of both bits).
+``expected_statistics`` gives every statistic's binomial law, read from the
+formula layer (``postproc.bfer_expectations`` and ``postproc.aopp``) on the
+instance as given: each probability is a class's share of the instance's own
+effective windows, so no instance is rescaled to the string length.
+``compare`` reports each statistic with its z-score and flags it by its exact
+binomial tail.  The actively odd-parity pairing is sampled exactly in distribution
 by vectorized draws (``_aopp_pairs``).
 
 All randomness comes from a single seeded PCG64 stream per run so results
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -56,6 +58,16 @@ _LABEL_NAMES = ("c0", "c1", "d", "v")
 ALICE_BITS = np.array([0, 1, 1, 0], dtype=np.uint8)
 BOB_BITS = np.array([0, 1, 0, 1], dtype=np.uint8)
 
+# A position's state is its label and untagged flag, label * 2 + flag (0..7),
+# and a pair's class is first_state * 8 + second_state (0..63).  Each tally is
+# the pair-class histogram summed over a mask of classes; the masks are built
+# at each call from the label columns below and ALICE_BITS/BOB_BITS.
+_CLASS = np.arange(64)
+_LAB1 = _CLASS >> 4
+_LAB2 = (_CLASS >> 1) & 3
+_UNTAGGED_PAIR = ((_CLASS >> 3) & _CLASS & 1).astype(bool)
+_ONE_SENDER = (_LAB1 <= C1) & (_LAB2 <= C1)
+
 
 @dataclass(frozen=True)
 class LabeledString:
@@ -70,11 +82,16 @@ class LabeledString:
 
     @property
     def alice_bits(self) -> np.ndarray:
-        return ALICE_BITS[self.labels]
+        return np.take(ALICE_BITS, self.labels)
 
     @property
     def bob_bits(self) -> np.ndarray:
-        return BOB_BITS[self.labels]
+        return np.take(BOB_BITS, self.labels)
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """Per-position state code, label * 2 + untagged flag, as int8."""
+        return (self.labels * 2 + self.untagged).astype(np.int8, copy=False)
 
 
 def sample_string(
@@ -91,14 +108,26 @@ def sample_string(
         raise ValueError("need at least two positions to sample")
     probs = np.array([counts.n_c0, counts.n_c1, counts.n_d, counts.n_v]) / counts.n_t
     rng = np.random.default_rng(seed)
-    edges = np.cumsum(probs)
-    edges[-1] = 1.0  # guard against cumulative rounding below 1
-    labels = np.searchsorted(edges, rng.random(n_bits), side="right").astype(np.int8)
+    # a label is the count of cumulative edges at or below its draw; the
+    # last edge is 1 (up to rounding) and lies above every draw
+    r = rng.random(n_bits)
+    labels = np.zeros(n_bits, dtype=np.int8)
+    for edge in np.cumsum(probs)[:-1]:
+        labels += r >= edge
     u = rng.random(n_bits)
     rate_c0 = untagged.n1_0 / counts.n_c0 if counts.n_c0 > 0.0 else 0.0
     rate_c1 = untagged.n1_1 / counts.n_c1 if counts.n_c1 > 0.0 else 0.0
     flags = ((labels == C0) & (u < rate_c0)) | ((labels == C1) & (u < rate_c1))
     return LabeledString(labels=labels, untagged=flags)
+
+
+def _pair_histogram(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Count of each of the 64 pair classes over paired state codes."""
+    return np.bincount((first << 3) | second, minlength=64)
+
+
+def _tally(hist: np.ndarray, masks: Mapping[str, np.ndarray]) -> dict[str, int]:
+    return {name: int(hist[mask].sum()) for name, mask in masks.items()}
 
 
 def run_bfer(s: LabeledString, seed: int) -> dict[str, int]:
@@ -109,70 +138,67 @@ def run_bfer(s: LabeledString, seed: int) -> dict[str, int]:
     n = s.n_t
     if n < 2:
         raise ValueError("need at least two bits to pair")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
+    # shuffling the states takes the same draws as permuting the positions
+    shuffled = np.random.default_rng(seed).permutation(s.states)
     n_pairs = n // 2
-    first = order[: 2 * n_pairs : 2]
-    second = order[1 : 2 * n_pairs : 2]
+    hist = _pair_histogram(shuffled[: 2 * n_pairs : 2], shuffled[1 : 2 * n_pairs : 2])
 
-    lab1 = s.labels[first]
-    lab2 = s.labels[second]
-    alice = s.alice_bits
-    bob = s.bob_bits
-    keep = (alice[first] ^ alice[second]) == (bob[first] ^ bob[second])
-
-    merged1 = np.where(lab1 <= C1, 0, lab1 - 1)  # c -> 0, d -> 1, v -> 2
-    merged2 = np.where(lab2 <= C1, 0, lab2 - 1)
-    pair_hist = np.bincount(merged1 * 3 + merged2, minlength=9)
-    cc_mask = (lab1 <= C1) & (lab2 <= C1)
-    cc_hist = np.bincount(lab1[cc_mask] * 2 + lab2[cc_mask], minlength=4)
-
-    bob1 = bob[first]
-    bob2 = bob[second]
+    alice1, alice2 = ALICE_BITS[_LAB1], ALICE_BITS[_LAB2]
+    bob1, bob2 = BOB_BITS[_LAB1], BOB_BITS[_LAB2]
+    keep = (alice1 ^ alice2) == (bob1 ^ bob2)
     odd = bob1 != bob2
     class1 = keep & odd
     class2 = keep & ~odd & (bob1 == 0)
     class3 = keep & ~odd & (bob1 == 1)
-    kept_error = alice[first] != bob[first]
-
-    untagged_pair = s.untagged[first] & s.untagged[second]
-    if not bool(keep[untagged_pair].all()):
+    kept_error = alice1 != bob1
+    if hist[_UNTAGGED_PAIR & ~keep].any():
         raise AssertionError("untagged pairs must always pass the parity comparison")
-    if int(kept_error[untagged_pair].sum()) != 0:
+    if hist[_UNTAGGED_PAIR & kept_error].any():
         raise AssertionError("untagged survivors must be error-free")
 
-    merged = ("c", "d", "v")
-    tally = {f"pairs_{a}{b}": int(pair_hist[3 * i + j])
-             for i, a in enumerate(merged) for j, b in enumerate(merged)}
-    tally.update((f"pairs_{_LABEL_NAMES[i]}{_LABEL_NAMES[j]}", int(cc_hist[2 * i + j]))
+    merged1 = np.maximum(_LAB1 - 1, 0)  # c -> 0, d -> 1, v -> 2
+    merged2 = np.maximum(_LAB2 - 1, 0)
+    masks = {f"pairs_{a}{b}": (merged1 == i) & (merged2 == j)
+             for i, a in enumerate("cdv") for j, b in enumerate("cdv")}
+    masks.update((f"pairs_{_LABEL_NAMES[i]}{_LABEL_NAMES[j]}", (_LAB1 == i) & (_LAB2 == j))
                  for i in (C0, C1) for j in (C0, C1))
-    tally.update(
-        bfer_survivors=int(keep.sum()),
-        class1_count=int(class1.sum()),
-        class2_count=int(class2.sum()),
-        class3_count=int(class3.sum()),
-        class1_errors=int((class1 & kept_error).sum()),
-        class2_errors=int((class2 & kept_error).sum()),
-        class3_errors=int((class3 & kept_error).sum()),
-        bfer_untagged=int(untagged_pair.sum()),
-        odd_pairs_random=int(odd.sum()),
+    masks.update(
+        bfer_survivors=keep,
+        class1_count=class1,
+        class2_count=class2,
+        class3_count=class3,
+        class1_errors=class1 & kept_error,
+        class2_errors=class2 & kept_error,
+        class3_errors=class3 & kept_error,
+        bfer_untagged=_UNTAGGED_PAIR,
+        odd_pairs_random=odd,
     )
-    return tally
+    return _tally(hist, masks)
 
 
-def _aopp_pairs(bob: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _aopp_pairs(
+    bob: np.ndarray, rng: np.random.Generator, tags: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact sampler of the literal pairing: draw the first bit uniformly over
     both pools, the second uniformly over the opposite pool, until one empties.
 
     Every pair takes one bit from each pool, so both pools are consumed in
     uniformly random order, and at step k the zero pool supplies the first
     bit with probability (M0-k)/(M0+M1-2k), independently of the draws.
+    Returns the ``tags`` (by default the positions) of each pair's first and
+    second bit.
     """
-    zeros = np.flatnonzero(bob == 0)
-    ones = np.flatnonzero(bob == 1)
+    if tags is None:
+        tags = np.arange(bob.size)
+    zeros = np.compress(bob == 0, tags)
+    ones = np.compress(bob == 1, tags)
     n_pairs = min(zeros.size, ones.size)
-    k = np.arange(n_pairs)
-    zero_first = rng.random(n_pairs) * (bob.size - 2 * k) < zeros.size - k
+    # before step k the pools hold M0 - k zeros among M0 + M1 - 2k bits; the
+    # counts are exact as floats
+    zeros_left = np.arange(zeros.size, zeros.size - n_pairs, -1.0)
+    draw = rng.random(n_pairs)
+    draw *= np.arange(bob.size, bob.size - 2 * n_pairs, -2.0)
+    zero_first = draw < zeros_left
     zeros = rng.permutation(zeros)[:n_pairs]
     ones = rng.permutation(ones)[:n_pairs]
     return np.where(zero_first, zeros, ones), np.where(zero_first, ones, zeros)
@@ -184,30 +210,27 @@ def run_aopp(s: LabeledString, seed: int) -> dict[str, int]:
     Returns the count of every actively paired statistic by name.  A string
     in which Bob holds only one bit value forms no pairs.
     """
-    first, second = _aopp_pairs(s.bob_bits, np.random.default_rng(seed))
+    first, second = _aopp_pairs(s.bob_bits, np.random.default_rng(seed), s.states)
+    hist = _pair_histogram(first, second)
 
-    alice = s.alice_bits
-    keep = (alice[first] ^ alice[second]) == 1  # Bob's parity is odd by construction
-    lab1 = s.labels[first]
-    lab2 = s.labels[second]
-    both_c = keep & (lab1 <= C1) & (lab2 <= C1)
-    vd_dv = keep & ~((lab1 <= C1) & (lab2 <= C1))
-    kept_error = alice[first] != BOB_BITS[lab1]
-    if int((both_c & kept_error).sum()) != 0:
+    alice1 = ALICE_BITS[_LAB1]
+    keep = (alice1 ^ ALICE_BITS[_LAB2]) == 1  # Bob's parity is odd by construction
+    both_c = keep & _ONE_SENDER
+    vd_dv = keep & ~_ONE_SENDER
+    kept_error = alice1 != BOB_BITS[_LAB1]
+    if hist[both_c & kept_error].any():
         raise AssertionError("kept one-sender pairs cannot carry bit-flip errors")
-    if not bool(kept_error[vd_dv].all()):
+    if hist[vd_dv & ~kept_error].any():
         raise AssertionError("kept V/D pairs are always bit-flip errors")
-    untagged_pair = s.untagged[first] & s.untagged[second]
-    if not bool(keep[untagged_pair].all()):
+    if hist[_UNTAGGED_PAIR & ~keep].any():
         raise AssertionError("untagged pairs must always pass the parity check")
 
-    return {
-        "aopp_pairs": int(first.size),
-        "aopp_both_c": int(both_c.sum()),
-        "aopp_vd": int(vd_dv.sum()),
-        "aopp_kept": int(keep.sum()),
-        "aopp_untagged": int(untagged_pair.sum()),
-    }
+    return {"aopp_pairs": int(first.size), **_tally(hist, {
+        "aopp_both_c": both_c,
+        "aopp_vd": vd_dv,
+        "aopp_kept": keep,
+        "aopp_untagged": _UNTAGGED_PAIR,
+    })}
 
 
 def expected_statistics(

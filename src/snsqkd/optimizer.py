@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -87,11 +88,15 @@ class OptimizationSpec:
                 f"got {self.delta_values!r}"
             )
         # an empty grid leaves no cell to start from; a negative restart count
-        # would slice the scored cells from the end
+        # would slice the scored cells from the end; a fractional size fails
+        # deep in np.geomspace or a slice
         minima = {"grid_mu": 1, "grid_p": 1, "grid_pz": 1, "restarts": 0, "budget": 1}
         for name, least in minima.items():
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -355,3 +356,100 @@ def test_oracle_flags_a_fault_in_the_formula_layer(monkeypatch):
     emp = {**mcsim.run_bfer(s, 41), **mcsim.run_aopp(s, 42)}
     rows = mcsim.compare(emp, mcsim.expected_statistics(counts, untagged, N_BITS))
     assert [r.name for r in rows if r.flagged] == ["class2_count"]
+
+
+# Bit-for-bit pins of the oracle's tallies, recorded with the per-position
+# gathers that the pair-state histogram replaced: (instance, bits, seed) ->
+# (checksum of the sampled string, every statistic of run_bfer at seed + 1 and
+# run_aopp at seed + 2).  The empty-class instance has no c1 and no v events,
+# so Bob holds only zeros and the active pairing forms no pair.
+PIN_INSTANCES = {
+    "balanced": make_fixture(),
+    "unbalanced": make_fixture(balanced=False),
+    "empty_classes": (ZWindowCounts(500.0, 0.0, 30.0, 0.0), UntaggedStats(250.0, 250.0, 0.0, 0.05, 0.0)),
+}
+PINS = {
+    ("balanced", 100_000, 60): ("8e3028748c160cdd", {
+        "pairs_cc": 31650, "pairs_cd": 4068, "pairs_cv": 4093, "pairs_dc": 4059, "pairs_dd": 468,
+        "pairs_dv": 512, "pairs_vc": 4083, "pairs_vd": 534, "pairs_vv": 533, "pairs_c0c0": 7878,
+        "pairs_c0c1": 8011, "pairs_c1c0": 7908, "pairs_c1c1": 7853, "bfer_survivors": 33697,
+        "class1_count": 16965, "class2_count": 8346, "class3_count": 8386, "class1_errors": 1046,
+        "class2_errors": 468, "class3_errors": 533, "bfer_untagged": 7912,
+        "odd_pairs_random": 25161, "aopp_pairs": 49999, "aopp_both_c": 31642, "aopp_vd": 2039,
+        "aopp_kept": 33681, "aopp_untagged": 7753}),
+    ("unbalanced", 100_000, 61): ("33403b5816d35b53", {
+        "pairs_cc": 28105, "pairs_cd": 3820, "pairs_cv": 5651, "pairs_dc": 3814, "pairs_dd": 513,
+        "pairs_dv": 739, "pairs_vc": 5512, "pairs_vd": 776, "pairs_vv": 1070, "pairs_c0c0": 10083,
+        "pairs_c0c1": 6825, "pairs_c1c0": 6629, "pairs_c1c1": 4568, "bfer_survivors": 31203,
+        "class1_count": 14969, "class2_count": 10596, "class3_count": 5638, "class1_errors": 1515,
+        "class2_errors": 513, "class3_errors": 1070, "bfer_untagged": 12482,
+        "odd_pairs_random": 24647, "aopp_pairs": 44943, "aopp_both_c": 24599, "aopp_vd": 2763,
+        "aopp_kept": 27362, "aopp_untagged": 10909}),
+    ("unbalanced", 1_001, 62): ("87862f973286babe", {
+        "pairs_cc": 283, "pairs_cd": 39, "pairs_cv": 46, "pairs_dc": 44, "pairs_dd": 7,
+        "pairs_dv": 7, "pairs_vc": 49, "pairs_vd": 10, "pairs_vv": 15, "pairs_c0c0": 103,
+        "pairs_c0c1": 65, "pairs_c1c0": 64, "pairs_c1c1": 51, "bfer_survivors": 322,
+        "class1_count": 146, "class2_count": 110, "class3_count": 66, "class1_errors": 17,
+        "class2_errors": 7, "class3_errors": 15, "bfer_untagged": 124, "odd_pairs_random": 229,
+        "aopp_pairs": 444, "aopp_both_c": 241, "aopp_vd": 27, "aopp_kept": 268,
+        "aopp_untagged": 119}),
+    ("balanced", 2, 63): ("161a37dc7787f8e2", {
+        **dict.fromkeys(mcsim.expected_statistics(*make_fixture(), 2), 0), "pairs_vc": 1}),
+    ("empty_classes", 10_000, 64): ("a532a66c7d39a986", {
+        **dict.fromkeys(mcsim.expected_statistics(*make_fixture(), 2), 0),
+        "pairs_cc": 4465, "pairs_cd": 261, "pairs_dc": 265, "pairs_dd": 9, "pairs_c0c0": 4465,
+        "bfer_survivors": 4474, "class2_count": 4474, "class2_errors": 9,
+        "bfer_untagged": 1112}),
+}
+PIN_IDS = ["{}-{}bits".format(*key) for key in PINS]
+
+
+def _pinned_run(key):
+    name, n_bits, seed = key
+    s = mcsim.sample_string(*PIN_INSTANCES[name], n_bits, seed)
+    return s, {**mcsim.run_bfer(s, seed + 1), **mcsim.run_aopp(s, seed + 2)}
+
+
+def _checksum(s: mcsim.LabeledString) -> str:
+    data = s.labels.astype(np.int8).tobytes() + s.untagged.astype(np.uint8).tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("key", PINS, ids=PIN_IDS)
+def test_tallies_are_pinned_bit_for_bit(key):
+    s, tally = _pinned_run(key)
+    checksum, pinned = PINS[key]
+    assert s.n_t == key[1] and s.labels.dtype == np.int8 and s.untagged.dtype == bool
+    assert _checksum(s) == checksum
+    assert tally == pinned
+    assert all(type(count) is int for count in tally.values())
+
+
+@pytest.mark.parametrize("key", PINS, ids=PIN_IDS)
+def test_tally_invariants(key):
+    s, t = _pinned_run(key)
+    merged = sum(t[f"pairs_{a}{b}"] for a in "cdv" for b in "cdv")
+    assert merged == s.n_t // 2
+    assert sum(t[f"pairs_{a}{b}"] for a in ("c0", "c1") for b in ("c0", "c1")) == t["pairs_cc"]
+    assert t["bfer_survivors"] == t["class1_count"] + t["class2_count"] + t["class3_count"]
+    for k in (1, 2, 3):
+        assert t[f"class{k}_errors"] <= t[f"class{k}_count"]
+    assert t["bfer_untagged"] <= t["pairs_c0c0"] + t["pairs_c0c1"] + t["pairs_c1c0"] + t["pairs_c1c1"]
+    assert t["aopp_kept"] == t["aopp_both_c"] + t["aopp_vd"]
+
+
+@pytest.mark.parametrize("alice_bits, message", [
+    # c1 events on which Alice holds 0: an untagged c0-c1 pair fails the
+    # parity comparison
+    ((0, 0, 1, 0), "untagged pairs must always pass the parity comparison"),
+    # Alice holds the opposite bit on every one-sender event: untagged pairs
+    # still pass the comparison, but each survivor is an error
+    ((1, 0, 1, 0), "untagged survivors must be error-free"),
+], ids=["parity", "errors"])
+def test_run_bfer_checks_fire_under_wrong_bits(monkeypatch, alice_bits, message):
+    counts, untagged = make_fixture()
+    s = mcsim.sample_string(counts, untagged, 10_000, seed=65)
+    mcsim.run_bfer(s, seed=66)
+    monkeypatch.setattr(mcsim, "ALICE_BITS", np.array(alice_bits, dtype=np.uint8))
+    with pytest.raises(AssertionError, match=message):
+        mcsim.run_bfer(s, seed=66)

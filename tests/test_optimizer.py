@@ -2,6 +2,7 @@ import dataclasses
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
 
@@ -131,6 +132,23 @@ def test_spec_refuses_search_sizes_that_break_the_search(kwargs):
     (name,) = kwargs
     with pytest.raises(ValueError, match=name):
         OptimizationSpec(variant="finite", **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"grid_mu": 2.5}, {"grid_p": 12.0}, {"grid_pz": True},
+                                    {"restarts": 2.5}, {"budget": 1.5}, {"budget": "300"}],
+                         ids=lambda kwargs: "{}={!r}".format(*next(iter(kwargs.items()))))
+def test_spec_refuses_search_sizes_that_are_not_integers(kwargs):
+    # grid_mu=2.5 ended in a TypeError inside np.geomspace, and a fractional
+    # budget or restart count in "slice indices must be integers"
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        OptimizationSpec(variant="aopp", **kwargs)
+
+
+def test_spec_takes_numpy_integer_search_sizes():
+    spec = OptimizationSpec(variant="aopp", grid_mu=np.int64(3), grid_p=np.int32(3), grid_pz=np.int8(1),
+                            restarts=np.int64(0), budget=np.uint16(5))
+    assert optimize(spec, preset("rowC", 100.0)).evaluations == 5
 
 
 @pytest.mark.parametrize("deltas", [(), (0.0,), (-0.1,), (2.0 * math.pi + 1e-9,), (math.nan,),
