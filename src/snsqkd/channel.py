@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Literal, get_args
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal, get_args
 
 from .mathcore import bessel_i0, simpson
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CONVENTIONS",
@@ -35,8 +36,6 @@ Convention = Literal["visibility", "mixing"]
 CONVENTIONS: tuple[str, ...] = get_args(Convention)
 
 X_QUAD_INTERVALS = 64
-# sign of the interference term for the wrong and the right detector
-_WRONG_RIGHT = np.array([[1.0], [-1.0]])
 
 
 @dataclass(frozen=True)
@@ -193,6 +192,10 @@ def x_window_rates(
     probability is formed with expm1, so a rate far below one keeps its
     relative precision instead of being a difference of numbers near one.
     """
+    # imported here: only the finite variant integrates, so the asymptotic
+    # ones never load numpy
+    import numpy as np
+
     if not 0.0 <= mu_k < math.inf:  # an infinite intensity makes the integrand NaN
         raise ValueError(f"mu_k must be in [0, inf), got {mu_k!r}")
     if not 0.0 < delta <= 2.0 * math.pi:
@@ -206,8 +209,10 @@ def x_window_rates(
         """Per-phase probabilities, negated, that only the wrong detector
         (row 0) or only the right one (row 1) clicks; the right detector is
         the one the interference favours."""
-        # log-probabilities that the wrong (row 0) and the right (row 1) detector stay dark
-        log_silent = (log_quiet - mean) + (mean * vis) * np.cos(phase) * _WRONG_RIGHT
+        # log-probabilities that the wrong (row 0) and the right (row 1) detector
+        # stay dark; the interference term enters them with opposite signs
+        swing = (mean * vis) * np.cos(phase)
+        log_silent = (log_quiet - mean) + np.array((swing, -swing))
         return np.expm1(log_silent) * np.exp(log_silent[::-1])
 
     wrong, right = simpson(integrand, 0.0, half, n_intervals) / -half

@@ -17,11 +17,9 @@ import dataclasses
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import mcsim, qubitmodel
 from .channel import CONVENTIONS, ExperimentParams, ProtocolParams, arm_transmittance
 from .decoy import BoundViolationError, UntaggedStats
 from .optimizer import OptimizationSpec, _make_proto, optimize
@@ -337,7 +335,6 @@ def _config_header(cfg: RunConfig, columns: list[str]) -> list[str]:
         "variants": ",".join(cfg.variant),
         "mode": cfg.mode,
         "seed": cfg.seed,
-        "rng": mcsim.RNG_ALGORITHM,
         "convention": cfg.convention,
         "vacuum_credit": cfg.vacuum_credit,
         "range": cfg.range,
@@ -364,6 +361,10 @@ def cmd_scan(cfg: RunConfig) -> int:
     # the pool forks all its workers at once, so it gets no more than there are distances
     workers = min(cfg.jobs, len(distances))
     if workers > 1:
+        # imported here, as mcsim and qubitmodel are in their commands: a
+        # command loads only what it runs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_row, [cfg] * len(distances), distances))
     else:
@@ -507,6 +508,8 @@ def _mc_fixture(cfg: RunConfig) -> tuple[ZWindowCounts, UntaggedStats]:
 
 
 def cmd_mc_verify(cfg: RunConfig) -> int:
+    from . import mcsim
+
     counts, untagged = _mc_fixture(cfg)
     analytic = mcsim.expected_statistics(counts, untagged, cfg.bits)
     if cfg.inject_fault:
@@ -536,6 +539,8 @@ def cmd_mc_verify(cfg: RunConfig) -> int:
 
 
 def cmd_qubit_check(cfg: RunConfig) -> int:
+    from . import qubitmodel
+
     n = cfg.grid_points
     report = qubitmodel.verify_iteration_inequality(n, n, n, matrix_stride=max(1, n // 10))
     lines = [

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["binary_entropy", "bessel_i0", "find_root", "simpson"]
 
@@ -95,6 +96,8 @@ def find_root(fn: Callable[[float], float], lo: float, hi: float, tol: float) ->
 @lru_cache(maxsize=8)
 def _simpson_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-interval composite Simpson rule on [0, 1]."""
+    import numpy as np
+
     weights = np.full(n + 1, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
@@ -115,6 +118,10 @@ def simpson(
     gives a float.  n is rounded up to even; the unit rule for each n is
     built once and reused.
     """
+    # imported here: only the finite variant integrates, so the asymptotic
+    # ones never load numpy
+    import numpy as np
+
     if b <= a:
         raise ValueError("simpson requires b > a")
     if n % 2:

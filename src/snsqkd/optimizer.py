@@ -8,18 +8,23 @@ a gradient direction even where the rate floors at zero.
 
 The refinement, ``minimize``, reproduces scipy's bounded Nelder-Mead
 (``scipy.optimize.minimize(method="Nelder-Mead", bounds=...)``) bit for bit
-on lists of Python floats, so the package needs no ``scipy.optimize``.
+on lists of Python floats, so the search needs neither ``scipy.optimize`` nor
+numpy.  Tie rule: vertices with equal values keep their order (a stable
+sort, NaN last), as ``np.argsort(kind="stable")`` orders them.  scipy sorts
+with ``np.argsort``'s default kind, which gives the same order for up to
+three vertices (every asymptotic search) but is not stable for four or more
+on every platform; the stable sort makes each search take the same steps on
+every CPU.
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .channel import CONVENTIONS, ExperimentParams, ProtocolParams
 from .decoy import BoundViolationError
@@ -89,7 +94,7 @@ class OptimizationSpec:
             )
         # an empty grid leaves no cell to start from; a negative restart count
         # would slice the scored cells from the end; a fractional size fails
-        # deep in np.geomspace or a slice
+        # deep in range() or a slice
         minima = {"grid_mu": 1, "grid_p": 1, "grid_pz": 1, "restarts": 0, "budget": 1}
         for name, least in minima.items():
             value = getattr(self, name)
@@ -143,9 +148,10 @@ def minimize(
     fatol})`` step for step and bit for bit: the same start simplex (clipped
     after vertices above an upper bound are reflected inside), the same
     moves and coefficients, every trial point clipped to the box, the same
-    stop test and the same vertex order.  Ties between vertex values are
-    ordered by ``np.argsort``'s default kind, as scipy orders them.  ``x0``
-    and the bounds must be finite.  Returns ``(x, fun, nfev, converged)``;
+    stop test and the same vertex order.  Tied vertices keep their order
+    (``np.argsort(kind="stable")``); scipy's default kind agrees for up to
+    three vertices but not for four or more on every platform.  ``x0`` and
+    the bounds must be finite.  Returns ``(x, fun, nfev, converged)``;
     ``converged`` is False when the search stopped at ``maxfev``.
 
     A module-level function: ``refine`` looks it up by name at each call.
@@ -185,8 +191,8 @@ def minimize(
             fsim[k] = f(sim[k])
     except _Spent:
         pass
-    # scipy sorts the start simplex twice; an unstable sort may reorder ties again
-    sim, fsim = _by_value(*_by_value(sim, fsim))
+    # scipy sorts the start simplex twice; a stable sort gives the same order once
+    sim, fsim = _by_value(sim, fsim)
 
     while calls < maxfev:
         try:
@@ -235,16 +241,17 @@ def minimize(
             pass
         sim, fsim = _by_value(sim, fsim)
 
-    # np.argsort puts NaNs last, and np.min returns NaN if there is one
+    # NaNs sort last, and np.min (scipy's fun) returns NaN if there is one
     fun = math.nan if any(fx != fx for fx in fsim) else fsim[0]
     return sim[0], fun, calls, calls < maxfev
 
 
 def _by_value(sim: list[list[float]], fsim: list[float]) -> tuple[list[list[float]], list[float]]:
-    """Vertices and values in ``np.argsort(fsim)`` order.  Its default kind is
-    not stable on every platform, and the order it gives ties decides which
-    vertex the next move replaces."""
-    order = np.argsort(fsim).tolist()
+    """Vertices and values in ``np.argsort(fsim, kind="stable")`` order: by
+    value, NaN last, ties (0.0 and -0.0 too) in their old order.  The order of
+    ties decides which vertex the next move replaces."""
+    # a NaN compares neither below nor above anything, so its key is (True, nan)
+    order = sorted(range(len(fsim)), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
@@ -364,19 +371,43 @@ def _grid_cells(
 ) -> list[dict[str, float]]:
     """Log-spaced (mu_z, p) grid crossed with a linear p_z grid; decoy
     intensities start from fixed heuristics and move only in refinement."""
-    mus = np.geomspace(*bounds["mu_z"], spec.grid_mu)
-    ps = np.geomspace(*bounds["p_send"], spec.grid_p)
+    mus = _geomspace(*bounds["mu_z"], spec.grid_mu)
+    ps = _geomspace(*bounds["p_send"], spec.grid_p)
     if "p_z" not in bounds:
-        return [{"mu_z": float(mu), "p_send": float(p)} for mu in mus for p in ps]
-    pzs = np.linspace(*bounds["p_z"], spec.grid_pz)
+        return [{"mu_z": mu, "p_send": p} for mu in mus for p in ps]
+    pzs = _linspace(*bounds["p_z"], spec.grid_pz)
     (lo1, hi1), (lo2, hi2) = bounds["mu1"], bounds["mu2"]
     cells = []
     for mu in mus:
-        mu1 = float(np.clip(0.05 * mu, lo1, hi1))
-        mu2 = float(np.clip(0.2 * mu, max(lo2, 2.0 * mu1), hi2))
+        mu1 = min(max(0.05 * mu, lo1), hi1)
+        mu2 = min(max(0.2 * mu, lo2, 2.0 * mu1), hi2)
         cells += [
-            {"mu_z": float(mu), "p_send": float(p), "p_z": float(pz), "mu1": mu1, "mu2": mu2}
+            {"mu_z": mu, "p_send": p, "p_z": pz, "mu1": mu1, "mu2": mu2}
             for p in ps
             for pz in pzs
         ]
     return cells
+
+
+def _linspace(lo: float, hi: float, num: int) -> list[float]:
+    """``np.linspace(lo, hi, num)`` bit for bit, for lo < hi."""
+    if num == 1:
+        return [lo]
+    step = (hi - lo) / (num - 1)
+    return [i * step + lo for i in range(num - 1)] + [hi]
+
+
+def _geomspace(lo: float, hi: float, num: int) -> list[float]:
+    """``np.geomspace(lo, hi, num)`` for 0 < lo < hi: exact ends, and powers
+    of ten in between, which may differ from numpy's in the last bit."""
+    if num == 1:
+        return [lo]
+    inner = _linspace(_log10(lo), _log10(hi), num)[1:-1]
+    return [lo] + [10.0 ** y for y in inner] + [hi]
+
+
+@functools.lru_cache(maxsize=None)
+def _log10(x: float) -> float:
+    """log10(x) correctly rounded on every platform; libm's ``math.log10``
+    can be an ulp off (at 0.6), which moves a grid axis by up to 16 ulp."""
+    return float(decimal.Decimal(x).log10(decimal.Context(prec=40)))

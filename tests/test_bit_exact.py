@@ -158,8 +158,8 @@ SEARCH_HEX = {
         "0x1.948b987cd8354p-22", "0x1.cbea2d4b58aaap+22", 1519,
         ("0x1.5c53647901316p-2", "0x1.3c56550d9bb18p-4", "0x1.41b2f769cf0e0p-2")),
     "finite@table2-502": (
-        "0x1.5df11719f6effp-25", "0x1.8dd674c7274eep+19", 20065,
-        ("0x1.6e3650630da22p-2", "0x1.230cbf43bcff2p-4", "0x1.0c152382d7365p-2")),
+        "0x1.5d280f555ad93p-25", "0x1.8cf1e93f5dc0dp+19", 20084,
+        ("0x1.6e3da7b1d8945p-2", "0x1.22d6dcca833bdp-4", "0x1.17bd03a9ebb32p-2")),
     "finite@rowA600-zero-rate": (
         "0x0.0p+0", "-0x1.4c511123fd4a0p+7", 105,
         ("0x1.999999999999bp-5", "0x1.47ae147ae147dp-8", "0x1.921fb54442d18p-2")),

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import contextlib
 import dataclasses
 import errno
@@ -160,7 +161,8 @@ class TestScan:
         assert main(self.scan_args(tmp_path, "c.csv", seed="11")) == 0
         text = (tmp_path / "c.csv").read_text()
         assert "# seed = 11" in text
-        assert "# rng = numpy-pcg64" in text
+        # no scan path draws a random number; mc-verify names its generator
+        assert "# rng" not in text
 
     def test_rates_drop_with_distance(self, tmp_path):
         assert main(self.scan_args(tmp_path, "d.csv")) == 0
@@ -286,11 +288,11 @@ class TestOptimizeCommand:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def scipy_after(code):
-    """scipy modules loaded in a fresh interpreter after running ``code``."""
+def loaded_after(code, package):
+    """Modules of ``package`` loaded in a fresh interpreter after running ``code``."""
     script = (f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
               "import json\nprint(json.dumps(sorted(m for m in sys.modules "
-              "if m == 'scipy' or m.startswith('scipy.'))))\n")
+              f"if m == {package!r} or m.startswith({package + '.'!r}))))\n")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, check=True)
     return json.loads(done.stdout.splitlines()[-1])
@@ -314,7 +316,33 @@ def test_commands_that_never_optimize_load_no_scipy(command, tmp_path):
     cfg = write_config(tmp_path, "preset = rowC\np_send = 0.1\nmu_z = 0.4\n")
     argv = [cfg if arg == "FIXED" else arg for arg in START_UP.get(command, [])]
     run = f"assert cli.main({argv!r}) == 0" if argv else ""
-    assert scipy_after(f"import snsqkd, snsqkd.cli as cli\n{run}") == []
+    assert loaded_after(f"import snsqkd, snsqkd.cli as cli\n{run}", "scipy") == []
+
+
+# the asymptotic commands: a fixed-protocol and an optimizing point, an
+# optimization, a serial scan and the PLOB bound; point-finite integrates
+NUMPY_START_UP = {
+    "import": [],
+    "point": START_UP["point"],
+    "point-optimized": ["point", "--preset", "rowD", "--variant", "bfer", "--distance", "200"],
+    "optimize": ["optimize", "--preset", "rowD", "--variant", "aopp,original,refined,oddsift",
+                 "--distance", "200"],
+    "scan": START_UP["scan"],
+    "plob": START_UP["plob"],
+    "point-finite": ["point", "--config", "FIXED", "--variant", "finite", "--distance", "100"],
+}
+
+
+@pytest.mark.parametrize("command", list(NUMPY_START_UP))
+def test_only_the_finite_variant_loads_numpy(command, tmp_path):
+    # numpy took most of the start-up left after scipy; the optimizer's grid
+    # and vertex order run on plain floats, and only the finite variant's
+    # quadrature imports numpy, at its first call
+    cfg = write_config(tmp_path, "preset = rowC\np_send = 0.1\nmu_z = 0.4\n")
+    argv = [cfg if arg == "FIXED" else arg for arg in NUMPY_START_UP[command]]
+    run = f"assert cli.main({argv!r}) == 0" if argv else ""
+    loaded = loaded_after(f"import snsqkd, snsqkd.cli as cli\n{run}", "numpy")
+    assert ("numpy" in loaded) == (command == "point-finite")
 
 
 def test_parallel_scan_matches_sequential(tmp_path):
@@ -584,7 +612,7 @@ def test_scan_forks_no_more_workers_than_distances(range_spec, jobs, workers, tm
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     argv = ["scan", "--config", write_config(tmp_path, FIXED_AOPP), "--range", range_spec,
             "--jobs", jobs, "--out", str(tmp_path / "s.csv")]
     assert main(argv) == 0
@@ -604,7 +632,8 @@ def test_partial_protocol_is_refused_before_any_work(argv, tmp_path, monkeypatch
     def work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("ProcessPoolExecutor", "optimize", "evaluate"):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", work)
+    for name in ("optimize", "evaluate"):
         monkeypatch.setattr(cli, name, work)
     assert main(argv + ["--config", write_config(tmp_path, PARTIAL_PROTOCOL)]) == 2
     err = capsys.readouterr().err

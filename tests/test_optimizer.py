@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -7,7 +9,17 @@ import pytest
 from scipy.optimize import minimize as scipy_minimize
 
 import snsqkd.optimizer
-from snsqkd.optimizer import DELTA_CHOICES, OptimizationSpec, minimize, optimize
+from snsqkd.optimizer import (
+    _BOUNDS,
+    DELTA_CHOICES,
+    OptimizationSpec,
+    _by_value,
+    _geomspace,
+    _grid_cells,
+    _linspace,
+    minimize,
+    optimize,
+)
 from snsqkd.pipeline import evaluate
 from snsqkd.postproc import KeyResult
 from snsqkd.presets import preset
@@ -255,23 +267,86 @@ NELDER_MEAD_CASES = {
     # reflected inside; the zero coordinate takes the fixed step
     "above-upper-bound": (rosenbrock, [0.99, 1.95, 0.0],
                           [(-1.0, 1.0), (-2.0, 2.0), (-0.5, 0.5)], 2000),
-    # where numpy's default sort is not stable (numpy 2.4 on AVX-512), ordering
-    # tied vertices with a stable sort ends this search elsewhere
+    # five tied vertices: where numpy's default sort is not stable (numpy 2.4
+    # on AVX-512), scipy's own order of ties ends this search elsewhere
     "plateau-4d": (plateau, [0.6, 0.0, 0.2, -0.8], [(-1.0, 1.0)] * 4, 2000),
-    # the first shrink scores its four vertices at evaluations 32-35, so the
+    # the first shrink scores its four vertices at evaluations 34-37, so the
     # cap leaves it with two vertices scored and a third moved but unscored
-    "cap-inside-shrink": (plateau, [0.6, 0.0, 0.2, -0.8], [(-1.0, 1.0)] * 4, 33),
+    "cap-inside-shrink": (plateau, [0.6, 0.0, 0.2, -0.8], [(-1.0, 1.0)] * 4, 35),
 }
 
 
 @pytest.mark.parametrize("fatol", [math.inf, 1e-12])
 @pytest.mark.parametrize("case", sorted(NELDER_MEAD_CASES))
-def test_minimize_takes_scipys_steps(case, fatol):
+def test_minimize_takes_scipys_steps(case, fatol, monkeypatch):
     func, x0, bounds, maxfev = NELDER_MEAD_CASES[case]
     options = {"maxfev": maxfev, "xatol": 1e-4, "fatol": fatol}
     x, fun, nfev, converged = minimize(func, x0, bounds, **options)
+    # scipy with minimize's tie rule: tied vertices keep their order
+    monkeypatch.setattr(np, "argsort", functools.partial(np.argsort, kind="stable"))
     ref = scipy_minimize(func, x0, method="Nelder-Mead", bounds=bounds, options=options)
     assert [v.hex() for v in x] == [float(v).hex() for v in ref.x]
     assert (fun.hex(), nfev, converged) == (float(ref.fun).hex(), ref.nfev, bool(ref.success))
     assert all(type(v) is float for v in x)
     assert converged == (case != "cap-inside-shrink")
+
+
+TIE_VALUES = (0.0, 1.0, 2.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+def ordered_like_argsort(size, **kwargs):
+    """Arrays of ``size`` values from TIE_VALUES that ``_by_value`` orders
+    differently from ``np.argsort(values, **kwargs)``."""
+    mismatches = []
+    for values in itertools.product(TIE_VALUES, repeat=size):
+        order, ordered = _by_value(list(range(size)), list(values))
+        expected = np.argsort(values, **kwargs).tolist()
+        same_values = all(a is b for a, b in zip(ordered, (values[i] for i in order)))
+        if order != expected or not same_values:
+            mismatches.append(values)
+    return mismatches
+
+
+@pytest.mark.parametrize("size", range(1, 6))
+def test_vertex_order_is_a_stable_sort_with_nan_last(size):
+    # ties, 0.0 against -0.0 and NaNs keep their order; NaNs go after +inf
+    assert ordered_like_argsort(size, kind="stable") == []
+
+
+@pytest.mark.parametrize("size", range(1, 4))
+def test_vertex_order_is_scipys_for_up_to_three_vertices(size):
+    # an asymptotic simplex has three vertices, so its searches take the
+    # steps they took under np.argsort's default kind, which scipy uses; that
+    # kind is not stable for four or more entries on every platform
+    assert ordered_like_argsort(size) == []
+
+
+@pytest.mark.parametrize("mode, name", [(m, n) for m in _BOUNDS for n in _BOUNDS[m]])
+def test_grid_axes_follow_numpy(mode, name):
+    lo, hi = _BOUNDS[mode][name]
+    for size in range(1, 41):
+        assert _linspace(lo, hi, size) == np.linspace(lo, hi, size).tolist()
+        geometric, reference = _geomspace(lo, hi, size), np.geomspace(lo, hi, size).tolist()
+        assert (geometric[0], geometric[-1]) == (lo, lo if size == 1 else hi)
+        assert (reference[0], reference[-1]) == (geometric[0], geometric[-1])
+        assert all(abs(g - r) <= 4 * math.ulp(r) for g, r in zip(geometric, reference))
+        assert all(type(v) is float for v in geometric)
+
+
+@pytest.mark.parametrize("mode", sorted(_BOUNDS))
+def test_grid_cells_cross_the_axes(mode):
+    bounds = _BOUNDS[mode]
+    spec = OptimizationSpec(variant="finite" if mode == "finite" else "aopp",
+                            grid_mu=5, grid_p=4, grid_pz=3)
+    cells = _grid_cells(spec, bounds)
+    mus = _geomspace(*bounds["mu_z"], 5)
+    ps = _geomspace(*bounds["p_send"], 4)
+    pzs = _linspace(*bounds["p_z"], 3) if mode == "finite" else [None]
+    assert [(c["mu_z"], c["p_send"], c.get("p_z")) for c in cells] \
+        == list(itertools.product(mus, ps, pzs))
+    if mode == "finite":
+        # the start decoys: 0.05 and 0.2 times mu_z, within their bounds, mu2 >= 2 mu1
+        (lo1, hi1), (lo2, hi2) = bounds["mu1"], bounds["mu2"]
+        for c in cells:
+            assert c["mu1"] == float(np.clip(0.05 * c["mu_z"], lo1, hi1))
+            assert c["mu2"] == float(np.clip(0.2 * c["mu_z"], max(lo2, 2.0 * c["mu1"]), hi2))
