@@ -55,7 +55,6 @@ class RunConfig:
     bits: int = 1_000_000
     n_seeds: int = 1
     grid_points: int = 100
-    jobs: int = 1
     vacuum_credit: bool = False
     convention: str = "visibility"
     inject_fault: bool = False
@@ -107,18 +106,21 @@ def _parse_variants(text: str) -> list[str]:
     return names
 
 
-# each distance is one optimization, about 10 ms for an asymptotic variant
-# (rowD, shared 2-core machine), so the limit alone is 17 minutes of scan
+# each distance is one optimization, for an asymptotic variant 2-3 ms chained or 4-5 ms
+# cold past the cutoff (rowD, shared 2-core machine), so the limit is at most 8 minutes of scan
 _MAX_DISTANCES = 100_000
 
 
-def _distance_count(lo: float, hi: float, step: float) -> int:
-    """How many distances lo, lo + step, ... up to hi a scan takes."""
+def _scan_distances(lo: float, hi: float, step: float) -> list[float]:
+    """The distances lo, lo + step, ... up to hi that a scan takes, to 1e-9 km."""
     # the tolerance keeps hi in the scan when the steps add up to it
     steps = (hi - lo) / step + 1e-9
     if steps >= _MAX_DISTANCES:  # also catches an infinite quotient
         raise ValueError(f"more than {_MAX_DISTANCES} distances")
-    return math.floor(steps) + 1
+    distances = [round(lo + i * step, 9) for i in range(math.floor(steps) + 1)]
+    if any(a >= b for a, b in zip(distances, distances[1:])):
+        raise ValueError(f"step {step!r} repeats a distance rounded to 1e-9 km")
+    return distances
 
 
 def _parse_range(text: str) -> tuple[float, float, float]:
@@ -133,7 +135,7 @@ def _parse_range(text: str) -> tuple[float, float, float]:
         raise ValueError(f"step must be positive, got {step!r}")
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
-    _distance_count(lo, hi, step)  # refuses a scan that could not finish
+    _scan_distances(lo, hi, step)  # refuses a scan that could not finish or repeats a row
     return lo, hi, step
 
 
@@ -161,7 +163,6 @@ _FIELDS = {
     "bits": int,
     "n_seeds": int,
     "grid_points": int,
-    "jobs": int,
     "vacuum_credit": _parse_bool,
     "inject_fault": _parse_bool,
     "distance": float,
@@ -172,7 +173,7 @@ _FIELDS = {
 _CHOICES = {"preset": tuple(PRESETS), "mode": MODES, "convention": CONVENTIONS}
 # numpy seeds are non-negative; sampling needs two bits, a pair-state grid
 # one point per axis
-_MINIMA = {"seed": 0, "bits": 2, "n_seeds": 1, "grid_points": 1, "jobs": 1}
+_MINIMA = {"seed": 0, "bits": 2, "n_seeds": 1, "grid_points": 1}
 
 # the add_argument options of each key that is a flag of some command; the
 # flag is '--' plus the key with '-' for '_'
@@ -184,7 +185,6 @@ _FLAGS: dict[str, dict[str, str]] = {
     "variant": {"action": "append", "help": "pipeline variant(s), comma-separable"},
     "distance": {"help": "distance in km"},
     "range": {"help": "distance range lo:hi:step in km"},
-    "jobs": {"help": "parallel distance evaluations, at least 1"},
     "convention": {"help": f"misalignment model, one of {CONVENTIONS}"},
     "vacuum_credit": {"action": "store_const", "const": "true"},
     "bits": {"help": "sampled string length, at least 2"},
@@ -197,7 +197,7 @@ _PIPELINE_KEYS = ("preset", "variant", "mode", "convention", "vacuum_credit")
 # without; a config file may set any key, and a command ignores those it does
 # not read
 _COMMANDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "scan": (_PIPELINE_KEYS + ("range", "jobs", "seed"), ("variant", "range")),
+    "scan": (_PIPELINE_KEYS + ("range", "seed"), ("variant", "range")),
     "point": (_PIPELINE_KEYS + ("distance",), ("variant", "distance")),
     "optimize": (_PIPELINE_KEYS + ("distance",), ("variant", "distance")),
     "plob": (("preset", "distance"), ("distance",)),
@@ -297,11 +297,20 @@ def _optimization_spec(cfg: RunConfig, variant: str) -> OptimizationSpec:
     )
 
 
-def _protocol_for(cfg: RunConfig, exp: ExperimentParams, variant: str) -> ProtocolParams:
+def _protocol_for(cfg: RunConfig, exp: ExperimentParams, variant: str,
+                  warm: dict[str, ProtocolParams]) -> ProtocolParams:
+    """The fixed protocol, or the optimum at ``exp``; a search starts from the
+    variant's entry in ``warm``, which then holds this optimum if positive."""
     fixed = cfg.fixed_protocol()
     if fixed is not None:
         return fixed
-    return optimize(_optimization_spec(cfg, variant), exp).params
+    spec, start = _optimization_spec(cfg, variant), warm.pop(variant, None)
+    result = optimize(spec, exp, start=start)
+    if start is not None and not result.positive:
+        result = optimize(spec, exp)  # a zero is confirmed cold: a bad start moves no cutoff
+    if result.positive:
+        warm[variant] = result.params
+    return result.params
 
 
 def _evaluate(
@@ -314,11 +323,11 @@ def _evaluate(
         raise ConfigError(f"variant {variant!r} at {exp.distance_km:g} km: {err}") from None
 
 
-def _scan_row(cfg: RunConfig, distance: float) -> dict[str, float]:
+def _scan_row(cfg: RunConfig, distance: float, warm: dict[str, ProtocolParams]) -> dict[str, float]:
     row: dict[str, float] = {"distance_km": distance}
     exp = cfg.build_experiment(distance)
     for variant in cfg.variant:
-        proto = _protocol_for(cfg, exp, variant)
+        proto = _protocol_for(cfg, exp, variant, warm)
         point = _evaluate(cfg, exp, proto, variant)
         row[f"{variant}_rate"] = point.key.rate
         for name in _PROTOCOL_KEYS:
@@ -356,19 +365,8 @@ def _format_cell(name: str, value: float) -> str:
 
 
 def cmd_scan(cfg: RunConfig) -> int:
-    lo, hi, step = cfg.range
-    distances = [round(lo + i * step, 9) for i in range(_distance_count(lo, hi, step))]
-    # the pool forks all its workers at once, so it gets no more than there are distances
-    workers = min(cfg.jobs, len(distances))
-    if workers > 1:
-        # imported here, as mcsim and qubitmodel are in their commands: a
-        # command loads only what it runs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_row, [cfg] * len(distances), distances))
-    else:
-        rows = [_scan_row(cfg, d) for d in distances]
+    warm: dict[str, ProtocolParams] = {}  # each variant's optimum at the previous distance
+    rows = [_scan_row(cfg, d, warm) for d in _scan_distances(*cfg.range)]
 
     columns: list[str] = ["distance_km"]
     for variant in cfg.variant:
@@ -452,7 +450,7 @@ def cmd_point(cfg: RunConfig) -> int:
     exp = cfg.build_experiment(cfg.distance)
     chunks = []
     for variant in cfg.variant:
-        proto = _protocol_for(cfg, exp, variant)
+        proto = _protocol_for(cfg, exp, variant, {})  # a point always searches cold
         point = _evaluate(cfg, exp, proto, variant)
         chunks.append("\n".join(_breakdown_lines(point, exp, proto)))
     _write_output(cfg.out, "\n\n".join(chunks) + "\n")
@@ -502,7 +500,7 @@ def _mc_fixture(cfg: RunConfig) -> tuple[ZWindowCounts, UntaggedStats]:
     distance = cfg.distance if cfg.distance is not None else 100.0
     exp = cfg.build_experiment(distance)
     variant = cfg.variant[0] if cfg.variant else "bfer"
-    proto = _protocol_for(cfg, exp, variant)
+    proto = _protocol_for(cfg, exp, variant, {})
     point = _evaluate(cfg, exp, proto, variant if variant != "finite" else "bfer")
     return point.counts, point.untagged
 

@@ -267,12 +267,14 @@ def _make_proto(values: dict[str, float], delta: float) -> ProtocolParams:
     )
 
 
-def optimize(spec: OptimizationSpec, exp: ExperimentParams) -> OptimizationResult:
+def optimize(spec: OptimizationSpec, exp: ExperimentParams,
+             start: ProtocolParams | None = None) -> OptimizationResult:
     """Maximize the spec's variant over the free protocol parameters.
 
     Deterministic for a given spec: the search needs no randomness and
     ignores ``spec.seed``.  Returns a zero-length result, not an error, when
-    no candidate produces a positive key.
+    no candidate produces a positive key.  A ``start``, such as the optimum at
+    a neighbouring distance, replaces the grid, and its width the pivot's.
     """
     mode = mode_for_variant(spec.variant)
     bounds = _BOUNDS[mode]
@@ -317,9 +319,10 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams) -> OptimizationResul
 
     low, high = ({n: b[side] for n, b in bounds.items()} for side in (0, 1))
     nm_bounds = list(zip(encode(low), encode(high)))
-    # pivot on the middle slice width, then rescan the discrete set from the
-    # incumbent optimum rather than re-gridding per slice
-    pivot = deltas[len(deltas) // 2]
+    # pivot on the middle slice width, or the start's if it is one of them, then
+    # rescan the discrete set from the incumbent optimum rather than re-gridding per slice
+    cells = _grid_cells(spec, bounds) if start is None else [{n: getattr(start, n) for n in names}]
+    pivot = start.delta if start is not None and start.delta in deltas else deltas[len(deltas) // 2]
     best_value, best_values, best_delta = -math.inf, None, pivot
     restarts: list[RestartRecord] = []
 
@@ -342,13 +345,12 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams) -> OptimizationResul
         if final_value > best_value:
             best_value, best_values, best_delta = final_value, final, delta
 
-    cells = _grid_cells(spec, bounds)
     scored = [(objective(cell, pivot), cell) for cell in cells[: spec.budget]]
     scored.sort(key=lambda item: item[0], reverse=True)
-    for start_value, start in scored[: spec.restarts]:
-        if start_value <= _INVALID or evaluations >= spec.budget:
+    for cell_value, cell in scored[: spec.restarts]:
+        if cell_value <= _INVALID or evaluations >= spec.budget:
             break
-        refine(start, pivot, start_value)
+        refine(cell, pivot, cell_value)
     if best_values is None and scored[0][0] > _INVALID:
         # no restart ran (the grid spent the budget, or restarts=0): the best cell stands
         best_value, best_values = scored[0]

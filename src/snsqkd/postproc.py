@@ -169,8 +169,16 @@ def _key_result(
     ec_term: float,
     finite_penalty: float = 0.0,
 ) -> KeyResult:
+    key_length = untagged_term + phase_term + ec_term + finite_penalty
+    if not math.isfinite(key_length):
+        # an overflowed term (inf - inf, or inf times a zero entropy) has no key length
+        raise ValueError(
+            f"key length {key_length!r} is not finite: untagged term {untagged_term!r}, "
+            f"phase term {phase_term!r}, error-correction term {ec_term!r}, "
+            f"finite-size penalty {finite_penalty!r}"
+        )
     return KeyResult(
-        key_length=untagged_term + phase_term + ec_term + finite_penalty,
+        key_length=key_length,
         total_pulses=total_pulses,
         untagged_term=untagged_term,
         phase_term=phase_term,

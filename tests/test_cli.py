@@ -1,5 +1,4 @@
 import argparse
-import concurrent.futures
 import contextlib
 import dataclasses
 import errno
@@ -345,15 +344,6 @@ def test_only_the_finite_variant_loads_numpy(command, tmp_path):
     assert ("numpy" in loaded) == (command == "point-finite")
 
 
-def test_parallel_scan_matches_sequential(tmp_path):
-    cfg = tmp_path / "p.cfg"
-    cfg.write_text("preset = rowC\np_send = 0.103\nmu_z = 0.43\nvariant = aopp\n")
-    base = ["scan", "--config", str(cfg), "--range", "100:250:50", "--seed", "5"]
-    assert main(base + ["--out", str(tmp_path / "seq.csv")]) == 0
-    assert main(base + ["--jobs", "2", "--out", str(tmp_path / "par.csv")]) == 0
-    assert (tmp_path / "seq.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
-
-
 def test_mc_verify_million_bits_under_a_minute(tmp_path):
     import time
 
@@ -405,12 +395,9 @@ def test_unknown_convention_in_config_exits_two(tmp_path, capsys):
     ["mc-verify", "--preset", "rowC", "--variant", "bfer", "--distance", "100", "--bits", "-5"],
     ["mc-verify", "--preset", "rowC", "--variant", "bfer", "--distance", "100", "--n-seeds", "0"],
     ["qubit-check", "--grid-points", "0"],
-    ["scan", "--preset", "rowC", "--variant", "aopp", "--range", "100:200:50", "--jobs", "0"],
-    ["scan", "--preset", "rowC", "--variant", "aopp", "--range", "100:200:50", "--jobs", "-2"],
-], ids=["bits1", "bits-5", "n_seeds0", "grid_points0", "jobs0", "jobs-2"])
+], ids=["bits1", "bits-5", "n_seeds0", "grid_points0"])
 def test_count_below_minimum_is_a_configuration_error(argv, capsys):
-    # each of these used to end in a traceback, or run nothing (or run
-    # serially) and exit 0
+    # each of these used to end in a traceback, or run nothing and exit 0
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "must be at least" in err
@@ -426,7 +413,6 @@ MALFORMED = {
     "bits": "abc",
     "n_seeds": "1.5",
     "grid_points": "x",
-    "jobs": "two",
     "vacuum_credit": "maybe",
     "inject_fault": "maybe",
     "distance": "abc",
@@ -438,7 +424,7 @@ MALFORMED = {
 # protocol keys have no flag, and the two boolean flags take no value
 FLAG_COMMAND = {
     **dict.fromkeys(("preset", "mode", "convention", "distance", "variant"), "point"),
-    **dict.fromkeys(("range", "jobs"), "scan"),
+    "range": "scan",
     **dict.fromkeys(("seed", "bits", "n_seeds"), "mc-verify"),
     "grid_points": "qubit-check",
 }
@@ -518,6 +504,9 @@ ONE_PULSE = "total_pulses = 1\np_send = 0.1\nmu_z = 0.4\n"
 # protocol values whose evaluation overflows a float
 BESSEL_OVERFLOW = "p_send = 0.1\nmu_z = 5000\n"
 DECOY_OVERFLOW = "p_send = 0.1\nmu1 = 710\nmu2 = 720\nmu_z = 2000\n"
+# admitted values whose key length overflows to nan or -inf
+NAN_KEY = "total_pulses = 1.7e308\np_send = 0.1\nmu_z = 0.4\n"
+INFINITE_KEY = "error_correction_f = 1e300\np_send = 0.1\nmu_z = 0.4\n"
 
 
 @pytest.mark.parametrize("argv, config, message", [
@@ -533,8 +522,15 @@ DECOY_OVERFLOW = "p_send = 0.1\nmu1 = 710\nmu2 = 720\nmu_z = 2000\n"
      BESSEL_OVERFLOW, "bessel_i0 overflows"),
     (["point", "--preset", "rowC", "--distance", "100", "--variant", "finite"],
      DECOY_OVERFLOW, "math range error"),
+    (["point", "--preset", "rowA", "--distance", "100", "--variant", "bfer"],
+     NAN_KEY, "key length nan is not finite"),
+    (["scan", "--preset", "rowA", "--range", "100:100:1", "--variant", "bfer"],
+     NAN_KEY, "key length nan is not finite"),
+    (["point", "--preset", "rowA", "--distance", "100", "--variant", "original"],
+     INFINITE_KEY, "key length -inf is not finite"),
 ], ids=["point-decoys", "point-one-pulse", "scan-one-pulse", "mc-verify-one-pulse",
-        "point-bessel-overflow", "point-decoy-overflow"])
+        "point-bessel-overflow", "point-decoy-overflow", "point-nan-key", "scan-nan-key",
+        "point-infinite-key"])
 def test_refused_configuration_is_a_configuration_error(argv, config, message, tmp_path, capsys):
     # exit 2, not a traceback with exit 1, which means "statistic flagged"
     assert main(argv + ["--config", write_config(tmp_path, config)]) == 2
@@ -589,50 +585,19 @@ def test_write_failure_is_a_configuration_error(tmp_path, monkeypatch, capsys):
 FIXED_AOPP = "preset = rowC\np_send = 0.103\nmu_z = 0.43\nvariant = aopp\n"
 
 
-@pytest.mark.parametrize("range_spec, jobs, workers", [
-    ("100:100:1", "64", []),
-    ("100:200:50", "8", [3]),
-    ("100:200:50", "2", [2]),
-])
-def test_scan_forks_no_more_workers_than_distances(range_spec, jobs, workers, tmp_path,
-                                                   monkeypatch):
-    # the real pool forks every worker up front, so it is never started here
-    created = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    argv = ["scan", "--config", write_config(tmp_path, FIXED_AOPP), "--range", range_spec,
-            "--jobs", jobs, "--out", str(tmp_path / "s.csv")]
-    assert main(argv) == 0
-    assert created == workers
-
-
 PARTIAL_PROTOCOL = "preset = rowC\np_z = 0.5\nmu1 = 0.03\n"
 
 
 @pytest.mark.parametrize("argv", [
     ["point", "--variant", "aopp", "--distance", "100"],
-    ["scan", "--variant", "aopp", "--range", "100:200:50", "--jobs", "2"],
+    ["scan", "--variant", "aopp", "--range", "100:200:50"],
     ["mc-verify", "--variant", "bfer", "--distance", "100", "--bits", "1000"],
-], ids=["point", "scan-jobs", "mc-verify"])
+], ids=["point", "scan", "mc-verify"])
 def test_partial_protocol_is_refused_before_any_work(argv, tmp_path, monkeypatch, capsys):
     # the keys used to be dropped: point optimized and printed p_z=1.0 mu1=0.02
     def work(*args, **kwargs):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", work)
     for name in ("optimize", "evaluate"):
         monkeypatch.setattr(cli, name, work)
     assert main(argv + ["--config", write_config(tmp_path, PARTIAL_PROTOCOL)]) == 2
@@ -659,6 +624,18 @@ def test_scan_refuses_a_range_it_cannot_finish(range_spec, capsys):
     assert_names_field("range", capsys)
 
 
+@pytest.mark.parametrize("range_spec", ["0:1e-12:1e-13", "100:100.000000001:1e-10"])
+def test_scan_refuses_a_step_that_repeats_a_distance(range_spec, tmp_path, capsys):
+    # distances are rounded to 1e-9 km: these wrote 11 rows at 0 km, and 11
+    # rows labelled 100, and exited 0
+    out = tmp_path / "s.csv"
+    argv = ["scan", "--config", write_config(tmp_path, FIXED_AOPP), "--range", range_spec,
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert_names_field("range", capsys)
+    assert not out.exists()
+
+
 def test_distance_limit_is_inclusive():
     assert cli._convert("range", "0:99999:1") == (0.0, 99999.0, 1.0)
     with pytest.raises(ConfigError, match="more than 100000 distances"):
@@ -683,7 +660,7 @@ def test_scan_distances(range_spec, distances, tmp_path):
 
 # the flags of each subcommand besides --config and --out: only those it reads
 COMMAND_FLAGS = {
-    "scan": "preset variant mode convention vacuum-credit range jobs seed",
+    "scan": "preset variant mode convention vacuum-credit range seed",
     "point": "preset variant mode convention vacuum-credit distance",
     "optimize": "preset variant mode convention vacuum-credit distance",
     "plob": "preset distance eta-setting",
@@ -714,7 +691,7 @@ def test_each_command_takes_only_the_flags_it_reads():
                     if option not in ("-h", "--help")}
              for name, parser in commands.items()}
     assert flags == {command: command_flags(command) for command in COMMAND_FLAGS}
-    assert sum(map(len, flags.values())) == 46
+    assert sum(map(len, flags.values())) == 45
 
 
 @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
@@ -736,12 +713,15 @@ def test_a_flag_the_command_does_not_read_exits_two(command, capsys):
      "unrecognized arguments: --preset rowC"),
     (["plob", "--preset", "rowA", "--distance", "100", "--variant", "aopp"],
      "unrecognized arguments: --variant aopp"),
+    (["scan", "--preset", "rowC", "--variant", "aopp", "--range", "100:200:50", "--jobs", "2"],
+     "unrecognized arguments: --jobs 2"),
 ], ids=["mc-verify-unknown-variant", "mc-verify-mode", "mc-verify-two-variants",
-        "scan-distance", "qubit-check-preset", "plob-variant"])
+        "scan-distance", "qubit-check-preset", "plob-variant", "scan-jobs"])
 def test_input_a_command_used_to_ignore_exits_two(argv, message, capsys):
     # mc-verify ended in a traceback (exit 1, "statistic flagged"), ran
-    # despite the mode, or sampled the first variant alone; the others ran
-    # and ignored the flag
+    # despite the mode, or sampled the first variant alone; scan, plob and
+    # qubit-check ran and ignored the flag, but for --jobs, which a serial
+    # scan no longer takes
     assert exit_code(argv) == 2
     assert message in capsys.readouterr().err
 

@@ -20,6 +20,7 @@ from snsqkd.optimizer import (
     minimize,
     optimize,
 )
+from snsqkd.channel import ProtocolParams
 from snsqkd.pipeline import evaluate
 from snsqkd.postproc import KeyResult
 from snsqkd.presets import preset
@@ -69,6 +70,29 @@ def test_rate_non_increasing_with_distance():
     rates = [optimize(spec, preset("rowF", L)).rate for L in (150.0, 200.0, 250.0, 300.0)]
     for near, far in zip(rates, rates[1:]):
         assert far <= near * (1.0 + 1e-3)
+
+
+def test_a_start_replaces_the_grid():
+    spec = OptimizationSpec(variant="aopp")
+    exp = preset("rowD", 200.0)
+    cold = optimize(spec, exp)
+    warm = optimize(spec, exp, start=cold.params)
+    # one restart from the start's cell, which it never loses
+    assert [r.start for r in warm.restarts] == [{"mu_z": cold.params.mu_z,
+                                                  "p_send": cold.params.p_send}]
+    assert warm.key_length >= cold.key_length
+    assert warm.evaluations < cold.evaluations
+
+
+@pytest.mark.parametrize("width, pivot", [(2, 2), (5, 1)], ids=["one-of-the-widths", "other"])
+def test_a_start_is_scored_at_its_width_when_it_is_one_of_the_searchs(width, pivot):
+    # a budget of one evaluation scores the start alone, at the pivot width
+    spec = OptimizationSpec(variant="finite", delta_values=DELTA_CHOICES[:3], budget=1)
+    start = ProtocolParams(p_z=0.9, p_send=0.1, mu_z=0.4, decoy_intensities=(0.0, 0.02, 0.1),
+                           delta=DELTA_CHOICES[width])
+    result = optimize(spec, preset("table2", 300.0), start=start)
+    assert result.evaluations == 1
+    assert result.params == dataclasses.replace(start, delta=DELTA_CHOICES[pivot])
 
 
 def test_delta_choices_cover_spec_set():

@@ -311,3 +311,29 @@ def test_pipeline_counts_from_channel():
     untagged = untagged_asymptotic(exp, proto, rates)
     assert untagged.n1 < counts.n_c0 + counts.n_c1
     assert 0.0 < counts.e_z < 1.0
+
+
+# inputs each in its admitted domain whose key length overflows: inf - inf,
+# a term of -inf, or an infinite error-correction cost times h(1) = 0
+OVERFLOWED_PULSES = {"total_pulses": 1.7e308}
+HUGE_EC_FACTOR = {"error_correction_f": 1e300}
+
+
+@pytest.mark.parametrize("variant", ["original", "refined", "bfer", "oddsift", "aopp", "finite"])
+def test_an_overflowed_pulse_count_is_refused(variant):
+    # bfer, oddsift and aopp gave key_length nan and exited 0 from the command line
+    exp = dataclasses.replace(preset("rowA", 100.0), **OVERFLOWED_PULSES)
+    with pytest.raises(ValueError):
+        evaluate(exp, ProtocolParams(p_z=1.0, p_send=0.1, mu_z=0.4), variant)
+
+
+@pytest.mark.parametrize("total_pulses, p_send, key_length", [
+    (1e11, 0.1, "-inf"),
+    (1e10, 1.0, "nan"),
+])
+def test_an_infinite_error_correction_cost_is_refused(total_pulses, p_send, key_length):
+    exp = dataclasses.replace(preset("rowA", 100.0), total_pulses=total_pulses, **HUGE_EC_FACTOR)
+    proto = ProtocolParams(p_z=1.0, p_send=p_send, mu_z=0.4)
+    with pytest.raises(ValueError, match=f"key length {key_length} is not finite: .*"
+                                         "error-correction term"):
+        evaluate(exp, proto, "original")
