@@ -164,6 +164,8 @@ def effective_rate_phase_averaged(
     """
     if mu_a < 0.0 or mu_b < 0.0:
         raise ValueError("intensities must be non-negative")
+    if not 0.0 <= eta_arm <= 1.0:  # also refuses NaN
+        raise ValueError(f"eta_arm must be in [0, 1], got {eta_arm!r}")
     s = eta_arm * (mu_a + mu_b)
     vis, _ = _visibility(exp, convention)
     kappa = eta_arm * math.sqrt(mu_a * mu_b) * abs(vis)
@@ -177,17 +179,16 @@ def x_window_rates(
     exp: ExperimentParams,
     eta_arm: float,
     convention: Convention = "visibility",
-    n_intervals: int = X_QUAD_INTERVALS,
-) -> tuple[float, float]:
-    """Effective and wrong-click rates of phase-post-selected decoy windows.
+) -> float:
+    """Wrong-click rate t_x of phase-post-selected decoy windows.
 
     Both sides send mu_k; the announced phase difference is post-selected into
     |d| <= delta/2 (the slice around pi is symmetric and identical, so the
-    integral runs over the zero slice only).  Returns (q_x, t_x): probability
-    of an effective event per post-selected window, and probability that only
-    the wrong detector clicked.
+    integral runs over the zero slice only).  t_x is the probability, per
+    post-selected window, that only the wrong detector clicked (the mixing
+    convention mixes in a share of right-only clicks).
 
-    The integrand is even in d, so Simpson's rule with ``n_intervals``
+    The integrand is even in d, so Simpson's rule with ``X_QUAD_INTERVALS``
     intervals runs over the half slice [0, delta/2].  Each detector's click
     probability is formed with expm1, so a rate far below one keeps its
     relative precision instead of being a difference of numbers near one.
@@ -200,23 +201,26 @@ def x_window_rates(
         raise ValueError(f"mu_k must be in [0, inf), got {mu_k!r}")
     if not 0.0 < delta <= 2.0 * math.pi:
         raise ValueError(f"delta must be in (0, 2*pi], got {delta!r}")
+    if not 0.0 <= eta_arm <= 1.0:  # also refuses NaN
+        raise ValueError(f"eta_arm must be in [0, 1], got {eta_arm!r}")
     vis, mix = _visibility(exp, convention)
-    log_quiet = math.log1p(-exp.dark_count)
-    mean = eta_arm * mu_k
+    base = math.log1p(-exp.dark_count) - eta_arm * mu_k
     half = 0.5 * delta
 
-    def integrand(phase: np.ndarray) -> np.ndarray:
-        """Per-phase probabilities, negated, that only the wrong detector
-        (row 0) or only the right one (row 1) clicks; the right detector is
-        the one the interference favours."""
-        # log-probabilities that the wrong (row 0) and the right (row 1) detector
-        # stay dark; the interference term enters them with opposite signs
-        swing = (mean * vis) * np.cos(phase)
-        log_silent = (log_quiet - mean) + np.array((swing, -swing))
-        return np.expm1(log_silent) * np.exp(log_silent[::-1])
+    def clicks_alone(sign: float) -> float:
+        """Probability that only the wrong (sign 1) or only the right (sign -1,
+        the one the interference favours) detector clicks."""
+        def integrand(phase: np.ndarray) -> np.ndarray:
+            # this detector stays dark with log-probability base + swing, the
+            # other with base - swing; expm1 negates this one's click probability
+            swing = (sign * eta_arm * mu_k * vis) * np.cos(phase)
+            return np.expm1(base + swing) * np.exp(base - swing)
+        return simpson(integrand, 0.0, half, X_QUAD_INTERVALS) / -half
 
-    wrong, right = simpson(integrand, 0.0, half, n_intervals) / -half
-    return float(wrong + right), float((1.0 - mix) * wrong + mix * right)
+    t_x = clicks_alone(1.0)
+    if mix > 0.0:
+        t_x = (1.0 - mix) * t_x + mix * clicks_alone(-1.0)
+    return t_x
 
 
 def single_photon_quantities(exp: ExperimentParams, eta_arm: float) -> tuple[float, float]:
@@ -226,6 +230,8 @@ def single_photon_quantities(exp: ExperimentParams, eta_arm: float) -> tuple[flo
     must stay dark; a lost photon leaves dark counts only, which carry no
     phase information.
     """
+    if not 0.0 <= eta_arm <= 1.0:  # also refuses NaN
+        raise ValueError(f"eta_arm must be in [0, 1], got {eta_arm!r}")
     d = exp.dark_count
     y1 = eta_arm * (1.0 - d) + (1.0 - eta_arm) * 2.0 * d * (1.0 - d)
     if y1 == 0.0:

@@ -358,7 +358,9 @@ def _config_header(cfg: RunConfig, columns: list[str]) -> list[str]:
 
 def _format_cell(name: str, value: float) -> str:
     if name == "distance_km":
-        return f"{value:g}"
+        # the shortest text that reads back as the distance, so close or large
+        # distances keep distinct labels
+        return repr(value).removesuffix(".0")
     if math.isinf(value):
         return "unbounded"
     return f"{value:.6e}"

@@ -85,12 +85,11 @@ def decoy_observations(
 ) -> DecoyObservations:
     """Expected counting rates standing in for observed decoy statistics."""
     eta = arm_transmittance(exp)
-    _, t_delta = x_window_rates(proto.mu1, proto.delta, exp, eta, convention)
     return DecoyObservations(
         s_0=effective_rate_phase_averaged(0.0, 0.0, exp, eta, convention),
         s_mu1=effective_rate_phase_averaged(proto.mu1, 0.0, exp, eta, convention),
         s_mu2=effective_rate_phase_averaged(proto.mu2, 0.0, exp, eta, convention),
-        t_delta=t_delta,
+        t_delta=x_window_rates(proto.mu1, proto.delta, exp, eta, convention),
     )
 
 

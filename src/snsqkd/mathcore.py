@@ -107,15 +107,11 @@ def _simpson_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def simpson(
-    fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 1024
-) -> float | np.ndarray:
+def simpson(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int) -> float:
     """Composite Simpson quadrature over [a, b] with n uniform intervals.
 
-    ``fn`` must accept a numpy array of nodes and may return stacked rows of
-    integrands, one per leading index; each row is integrated along the last
-    axis, by the same summation as a single integrand.  A scalar integrand
-    gives a float.  n is rounded up to even; the unit rule for each n is
+    ``fn`` must accept a numpy array of nodes and return the integrand's
+    value at each.  n is rounded up to even; the unit rule for each n is
     built once and reused.
     """
     # imported here: only the finite variant integrates, so the asymptotic
@@ -128,7 +124,4 @@ def simpson(
         n += 1
     nodes, weights = _simpson_rule(n)
     vals = np.asarray(fn(a + (b - a) * nodes), dtype=float)
-    # a product and a row sum, not vals @ weights: a matrix product does not
-    # sum a stacked row in the same order as the same row on its own
-    total = (b - a) * (vals * weights).sum(axis=-1)
-    return float(total) if total.ndim == 0 else total
+    return float((b - a) * (vals * weights).sum())

@@ -86,20 +86,13 @@ KEY_LENGTH_HEX = {
         "aopp": "0x1.055c60ff09a17p+21", "finite": "-0x1.0eeb0e17643bfp+23"},
 }
 
-# (preset, distance, mu_k, delta, convention, n_intervals) -> (q_x, t_x)
+# (preset, distance, mu_k, delta, convention) -> t_x
 X_WINDOW_HEX = {
-    ("rowC", 100.0, 0.05, 2.0 * math.pi / 16.0, "visibility", None):
-        ("0x1.46c817e22ed66p-8", "0x1.13f04832e2954p-12"),
-    ("rowC", 100.0, 0.05, 2.0 * math.pi / 16.0, "mixing", None):
-        ("0x1.46dbb68c93b57p-8", "0x1.148d1f9431624p-12"),
-    ("table2", 502.0, 0.005, 2.0 * math.pi / 23.0, "visibility", None):
-        ("0x1.266b4bf6a597fp-22", "0x1.4083e3ff997d6p-25"),
-    ("rowF", 0.0, 0.3, 2.0 * math.pi, "mixing", None):
-        ("0x1.49c7aa834a2dep-3", "0x1.49c7aa834a2dep-4"),
-    ("rowE", 300.0, 0.1, 0.4, "visibility", 16):
-        ("0x1.f8a401fee4351p-15", "0x1.a2b6c6f6d6a73p-18"),
-    ("rowA", 50.0, 0.0, 1.0, "mixing", None):
-        ("0x1.5798ede9635e7p-26", "0x1.5798ede9635e7p-27"),
+    ("rowC", 100.0, 0.05, 2.0 * math.pi / 16.0, "visibility"): "0x1.13f04832e2954p-12",
+    ("rowC", 100.0, 0.05, 2.0 * math.pi / 16.0, "mixing"): "0x1.148d1f9431624p-12",
+    ("table2", 502.0, 0.005, 2.0 * math.pi / 23.0, "visibility"): "0x1.4083e3ff997d6p-25",
+    ("rowF", 0.0, 0.3, 2.0 * math.pi, "mixing"): "0x1.49c7aa834a2dep-4",
+    ("rowA", 50.0, 0.0, 1.0, "mixing"): "0x1.5798ede9635e7p-27",
 }
 
 
@@ -117,12 +110,11 @@ def test_key_length_bits(point, convention, vacuum_credit):
 
 @pytest.mark.parametrize("case", sorted(X_WINDOW_HEX, key=repr))
 def test_x_window_rates_bits(case):
-    preset_name, distance, mu_k, delta, convention, n_intervals = case
+    preset_name, distance, mu_k, delta, convention = case
     exp = preset(preset_name, distance)
-    extra = {} if n_intervals is None else {"n_intervals": n_intervals}
-    q_x, t_x = x_window_rates(mu_k, delta, exp, arm_transmittance(exp), convention, **extra)
-    assert type(q_x) is float and type(t_x) is float
-    assert (q_x.hex(), t_x.hex()) == X_WINDOW_HEX[case]
+    t_x = x_window_rates(mu_k, delta, exp, arm_transmittance(exp), convention)
+    assert type(t_x) is float
+    assert t_x.hex() == X_WINDOW_HEX[case]
 
 
 SEARCHES = {

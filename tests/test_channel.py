@@ -4,7 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from snsqkd import PRESETS, preset
+import snsqkd.channel
+from snsqkd import PRESETS, evaluate, preset
 from snsqkd.channel import (
     ExperimentParams,
     ProtocolParams,
@@ -14,6 +15,7 @@ from snsqkd.channel import (
     window_rates,
     x_window_rates,
 )
+from snsqkd.mathcore import simpson
 
 
 def make_exp(**overrides):
@@ -167,7 +169,7 @@ class TestPhaseAveragedRate:
 
 
 def x_window_oracle(mu, delta, exp, eta, convention):
-    """(q_x, t_x) by mpmath quadrature over the whole slice, at the working
+    """t_x by mpmath quadrature over the whole slice, at the working
     precision, from the per-detector dark probabilities."""
     e_mis = mp.mpf(exp.misalignment)
     vis, mix = (1 - 2 * e_mis, 0) if convention == "visibility" else (1, e_mis)
@@ -181,22 +183,20 @@ def x_window_oracle(mu, delta, exp, eta, convention):
             return (1 - quiet * mp.exp(-mean - sign * swing)) * quiet * mp.exp(-mean + sign * swing)
         return mp.quad(rate, [-delta / 2, delta / 2]) / delta
 
-    wrong, right = alone(-1), alone(1)
-    return float(wrong + right), float((1 - mix) * wrong + mix * right)
+    return float((1 - mix) * alone(-1) + mix * alone(1))
 
 
 class TestXWindowRates:
     def test_vacuum(self):
         exp = make_exp()
         d = exp.dark_count
-        q, t = x_window_rates(0.0, 2.0 * math.pi / 16.0, exp, 0.03)
-        assert q == pytest.approx(2.0 * d * (1.0 - d), rel=1e-9)
+        t = x_window_rates(0.0, 2.0 * math.pi / 16.0, exp, 0.03)
         assert t == pytest.approx(d * (1.0 - d), rel=1e-9)
 
     def test_perfect_interference_narrow_slice(self):
         exp = make_exp(dark_count=0.0, misalignment=0.0)
-        _, t_wide = x_window_rates(0.05, 0.3, exp, 0.03)
-        _, t_narrow = x_window_rates(0.05, 0.003, exp, 0.03)
+        t_wide = x_window_rates(0.05, 0.3, exp, 0.03)
+        t_narrow = x_window_rates(0.05, 0.003, exp, 0.03)
         assert t_narrow < t_wide
         assert t_narrow < 1e-8
 
@@ -204,10 +204,9 @@ class TestXWindowRates:
         # independent event-level oracle: sample in-slice phases and clicks
         exp = make_exp(dark_count=1e-8, misalignment=0.05)
         eta, mu, delta = 0.03, 0.05, 2.0 * math.pi / 16.0
-        q_x, t_x = x_window_rates(mu, delta, exp, eta)
+        t_x = x_window_rates(mu, delta, exp, eta)
         rng = np.random.default_rng(20240)
         n = 10_000_000
-        eff = 0
         wrong = 0
         vis = 1.0 - 2.0 * exp.misalignment
         for _ in range(10):
@@ -218,33 +217,28 @@ class TestXWindowRates:
             p_click_lo = 1.0 - (1.0 - exp.dark_count) * np.exp(-lam_lo)
             hi = rng.random(n // 10) < p_click_hi
             lo = rng.random(n // 10) < p_click_lo
-            eff += int((hi ^ lo).sum())
             wrong += int((lo & ~hi).sum())
-        for estimate, expected in ((eff / n, q_x), (wrong / n, t_x)):
-            sigma = math.sqrt(expected * (1.0 - expected) / n)
-            assert abs(estimate - expected) < 3.0 * sigma
+        sigma = math.sqrt(t_x * (1.0 - t_x) / n)
+        assert abs(wrong / n - t_x) < 3.0 * sigma
 
     def test_monotone_in_intensity(self):
         exp = make_exp()
-        rates = [x_window_rates(mu, 0.4, exp, 0.05)[0] for mu in np.linspace(0.0, 1.0, 21)]
+        rates = [x_window_rates(mu, 0.4, exp, 0.05) for mu in np.linspace(0.0, 1.0, 21)]
         assert all(b >= a for a, b in zip(rates, rates[1:]))
 
     def test_zero_visibility_splits_evenly(self):
         exp = make_exp(misalignment=0.5, dark_count=1e-12)
-        q, t = x_window_rates(0.05, 0.4, exp, 0.03)
-        assert t / q == pytest.approx(0.5, abs=1e-12)
+        # without interference each detector is the lone click in half the effective events
+        eta = 0.03
+        t = x_window_rates(0.05, 0.4, exp, eta)
+        effective = effective_rate_phase_averaged(0.05, 0.05, exp, eta)
+        assert t == pytest.approx(effective / 2.0, rel=1e-12)
 
     def test_conventions_agree_without_misalignment(self):
         exp = make_exp(misalignment=0.0)
-        q_v, t_v = x_window_rates(0.05, 0.4, exp, 0.03, convention="visibility")
-        q_m, t_m = x_window_rates(0.05, 0.4, exp, 0.03, convention="mixing")
-        assert q_v == pytest.approx(q_m, rel=1e-12)
-        assert t_v == pytest.approx(t_m, rel=1e-12)
-
-    def test_mixing_error_scales_with_misalignment(self):
-        exp = make_exp(misalignment=0.1, dark_count=0.0)
-        q, t = x_window_rates(0.05, 0.1, exp, 0.03, convention="mixing")
-        assert t / q == pytest.approx(0.1, rel=0.05)
+        t_v = x_window_rates(0.05, 0.4, exp, 0.03, convention="visibility")
+        t_m = x_window_rates(0.05, 0.4, exp, 0.03, convention="mixing")
+        assert t_v == t_m
 
     @pytest.mark.parametrize("mu", [-0.1, math.inf, math.nan])
     def test_refuses_negative_or_non_finite_intensity(self, mu):
@@ -253,9 +247,9 @@ class TestXWindowRates:
 
     def test_against_arbitrary_precision_quadrature(self):
         # Taking each click probability as one minus a number near one would
-        # put a floor of 9.1e-9 (q_x) and 7.0e-9 (t_x) under any rule here;
-        # the quadrature error of the 64-interval half slice stays below both.
-        worst_q = worst_t = 0.0
+        # put a floor of 7.0e-9 under any rule here; the quadrature error of
+        # the 64-interval half slice stays below it.
+        worst_t = 0.0
         with mp.workdps(20):
             for name in sorted(PRESETS):
                 for distance in (0.0, 300.0, 600.0):
@@ -264,11 +258,9 @@ class TestXWindowRates:
                     for mu in (1e-3, 0.05, 0.5):
                         for delta in (2.0 * math.pi / k for k in (4, 16, 32)):
                             for convention in ("visibility", "mixing"):
-                                q_ref, t_ref = x_window_oracle(mu, delta, exp, eta, convention)
-                                q_x, t_x = x_window_rates(mu, delta, exp, eta, convention)
-                                worst_q = max(worst_q, abs(q_x / q_ref - 1.0))
+                                t_ref = x_window_oracle(mu, delta, exp, eta, convention)
+                                t_x = x_window_rates(mu, delta, exp, eta, convention)
                                 worst_t = max(worst_t, abs(t_x / t_ref - 1.0))
-        assert worst_q <= 1e-10
         assert worst_t <= 1e-9
 
 
@@ -312,3 +304,47 @@ def test_unknown_convention_is_refused(convention):
         x_window_rates(0.05, 0.4, exp, eta, convention)
     with pytest.raises(ValueError, match="convention"):
         window_rates(exp, ProtocolParams(p_z=1.0, p_send=0.1, mu_z=0.4), convention)
+
+
+# each public function that takes an arm transmittance, called with it
+ETA_TAKERS = {
+    "effective_rate_phase_averaged":
+        lambda exp, eta: effective_rate_phase_averaged(0.4, 0.4, exp, eta),
+    "x_window_rates": lambda exp, eta: x_window_rates(0.05, 0.4, exp, eta),
+    "single_photon_quantities": single_photon_quantities,
+}
+
+
+@pytest.mark.parametrize("eta", [-0.5, 2.0, math.nan, -math.inf])
+@pytest.mark.parametrize("name", sorted(ETA_TAKERS))
+def test_transmittance_outside_unit_interval_is_refused(name, eta):
+    # NaN gave NaN rates, -0.5 negative probabilities and 2.0 finite but
+    # unphysical ones
+    with pytest.raises(ValueError, match="eta_arm"):
+        ETA_TAKERS[name](make_exp(), eta)
+
+
+@pytest.mark.parametrize("name", sorted(ETA_TAKERS))
+def test_transmittance_bounds_are_admitted(name):
+    for eta in (0.0, 1.0):
+        assert all(math.isfinite(v) for v in np.atleast_1d(ETA_TAKERS[name](make_exp(), eta)))
+
+
+@pytest.mark.parametrize("convention, calls", [("visibility", 1), ("mixing", 2)])
+def test_finite_evaluation_integrates_one_row_per_detector(convention, calls, monkeypatch):
+    # the decoy bound reads only t_x: the visibility convention integrates the
+    # wrong detector's row alone, the mixing one adds the right detector's;
+    # a stacked (2, 65) integrand formed a row nothing read
+    shapes = []
+
+    def recording(fn, a, b, n):
+        def integrand(nodes):
+            vals = fn(nodes)
+            shapes.append(np.shape(vals))
+            return vals
+        return simpson(integrand, a, b, n)
+
+    monkeypatch.setattr(snsqkd.channel, "simpson", recording)
+    proto = ProtocolParams(p_z=0.9, p_send=0.1, mu_z=0.4, decoy_intensities=(0.0, 0.05, 0.15))
+    evaluate(preset("rowC", 100.0), proto, "finite", convention=convention)
+    assert shapes == [(65,)] * calls

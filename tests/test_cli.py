@@ -646,6 +646,11 @@ def test_distance_limit_is_inclusive():
     ("0:1:0.1", ["0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9", "1"]),
     ("100:300:200", ["100", "300"]),
     ("100:100:1", ["100"]),
+    # six significant digits labelled these rows 100 and 1.23457e+06 alike
+    ("100:100.0003:0.0001", ["100", "100.0001", "100.0002", "100.0003"]),
+    ("1234567:1234567.5:0.25", ["1234567", "1234567.25", "1234567.5"]),
+    # the labels perfbench finds its rows by
+    ("50:500:50", [f"{d:g}" for d in range(50, 501, 50)]),
 ])
 def test_scan_distances(range_spec, distances, tmp_path):
     out = tmp_path / "s.csv"
@@ -653,7 +658,10 @@ def test_scan_distances(range_spec, distances, tmp_path):
             "--out", str(out)]
     assert main(argv) == 0
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
-    assert [row.split(",")[0] for row in rows] == distances
+    labels = [row.split(",")[0] for row in rows]
+    assert labels == distances
+    # each label reads back as the distance of its row
+    assert [float(label) for label in labels] == cli._scan_distances(*cli._parse_range(range_spec))
 
 
 

@@ -171,19 +171,3 @@ def test_simpson_requires_interval():
 
 def test_simpson_scalar_integrand_gives_float():
     assert type(simpson(np.sin, 0.0, 1.0, 16)) is float
-
-
-@pytest.mark.parametrize("n", [8, 1024, 1025])
-def test_simpson_stacked_rows_match_scalar_runs_bit_for_bit(n):
-    def first(x):
-        return np.exp(-0.3 * (1.0 + 0.9 * np.cos(x)))
-
-    def second(x):
-        return (1.0 - np.exp(-0.3 * (1.0 - 0.9 * np.cos(x)))) * first(x)
-
-    stacked = simpson(lambda x: np.stack((first(x), second(x))), -0.4, 0.4, n)
-    assert stacked.shape == (2,)
-    assert [float(v).hex() for v in stacked] == [
-        simpson(first, -0.4, 0.4, n).hex(),
-        simpson(second, -0.4, 0.4, n).hex(),
-    ]
