@@ -106,8 +106,8 @@ def _parse_variants(text: str) -> list[str]:
     return names
 
 
-# each distance is one optimization, for an asymptotic variant 2-3 ms chained or 4-5 ms
-# cold past the cutoff (rowD, shared 2-core machine), so the limit is at most 8 minutes of scan
+# each distance is one optimization, for an asymptotic variant 1.5-2 ms chained or 2-3.5 ms
+# cold past the cutoff (rowD, shared 2-core machine), so the limit is at most 6 minutes of scan
 _MAX_DISTANCES = 100_000
 
 
@@ -320,7 +320,8 @@ def _evaluate(
     try:
         return evaluate(exp, proto, variant, cfg.vacuum_credit, cfg.convention)
     except (ValueError, OverflowError, BoundViolationError) as err:
-        raise ConfigError(f"variant {variant!r} at {exp.distance_km:g} km: {err}") from None
+        distance = _format_cell("distance_km", exp.distance_km)
+        raise ConfigError(f"variant {variant!r} at {distance} km: {err}") from None
 
 
 def _scan_row(cfg: RunConfig, distance: float, warm: dict[str, ProtocolParams]) -> dict[str, float]:
@@ -393,7 +394,7 @@ def cmd_scan(cfg: RunConfig) -> int:
 def _breakdown_lines(point: PointResult, exp: ExperimentParams, proto: ProtocolParams) -> list[str]:
     lines = [
         f"variant             {point.variant} ({point.mode})",
-        f"distance_km         {exp.distance_km:g}",
+        f"distance_km         {_format_cell('distance_km', exp.distance_km)}",
         f"arm_transmittance   {arm_transmittance(exp)!r}",
         f"protocol            p_z={proto.p_z!r} p_send={proto.p_send!r} mu_z={proto.mu_z!r}",
         f"decoys              mu1={proto.mu1!r} mu2={proto.mu2!r} delta={proto.delta!r}",

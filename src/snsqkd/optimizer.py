@@ -62,18 +62,42 @@ _BOUNDS = {
 # same way (ROADMAP, Known defects) but keeps 1e-12 until the benchmark's
 # evaluation reference is re-recorded.
 _FATOL = {"finite": 1e-12, "asymptotic": math.inf}
+# default search size of each mode: (mu_z, p) grid points per axis and the
+# most Nelder-Mead restarts, from the best-scored cells in turn.  A default
+# asymptotic search stops at its first restart that ends positive: the later
+# ones end on the same optimum.  It needs more only near a cutoff, where every
+# cell is negative and the grid ranks first the corner of lowest mu_z and p
+# (the key length tends to zero from below there); clipping flattens that
+# cell's start simplex onto the bounds, so its restart ends at zero.  A finite
+# search splits its evaluation cap across its restarts, and its refinements
+# still run to the cap (ROADMAP, Known defects), so it keeps all five.
+_SEARCH_SIZE = {
+    "finite": {"grid_mu": 12, "grid_p": 12, "restarts": 5},
+    "asymptotic": {"grid_mu": 6, "grid_p": 6, "restarts": 5},
+}
 
 
 @dataclass(frozen=True)
 class OptimizationSpec:
-    """What to optimize and how hard to try."""
+    """What to optimize and how hard to try.
+
+    ``grid_mu``, ``grid_p`` and ``restarts`` left at None take the search
+    size of the variant's mode.  An asymptotic variant scores a 6x6 grid and
+    refines its best cells in turn until one ends with a positive key, at
+    most five: one restart wherever the rate is positive.  The finite variant
+    scores a 12x12 grid times ``grid_pz`` values of p_z and refines its five
+    best cells.  A given size is kept in either mode, and ``restarts`` then
+    refines exactly that many cells.  The sizes are resolved where the search
+    runs, so ``dataclasses.replace(spec, variant=...)`` into the other mode
+    takes that mode's sizes.
+    """
 
     variant: str
     delta_values: tuple[float, ...] | None = None
-    grid_mu: int = 12
-    grid_p: int = 12
+    grid_mu: int | None = None
+    grid_p: int | None = None
     grid_pz: int = 3
-    restarts: int = 5
+    restarts: int | None = None
     budget: int = 20000
     seed: int = 0
     vacuum_credit: bool = False
@@ -98,6 +122,8 @@ class OptimizationSpec:
         minima = {"grid_mu": 1, "grid_p": 1, "grid_pz": 1, "restarts": 0, "budget": 1}
         for name, least in minima.items():
             value = getattr(self, name)
+            if value is None and name in _SEARCH_SIZE[mode_for_variant(self.variant)]:
+                continue  # left to the mode's size
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
@@ -279,6 +305,8 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams,
     mode = mode_for_variant(spec.variant)
     bounds = _BOUNDS[mode]
     names = list(bounds)
+    n_restarts = _search_size(spec, "restarts")
+    until_positive = mode == "asymptotic" and spec.restarts is None
     # asymptotic variants never touch the phase slice
     default_deltas = DELTA_CHOICES if mode == "finite" else (ProtocolParams.delta,)
     deltas = default_deltas if spec.delta_values is None else spec.delta_values
@@ -328,7 +356,7 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams,
 
     def refine(start: dict[str, float], delta: float, start_value: float) -> None:
         nonlocal best_value, best_values, best_delta
-        maxfev = max(100, (spec.budget - evaluations) // max(1, spec.restarts))
+        maxfev = max(100, (spec.budget - evaluations) // max(1, n_restarts))
         x, fun, nfev, converged = minimize(
             lambda vec: -objective(decode(vec), delta),
             encode(start),
@@ -347,8 +375,10 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams,
 
     scored = [(objective(cell, pivot), cell) for cell in cells[: spec.budget]]
     scored.sort(key=lambda item: item[0], reverse=True)
-    for cell_value, cell in scored[: spec.restarts]:
+    for cell_value, cell in scored[:n_restarts]:
         if cell_value <= _INVALID or evaluations >= spec.budget:
+            break
+        if until_positive and best_value > 0.0:
             break
         refine(cell, pivot, cell_value)
     if best_values is None and scored[0][0] > _INVALID:
@@ -368,13 +398,19 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams,
     )
 
 
+def _search_size(spec: OptimizationSpec, name: str) -> int:
+    """The spec's ``grid_mu``, ``grid_p`` or ``restarts``, or its mode's size if unset."""
+    value = getattr(spec, name)
+    return _SEARCH_SIZE[mode_for_variant(spec.variant)][name] if value is None else value
+
+
 def _grid_cells(
     spec: OptimizationSpec, bounds: dict[str, tuple[float, float]]
 ) -> list[dict[str, float]]:
     """Log-spaced (mu_z, p) grid crossed with a linear p_z grid; decoy
     intensities start from fixed heuristics and move only in refinement."""
-    mus = _geomspace(*bounds["mu_z"], spec.grid_mu)
-    ps = _geomspace(*bounds["p_send"], spec.grid_p)
+    mus = _geomspace(*bounds["mu_z"], _search_size(spec, "grid_mu"))
+    ps = _geomspace(*bounds["p_send"], _search_size(spec, "grid_p"))
     if "p_z" not in bounds:
         return [{"mu_z": mu, "p_send": p} for mu in mus for p in ps]
     pzs = _linspace(*bounds["p_z"], spec.grid_pz)

@@ -144,8 +144,8 @@ SEARCHES = {
 # search -> (rate, key length, evaluations, (mu_z, p_send, delta) of the result)
 SEARCH_HEX = {
     "aopp@rowF240": (
-        "0x1.0c0403c066019p-18", "0x1.e78487119ce24p+21", 449,
-        ("0x1.f9949fc90554ep-2", "0x1.1f8d625e0d97ep-2", "0x1.921fb54442d18p-2")),
+        "0x1.0c0403c12989ep-18", "0x1.e7848713008e2p+21", 97,
+        ("0x1.f99582103a090p-2", "0x1.1f8d83c29afe7p-2", "0x1.921fb54442d18p-2")),
     "finite@table2-400": (
         "0x1.948b987cd8354p-22", "0x1.cbea2d4b58aaap+22", 1519,
         ("0x1.5c53647901316p-2", "0x1.3c56550d9bb18p-4", "0x1.41b2f769cf0e0p-2")),
@@ -156,7 +156,7 @@ SEARCH_HEX = {
         "0x0.0p+0", "-0x1.4c511123fd4a0p+7", 105,
         ("0x1.999999999999bp-5", "0x1.47ae147ae147dp-8", "0x1.921fb54442d18p-2")),
     "bfer@one-pulse": (
-        "0x0.0p+0", "-0x1.93e5939a08ceap+99", 144,
+        "0x0.0p+0", "-0x1.93e5939a08ceap+99", 36,
         ("0x1.999999999999ap-5", "0x1.47ae147ae147bp-8", "0x1.921fb54442d18p-2")),
 }
 

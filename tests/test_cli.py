@@ -259,13 +259,13 @@ class TestOptimizeCommand:
                      "--variant", "aopp"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("variant aopp: rate ")
-        assert "restarts 5:" in out
+        assert "restarts 1:" in out
         rate = float(out.splitlines()[0].split()[3])
         assert rate == pytest.approx(3.99e-6, rel=0.5)
         restarts = [line for line in out.splitlines() if line.startswith("    start ")]
-        assert len(restarts) == 5
+        assert len(restarts) == 1
         assert all(line.endswith(" evals, converged)") for line in restarts)
-        assert "  evaluations 449 (0 repeated points), restarts 5:" in out
+        assert "  evaluations 97 (1 repeated points), restarts 1:" in out
         # a finite refinement still cycles to its cap of (300 - 32) // 2 = 134 evaluations
         full = cli._optimization_spec
         budget = 300
@@ -664,6 +664,18 @@ def test_scan_distances(range_spec, distances, tmp_path):
     assert [float(label) for label in labels] == cli._scan_distances(*cli._parse_range(range_spec))
 
 
+
+
+@pytest.mark.parametrize("config, stream, label", [
+    (FIXED_AOPP, "out", "distance_km         {}\n"),
+    (ONE_PULSE, "err", "at {} km: "),
+], ids=["point-report", "refused-evaluation"])
+def test_point_labels_close_distances_apart(config, stream, label, tmp_path, capsys):
+    # six significant digits printed both distances as 100
+    for distance in ("100.0001", "100.0002"):
+        main(["point", "--config", write_config(tmp_path, config), "--preset", "rowC",
+              "--variant", "bfer", "--distance", distance])
+        assert label.format(distance) in getattr(capsys.readouterr(), stream)
 
 
 # the flags of each subcommand besides --config and --out: only those it reads

@@ -17,13 +17,14 @@ from snsqkd.optimizer import (
     _geomspace,
     _grid_cells,
     _linspace,
+    _search_size,
     minimize,
     optimize,
 )
 from snsqkd.channel import ProtocolParams
 from snsqkd.pipeline import evaluate
 from snsqkd.postproc import KeyResult
-from snsqkd.presets import preset
+from snsqkd.presets import PRESETS, preset
 
 
 def test_synthetic_unimodal_recovery(monkeypatch):
@@ -143,9 +144,9 @@ def test_spec_refuses_unknown_variant_or_convention(kwargs):
 @pytest.mark.parametrize("kwargs, scored", [({"budget": 100}, 100), ({"budget": 144}, 144),
                                             ({"restarts": 0}, 144), ({"budget": 1}, 1)])
 def test_grid_without_restarts_keeps_the_best_scored_cell(kwargs, scored):
-    # the budget ends inside (or exactly at the end of) the 144-cell grid, or
+    # the budget ends inside (or exactly at the end of) a 144-cell grid, or
     # no restart is asked for; the result used to be the first cell with rate 0
-    spec = OptimizationSpec(variant="aopp", **kwargs)
+    spec = OptimizationSpec(variant="aopp", grid_mu=12, grid_p=12, **kwargs)
     exp = preset("rowF", 240.0)
     result = optimize(spec, exp)
     assert not result.restarts and result.evaluations == scored
@@ -171,7 +172,8 @@ def test_spec_refuses_search_sizes_that_break_the_search(kwargs):
 
 
 @pytest.mark.parametrize("kwargs", [{"grid_mu": 2.5}, {"grid_p": 12.0}, {"grid_pz": True},
-                                    {"restarts": 2.5}, {"budget": 1.5}, {"budget": "300"}],
+                                    {"restarts": 2.5}, {"budget": 1.5}, {"budget": "300"},
+                                    {"grid_pz": None}, {"budget": None}],
                          ids=lambda kwargs: "{}={!r}".format(*next(iter(kwargs.items()))))
 def test_spec_refuses_search_sizes_that_are_not_integers(kwargs):
     # grid_mu=2.5 ended in a TypeError inside np.geomspace, and a fractional
@@ -185,6 +187,68 @@ def test_spec_takes_numpy_integer_search_sizes():
     spec = OptimizationSpec(variant="aopp", grid_mu=np.int64(3), grid_p=np.int32(3), grid_pz=np.int8(1),
                             restarts=np.int64(0), budget=np.uint16(5))
     assert optimize(spec, preset("rowC", 100.0)).evaluations == 5
+
+
+_SIZES = ("grid_mu", "grid_p", "restarts")
+
+
+def test_finite_spec_keeps_its_search_size():
+    spec = OptimizationSpec(variant="finite")
+    assert [_search_size(spec, name) for name in _SIZES] == [12, 12, 5]
+    assert len(_grid_cells(spec, _BOUNDS["finite"])) == 12 * 12 * 3
+
+
+@pytest.mark.parametrize("variant, other, sizes", [("aopp", "finite", [12, 12, 5]),
+                                                   ("finite", "aopp", [6, 6, 5])])
+def test_replacing_the_variant_takes_the_new_modes_size(variant, other, sizes):
+    # the sizes are resolved at the search, so a spec built for one mode
+    # carries none of that mode's sizes into the other; given sizes are kept
+    moved = dataclasses.replace(OptimizationSpec(variant=variant), variant=other)
+    assert [_search_size(moved, name) for name in _SIZES] == sizes
+    given = dataclasses.replace(OptimizationSpec(variant=variant, grid_mu=3, restarts=2),
+                                variant=other)
+    assert [_search_size(given, name) for name in _SIZES] == [3, sizes[1], 2]
+    if other == "aopp":
+        exp = preset("rowF", 240.0)
+        assert optimize(moved, exp) == optimize(OptimizationSpec(variant="aopp"), exp)
+
+
+def test_default_asymptotic_search_restarts_past_a_zero_corner():
+    # 1 km before rowE's bfer cutoff the 6x6 grid ranks the (mu_z, p) corner
+    # first, and a restart from it cannot leave the bounds; with one restart
+    # the search returned rate 0 at 375-379 km
+    result = optimize(OptimizationSpec(variant="bfer"), preset("rowE", 379.0))
+    first = result.restarts[0]
+    assert first.start == {"mu_z": 0.05, "p_send": 0.005} and first.final_value < 0.0
+    assert result.positive and result.restarts[-1].final_value > 0.0
+    assert all(record.final_value <= 0.0 for record in result.restarts[:-1])
+    # an explicit count is kept: one restart means one
+    single = optimize(OptimizationSpec(variant="bfer", restarts=1), preset("rowE", 379.0))
+    assert len(single.restarts) == 1 and not single.positive
+
+
+# the last positive whole kilometre of each preset's one-way (original,
+# refined) and two-way (bfer, oddsift, aopp) variants under a 12x12 grid with
+# five restarts
+_LAST_POSITIVE_KM = {"rowA": (449, 512), "rowB": (449, 512), "rowC": (451, 520),
+                     "rowD": (339, 408), "rowE": (304, 379), "rowF": (269, 349),
+                     "table2": (481, 570)}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_default_asymptotic_search_keeps_the_larger_searchs_rates(name):
+    # one restart from a 6x6 grid, against the 12x12 grid with five restarts
+    # it replaced: within 1e-6 relative, and positive on the same side of
+    # every cutoff
+    for variant in ("original", "refined", "bfer", "oddsift", "aopp"):
+        last = _LAST_POSITIVE_KM[name][variant not in ("original", "refined")]
+        for distance in (50.0, last, last + 1.0):
+            exp = preset(name, distance)
+            small = optimize(OptimizationSpec(variant=variant), exp).rate
+            large = optimize(OptimizationSpec(variant=variant, grid_mu=12, grid_p=12, restarts=5),
+                             exp).rate
+            assert (small > 0.0, large > 0.0) == (distance <= last, distance <= last)
+            assert small == pytest.approx(large, rel=1e-6, abs=0.0), (variant, distance)
 
 
 @pytest.mark.parametrize("deltas", [(), (0.0,), (-0.1,), (2.0 * math.pi + 1e-9,), (math.nan,),
