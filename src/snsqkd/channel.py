@@ -130,6 +130,7 @@ class WindowRates:
     q_dd: float        # both sides send mu_z, phase averaged
     y1: float          # single-photon yield (one-sided single photon)
     e1_raw: float      # single-photon phase error, asymptotic exact value
+    eta_arm: float     # arm transmittance the rates were computed at
 
 
 def arm_transmittance(exp: ExperimentParams) -> float:
@@ -254,4 +255,5 @@ def window_rates(
         q_dd=effective_rate_phase_averaged(proto.mu_z, proto.mu_z, exp, eta, convention),
         y1=y1,
         e1_raw=e1,
+        eta_arm=eta,
     )

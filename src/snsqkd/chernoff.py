@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Callable
 import warnings
 from dataclasses import dataclass
 
@@ -21,13 +22,25 @@ __all__ = [
 
 _DELTA2_HI = 1.0 - 1e-15
 # The closed-form brackets of the deviation roots are widened by this
-# relative margin: as c = ln(2/xi)/E falls, the upper bound of delta1 closes
-# in on the root (a relative gap of about c/18, 1e-13 at E = 1e13) faster
-# than the rounding of the equation shrinks (about 1e-10 of the root there).
+# relative margin, so that a bound that closes in on its root (the upper
+# bound of delta1 lies within about c/18 of it, relative) still has the
+# root strictly inside; the residuals below are exact to a few ulp, far
+# inside the margin.
 _BRACKET_MARGIN = 1e-6
-# Each root is solved to this tolerance relative to its bracket's upper end,
-# well below the rounding of the equations (about 1e-10 relative at E = 1e13).
-_ROOT_RTOL = 1e-13
+_WIDEN_LO, _WIDEN_HI = 1.0 - _BRACKET_MARGIN, 1.0 + _BRACKET_MARGIN
+# A Newton step of at most this fraction of the root d ends a solve; the
+# tolerance takes the bracket's lower end for d, and for the lower equation
+# also 1 - hi for 1 - d.  Such a step leaves an error of about
+# step^2 f''/(2f'), below step^2/(2d) for the upper residual and
+# step^2/(2d(1 - d)) for the lower, so the root returned is exact to the
+# rounding of the residuals (about 1e-16 relative), one step sooner than a
+# tolerance at that floor would allow.
+_ROOT_RTOL = 1e-8
+# Below this deviation the residuals are summed as their power series,
+# where the closed forms would lose the leading d^2/2 to cancellation; the
+# eleven terms kept reach the rounding floor (the next one is 6e-17 of the
+# sum at d = 0.05).
+_SERIES_BELOW = 0.05
 
 
 @dataclass(frozen=True)
@@ -72,63 +85,71 @@ class ChernoffDelta:
     lower_vacuous: bool = False
 
 
-def _upper_log_tail(delta: float) -> float:
-    # log of (e^d / (1+d)^(1+d))
-    return delta - (1.0 + delta) * math.log1p(delta)
+def _upper_equation(c: float) -> Callable[[float], tuple[float, float]]:
+    """d -> (1 + d) ln(1 + d) - d - c and its slope ln(1 + d)."""
+    def residual(d: float) -> tuple[float, float]:
+        log = math.log1p(d)
+        if d < _SERIES_BELOW:  # sum_{n>=2} (-d)^n / (n(n-1))
+            return d * d * (1/2 - d * (1/6 - d * (1/12 - d * (1/20 - d * (1/30 - d * (
+                1/42 - d * (1/56 - d * (1/72 - d * (1/90 - d * (1/110 - d / 132)))))))))) - c, log
+        return (1.0 + d) * log - d - c, log
+    return residual
 
 
-def _lower_log_tail(delta: float) -> float:
-    # log of (e^-d / (1-d)^(1-d))
-    return -delta - (1.0 - delta) * math.log1p(-delta)
+def _lower_equation(c: float) -> Callable[[float], tuple[float, float]]:
+    """d -> d + (1 - d) ln(1 - d) - c and its slope -ln(1 - d)."""
+    def residual(d: float) -> tuple[float, float]:
+        log = math.log1p(-d)
+        if d < _SERIES_BELOW:  # sum_{n>=2} d^n / (n(n-1))
+            return d * d * (1/2 + d * (1/6 + d * (1/12 + d * (1/20 + d * (1/30 + d * (
+                1/42 + d * (1/56 + d * (1/72 + d * (1/90 + d * (1/110 + d / 132)))))))))) - c, -log
+        return d + (1.0 - d) * log - c, -log
+    return residual
+
+
+# the lower residual at the cap of delta2: above it no root lies below the cap
+_LOWER_RESIDUAL_AT_CAP = _lower_equation(0.0)(_DELTA2_HI)[0]
 
 
 def _validate(expected: float, xi: float) -> float:
-    if expected <= 0.0:
-        raise ValueError(f"expected value must be positive, got {expected!r}")
+    """c = ln(2/xi)/E, the right-hand side of both deviation equations."""
+    if not 0.0 < expected < math.inf:
+        raise ValueError(f"expected value must be positive and finite, got {expected!r}")
     if not (0.0 < xi / 2.0 and xi < 1.0):
         raise ValueError(f"xi must be in (0, 1) and at least 1e-323, got {xi!r}")
-    return math.log(xi / 2.0)
+    return -math.log(xi / 2.0) / expected
 
 
-def _widen(lo: float, hi: float) -> tuple[float, float]:
-    return lo * (1.0 - _BRACKET_MARGIN), hi * (1.0 + _BRACKET_MARGIN)
-
-
-def _solve_delta1(expected: float, target: float) -> float:
-    """Root of the upper equation (1 + d) ln(1 + d) - d = c, c = ln(2/xi)/E.
+def _solve_delta1(c: float) -> float:
+    """Root of the upper equation (1 + d) ln(1 + d) - d = c.
 
     d^2/(2 + 2d/3) <= (1 + d) ln(1 + d) - d <= d^2/2 puts the root between
-    sqrt(2c) and c/3 + sqrt(c^2/9 + 2c).
+    sqrt(2c) and c/3 + sqrt(c^2/9 + 2c).  Newton starts from the series
+    inverse s + s^2/6 - s^3/72 + s^4/270, s = sqrt(2c).
     """
-    c = -target / expected
     if math.isinf(c):
-        raise ValueError(f"expected value {expected!r} is too small for a finite upper bound")
-
-    def upper_eq(delta: float) -> float:
-        return expected * _upper_log_tail(delta) - target
-
-    root_2c = math.sqrt(2.0 * c)
-    lo, hi = _widen(root_2c, c / 3.0 + math.hypot(c / 3.0, root_2c))
-    return find_root(upper_eq, lo, hi, _ROOT_RTOL * hi)
+        raise ValueError("expected value is too small for a finite upper bound")
+    s = math.sqrt(2.0 * c)
+    lo, hi = s * _WIDEN_LO, (c / 3.0 + math.hypot(c / 3.0, s)) * _WIDEN_HI
+    start = s + s * s * (1/6 - s * (1/72 - s / 270))
+    return find_root(_upper_equation(c), lo, hi, _ROOT_RTOL * lo, start)
 
 
-def _solve_delta2(expected: float, target: float) -> float | None:
+def _solve_delta2(c: float) -> float | None:
     """Root of the lower equation d + (1 - d) ln(1 - d) = c, or None when no
     root exists in (0, 1).
 
     d^2/2 <= d + (1 - d) ln(1 - d) <= d^2/(2 - 2d) puts the root between
-    sqrt(c^2 + 2c) - c and sqrt(2c).
+    sqrt(c^2 + 2c) - c and sqrt(2c).  Newton starts from the series inverse
+    s - s^2/6 - s^3/72 - s^4/270, s = sqrt(2c).
     """
-    if expected * _lower_log_tail(_DELTA2_HI) > target:
+    if c > _LOWER_RESIDUAL_AT_CAP:
         return None
-    c = -target / expected
-
-    def lower_eq(delta: float) -> float:
-        return expected * _lower_log_tail(delta) - target
-
-    lo, hi = _widen(math.sqrt(c * c + 2.0 * c) - c, math.sqrt(2.0 * c))
-    hi = min(hi, _DELTA2_HI)
-    return find_root(lower_eq, lo, hi, _ROOT_RTOL * hi)
+    s = math.sqrt(2.0 * c)
+    lo, hi = (math.sqrt(c * c + 2.0 * c) - c) * _WIDEN_LO, min(s * _WIDEN_HI, _DELTA2_HI)
+    start = s - s * s * (1/6 + s * (1/72 + s / 270))
+    tol = _ROOT_RTOL * lo * (1.0 - hi)
+    return find_root(_lower_equation(c), lo, hi, tol, start)
 
 
 def solve_deltas(expected: float, xi: float) -> ChernoffDelta:
@@ -137,9 +158,9 @@ def solve_deltas(expected: float, xi: float) -> ChernoffDelta:
     The lower equation has no root in (0, 1) when the expected count is below
     ln(2/xi); the lower bound is then vacuous and delta2 is pinned at 1.
     """
-    target = _validate(expected, xi)
-    delta1 = _solve_delta1(expected, target)
-    delta2 = _solve_delta2(expected, target)
+    c = _validate(expected, xi)
+    delta1 = _solve_delta1(c)
+    delta2 = _solve_delta2(c)
     if delta2 is None:
         return ChernoffDelta(delta1, 1.0, expected, xi, lower_vacuous=True)
     return ChernoffDelta(delta1, delta2, expected, xi)
@@ -147,14 +168,12 @@ def solve_deltas(expected: float, xi: float) -> ChernoffDelta:
 
 def chernoff_upper(expected: float, xi: float) -> float:
     """High-confidence upper bound (1 + delta1) * expected."""
-    target = _validate(expected, xi)
-    return (1.0 + _solve_delta1(expected, target)) * expected
+    return (1.0 + _solve_delta1(_validate(expected, xi))) * expected
 
 
 def chernoff_lower(expected: float, xi: float) -> float:
     """High-confidence lower bound (1 - delta2) * expected; 0 when vacuous."""
-    target = _validate(expected, xi)
-    delta2 = _solve_delta2(expected, target)
+    delta2 = _solve_delta2(_validate(expected, xi))
     if delta2 is None:
         # message kept static so repeated optimizer corner probes dedupe
         warnings.warn(

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .channel import CONVENTIONS, ExperimentParams, ProtocolParams, arm_transmittance
+from .channel import CONVENTIONS, ExperimentParams, ProtocolParams
 from .decoy import BoundViolationError, UntaggedStats
 from .optimizer import OptimizationSpec, _make_proto, optimize
 from .pipeline import MODES, VARIANTS, PointResult, evaluate, mode_for_variant
@@ -395,7 +395,7 @@ def _breakdown_lines(point: PointResult, exp: ExperimentParams, proto: ProtocolP
     lines = [
         f"variant             {point.variant} ({point.mode})",
         f"distance_km         {_format_cell('distance_km', exp.distance_km)}",
-        f"arm_transmittance   {arm_transmittance(exp)!r}",
+        f"arm_transmittance   {point.rates.eta_arm!r}",
         f"protocol            p_z={proto.p_z!r} p_send={proto.p_send!r} mu_z={proto.mu_z!r}",
         f"decoys              mu1={proto.mu1!r} mu2={proto.mu2!r} delta={proto.delta!r}",
         "",

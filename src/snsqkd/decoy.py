@@ -16,7 +16,6 @@ from .channel import (
     ExperimentParams,
     ProtocolParams,
     WindowRates,
-    arm_transmittance,
     effective_rate_phase_averaged,
     x_window_rates,
 )
@@ -81,12 +80,20 @@ def untagged_asymptotic(
 
 
 def decoy_observations(
-    exp: ExperimentParams, proto: ProtocolParams, convention: Convention = "visibility"
+    exp: ExperimentParams,
+    proto: ProtocolParams,
+    rates: WindowRates,
+    convention: Convention = "visibility",
 ) -> DecoyObservations:
-    """Expected counting rates standing in for observed decoy statistics."""
-    eta = arm_transmittance(exp)
+    """Expected counting rates standing in for observed decoy statistics.
+
+    ``rates`` are the signal-window rates of the same point: their vacuum
+    rate is ``s_0`` (no intensity, so the same in either convention) and
+    their arm transmittance is reused.
+    """
+    eta = rates.eta_arm
     return DecoyObservations(
-        s_0=effective_rate_phase_averaged(0.0, 0.0, exp, eta, convention),
+        s_0=rates.q_nn,
         s_mu1=effective_rate_phase_averaged(proto.mu1, 0.0, exp, eta, convention),
         s_mu2=effective_rate_phase_averaged(proto.mu2, 0.0, exp, eta, convention),
         t_delta=x_window_rates(proto.mu1, proto.delta, exp, eta, convention),

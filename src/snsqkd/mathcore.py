@@ -46,63 +46,67 @@ def bessel_i0(x: float) -> float:
     return total
 
 
-def find_root(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Root of a sign-changing function on [lo, hi].
+def find_root(
+    fn: Callable[[float], tuple[float, float]], lo: float, hi: float, tol: float, start: float
+) -> float:
+    """Root of a sign-changing function on [lo, hi] by safeguarded Newton steps.
 
-    Regula falsi with the Illinois modification: each step evaluates the
-    secant point of the bracket ends and keeps the sub-bracket that still
-    changes sign; when the same end is replaced twice in a row, the function
-    value held at the other end is halved, so both ends converge.  A secant
-    point that is not strictly inside the bracket is replaced by the
-    midpoint.  Stops when the bracket is at most ``tol`` wide (or when no
-    float lies strictly between its ends, whichever comes first) and returns
-    its midpoint; an exact zero is returned at once.
+    ``fn`` returns the function's value and slope at a point.  The solve
+    starts at ``start``, or at the bracket's midpoint when ``start`` is not
+    strictly inside it, and moves a bracket end to every point it evaluates,
+    so the bracket keeps the sign change.  A Newton step of at most ``tol``,
+    or one too small to move the point, ends the solve at the point it
+    reaches (held to the bracket).  A step that would not land strictly
+    inside the bracket, or a zero slope, is replaced by bisection, which
+    stops when no float lies strictly between the ends or once they are at
+    most ``tol`` apart.  An exact zero is returned at once.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     if not lo < hi:
         raise ValueError(f"invalid bracket [{lo!r}, {hi!r}]")
-    flo = fn(lo)
-    fhi = fn(hi)
+    flo = fn(lo)[0]
+    fhi = fn(hi)[0]
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"fn({lo!r}) and fn({hi!r}) have the same sign")
-    kept = 0  # +1: the last step kept lo, -1: it kept hi
-    while hi - lo > tol:
-        x = hi - fhi * (hi - lo) / (fhi - flo)
-        if not lo < x < hi:  # also catches NaN from infinite values
-            x = 0.5 * (lo + hi)
-            if x <= lo or x >= hi:
-                break
-        fx = fn(x)
+    rising = fhi > 0.0
+    x = start if lo < start < hi else 0.5 * (lo + hi)
+    while lo < x < hi:
+        fx, slope = fn(x)
         if fx == 0.0:
             return x
-        if (fx > 0.0) == (flo > 0.0):
-            lo, flo = x, fx
-            if kept == -1:
-                fhi *= 0.5
-            kept = -1
+        if (fx > 0.0) == rising:
+            hi = x
         else:
-            hi, fhi = x, fx
-            if kept == 1:
-                flo *= 0.5
-            kept = 1
-    return 0.5 * (lo + hi)
+            lo = x
+        if slope:
+            step = fx / slope
+            if abs(step) <= tol or x - step == x:
+                return min(max(x - step, lo), hi)
+            x -= step
+        if not lo < x < hi:  # also catches NaN from infinite values
+            x = 0.5 * (lo + hi)
+            if hi - lo <= tol:
+                break
+    return x
 
 
-@lru_cache(maxsize=8)
-def _simpson_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-interval composite Simpson rule on [0, 1]."""
+@lru_cache(maxsize=64)
+def _simpson_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-interval composite Simpson rule on [a, b]."""
+    # imported here: only the finite variant integrates, so the asymptotic
+    # ones never load numpy
     import numpy as np
 
     weights = np.full(n + 1, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
-    weights /= 3.0 * n
-    nodes = np.linspace(0.0, 1.0, n + 1)
+    weights *= (b - a) / (3.0 * n)
+    nodes = a + (b - a) * np.linspace(0.0, 1.0, n + 1)
     nodes.flags.writeable = weights.flags.writeable = False  # shared by every call
     return nodes, weights
 
@@ -110,18 +114,15 @@ def _simpson_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 def simpson(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int) -> float:
     """Composite Simpson quadrature over [a, b] with n uniform intervals.
 
-    ``fn`` must accept a numpy array of nodes and return the integrand's
-    value at each.  n is rounded up to even; the unit rule for each n is
-    built once and reused.
+    ``fn`` must accept a numpy array of nodes and return a float array of
+    the integrand's value at each.  n is rounded up to even.  The rule's
+    nodes and weights are built once per (a, b, n) and reused: the finite
+    variant integrates over the same few slice widths on every call.
     """
-    # imported here: only the finite variant integrates, so the asymptotic
-    # ones never load numpy
-    import numpy as np
-
     if b <= a:
         raise ValueError("simpson requires b > a")
     if n % 2:
         n += 1
-    nodes, weights = _simpson_rule(n)
-    vals = np.asarray(fn(a + (b - a) * nodes), dtype=float)
-    return float((b - a) * (vals * weights).sum())
+    nodes, weights = _simpson_rule(a, b, n)
+    # the array's own dot: np.dot's dispatch costs about as much as the sum
+    return float(fn(nodes).dot(weights))

@@ -81,7 +81,7 @@ def evaluate(
     outcome = budget = None
 
     if mode == "finite":
-        untagged = untagged_decoy(exp, proto, decoy_observations(exp, proto, convention))
+        untagged = untagged_decoy(exp, proto, decoy_observations(exp, proto, rates, convention))
         budget = EpsilonBudget.from_failure_prob(exp.failure_prob)
         outcome = bfer_expectations(counts, untagged)
         key = key_length_finite(outcome, untagged, budget, f_ec, n)

@@ -39,27 +39,27 @@ KEY_LENGTH_HEX = {
     ("rowC@100", "visibility", False): {
         "original": "-0x1.2ae6d816fc280p+28", "refined": "0x1.65d6cdbaa6c40p+24",
         "bfer": "0x1.a89b500995b00p+27", "oddsift": "0x1.3888d8792d86ap+27",
-        "aopp": "0x1.1c6049f5f7e9bp+28", "finite": "0x1.6e67c6bb549c2p+27"},
+        "aopp": "0x1.1c6049f5f7e9bp+28", "finite": "0x1.6e67c6bb549c4p+27"},
     ("rowC@100", "visibility", True): {
         "original": "-0x1.2ae65dec88798p+28", "refined": "0x1.65de7061e1ac0p+24",
         "bfer": "0x1.a89b500995b00p+27", "oddsift": "0x1.3888d8792d86ap+27",
-        "aopp": "0x1.1c6049f5f7e9bp+28", "finite": "0x1.6e67c6bb549c2p+27"},
+        "aopp": "0x1.1c6049f5f7e9bp+28", "finite": "0x1.6e67c6bb549c4p+27"},
     ("rowC@100", "mixing", False): {
         "original": "-0x1.2c0164290cc3cp+28", "refined": "0x1.58c0a5794c600p+24",
         "bfer": "0x1.a8468797c8580p+27", "oddsift": "0x1.388142ff2049cp+27",
-        "aopp": "0x1.1c53bdf0f867fp+28", "finite": "0x1.6d4bff1bb48aap+27"},
+        "aopp": "0x1.1c53bdf0f867fp+28", "finite": "0x1.6d4bff1bb48acp+27"},
     ("rowC@100", "mixing", True): {
         "original": "-0x1.2c00e9fe99154p+28", "refined": "0x1.58c8482087480p+24",
         "bfer": "0x1.a8468797c8580p+27", "oddsift": "0x1.388142ff2049cp+27",
-        "aopp": "0x1.1c53bdf0f867fp+28", "finite": "0x1.6d4bff1bb48aap+27"},
+        "aopp": "0x1.1c53bdf0f867fp+28", "finite": "0x1.6d4bff1bb48acp+27"},
     ("rowF@240", "visibility", False): {
         "original": "-0x1.a159cee968ddcp+20", "refined": "-0x1.a906e94412b80p+19",
         "bfer": "0x1.548f5f92118a6p+19", "oddsift": "0x1.b791916d1c25ap+18",
-        "aopp": "0x1.a4550ca4bf54bp+19", "finite": "0x1.21d6828d93ceep+19"},
+        "aopp": "0x1.a4550ca4bf54bp+19", "finite": "0x1.21d6828d93cf6p+19"},
     ("rowF@240", "visibility", True): {
         "original": "-0x1.9f97640bf3964p+20", "refined": "-0x1.a582138928290p+19",
         "bfer": "0x1.548f5f92118a6p+19", "oddsift": "0x1.b791916d1c25ap+18",
-        "aopp": "0x1.a4550ca4bf54bp+19", "finite": "0x1.21d6828d93ceep+19"},
+        "aopp": "0x1.a4550ca4bf54bp+19", "finite": "0x1.21d6828d93cf6p+19"},
     ("rowF@240", "mixing", False): {
         "original": "-0x1.a169ad0b896c8p+20", "refined": "-0x1.a92072a9dbc40p+19",
         "bfer": "0x1.548c6dca349bdp+19", "oddsift": "0x1.b790b33ccc44ep+18",
@@ -89,9 +89,9 @@ KEY_LENGTH_HEX = {
 # (preset, distance, mu_k, delta, convention) -> t_x
 X_WINDOW_HEX = {
     ("rowC", 100.0, 0.05, 2.0 * math.pi / 16.0, "visibility"): "0x1.13f04832e2954p-12",
-    ("rowC", 100.0, 0.05, 2.0 * math.pi / 16.0, "mixing"): "0x1.148d1f9431624p-12",
+    ("rowC", 100.0, 0.05, 2.0 * math.pi / 16.0, "mixing"): "0x1.148d1f9431623p-12",
     ("table2", 502.0, 0.005, 2.0 * math.pi / 23.0, "visibility"): "0x1.4083e3ff997d6p-25",
-    ("rowF", 0.0, 0.3, 2.0 * math.pi, "mixing"): "0x1.49c7aa834a2dep-4",
+    ("rowF", 0.0, 0.3, 2.0 * math.pi, "mixing"): "0x1.49c7aa834a2ddp-4",
     ("rowA", 50.0, 0.0, 1.0, "mixing"): "0x1.5798ede9635e7p-27",
 }
 
@@ -147,11 +147,11 @@ SEARCH_HEX = {
         "0x1.0c0403c12989ep-18", "0x1.e7848713008e2p+21", 97,
         ("0x1.f99582103a090p-2", "0x1.1f8d83c29afe7p-2", "0x1.921fb54442d18p-2")),
     "finite@table2-400": (
-        "0x1.948b987cd8354p-22", "0x1.cbea2d4b58aaap+22", 1519,
-        ("0x1.5c53647901316p-2", "0x1.3c56550d9bb18p-4", "0x1.41b2f769cf0e0p-2")),
+        "0x1.948b987cd835ap-22", "0x1.cbea2d4b58ab1p+22", 1498,
+        ("0x1.5c53647901316p-2", "0x1.3c56550d9bbf1p-4", "0x1.41b2f769cf0e0p-2")),
     "finite@table2-502": (
-        "0x1.5d280f555ad93p-25", "0x1.8cf1e93f5dc0dp+19", 20084,
-        ("0x1.6e3da7b1d8945p-2", "0x1.22d6dcca833bdp-4", "0x1.17bd03a9ebb32p-2")),
+        "0x1.5ea2c72914251p-25", "0x1.8ea076b6bc044p+19", 20022,
+        ("0x1.6e360788e11aap-2", "0x1.233bfbad10063p-4", "0x1.015bf9217271ap-2")),
     "finite@rowA600-zero-rate": (
         "0x0.0p+0", "-0x1.4c511123fd4a0p+7", 105,
         ("0x1.999999999999bp-5", "0x1.47ae147ae147dp-8", "0x1.921fb54442d18p-2")),

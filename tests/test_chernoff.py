@@ -24,14 +24,19 @@ def lower_tail(delta, y):
 
 
 # expected counts and failure probabilities from a handful of events to the
-# largest window counts, with xi from loose to far below the paper's 1e-10
-SWEEP = [(float(y), xi) for y in np.geomspace(1e-2, 1e13, 61) for xi in (0.4, 1e-3, 1e-10, 1e-20)]
+# largest window counts, with xi from loose to the smallest the budget admits
+SWEEP = [(float(y), xi) for y in np.geomspace(1e-2, 1e13, 61)
+         for xi in (0.4, 1e-3, 1e-10, 1e-20, 1e-300)]
+# far beyond any window count: the residuals fall to about 1e-300 there
+HUGE = [(float(y), xi) for y in np.geomspace(1e22, 1e300, 21) for xi in (0.4, 1e-10, 1e-300)]
 
 
 def deviation_oracle(y, xi):
     """(delta1, delta2) to 50 digits; delta2 is None where the lower equation
     has no root below the solver's cap 1 - 1e-15."""
-    with mp.workdps(50):
+    c = math.log(2.0 / xi) / y
+    # the residuals cancel down to d^2/2 = c: carry the digits c lies below 1
+    with mp.workdps(50 + max(0, -math.floor(math.log10(c)))):
         c = mp.log(2 / mp.mpf(xi)) / y
         upper = mp.findroot(lambda d: (1 + d) * mp.log1p(d) - d - c,
                             (mp.sqrt(2 * c) / 2, 2 * c + 2), solver="anderson")
@@ -84,37 +89,62 @@ class TestDeltas:
         with pytest.raises(ValueError, match="too small"):
             chernoff_upper(1e-320, 1e-10)
 
-    def test_against_arbitrary_precision_roots(self):
-        # the rounding of the equations sets the floor: about 1.1e-10 of the
-        # root at the largest expected counts here
+    @staticmethod
+    def worst_relative_errors(cases):
         worst1 = worst2 = 0.0
-        for y, xi in SWEEP:
+        for y, xi in cases:
             deltas = solve_deltas(y, xi)
             delta1, delta2 = deviation_oracle(y, xi)
             worst1 = max(worst1, abs(deltas.delta1 / delta1 - 1.0))
             assert deltas.lower_vacuous == (delta2 is None)
             if delta2 is not None:
                 worst2 = max(worst2, abs(deltas.delta2 / delta2 - 1.0))
-        assert worst1 <= 1.2e-10
-        assert worst2 <= 1.1e-10
+        return worst1, worst2
+
+    def test_against_arbitrary_precision_roots(self):
+        # the residuals are exact to a few ulp, so the roots are too: the
+        # worst case measured over SWEEP is 3.4e-15 (delta1), 3.1e-15 (delta2)
+        worst1, worst2 = self.worst_relative_errors(SWEEP)
+        assert worst1 <= 5e-15
+        assert worst2 <= 5e-15
+
+    def test_huge_expected_counts_against_arbitrary_precision_roots(self):
+        # from 1e22 expected counts (1e23 at xi = 1e-300) the closed-form
+        # residual (1 + d) ln(1 + d) - d lost more than the bracket's margin
+        # to cancellation (further on it rounds to 0), both bracket ends had
+        # the same sign, and the solve refused
+        worst1, worst2 = self.worst_relative_errors(HUGE)
+        assert worst1 <= 5e-15
+        assert worst2 <= 5e-15
+        for y, xi in HUGE:  # a deviation below 1e-16 of the count rounds away
+            assert chernoff_lower(y, xi) <= y <= chernoff_upper(y, xi)
 
     def test_each_root_takes_few_evaluations(self, monkeypatch):
-        # halving [0, 1e6] (upper) or [0, 1) (lower) down to the last float
-        # would take 73 evaluations per root on average here, and up to 95
-        counts = []
+        # Newton steps after the two bracket ends: 1.67 per root on average
+        # here and 7 at most, where bisecting [0, 1e6] (upper) or [0, 1)
+        # (lower) down to the last float would take 73 on average, and up to 95
+        steps = []
 
-        def counting_find_root(fn, lo, hi, tol):
+        def counting_find_root(fn, lo, hi, tol, start):
             calls = []
-            root = find_root(lambda x: calls.append(x) or fn(x), lo, hi, tol)
-            counts.append(len(calls))
+            root = find_root(lambda x: calls.append(x) or fn(x), lo, hi, tol, start)
+            steps.append(len(calls) - 2)
             return root
 
         monkeypatch.setattr(snsqkd.chernoff, "find_root", counting_find_root)
         for y, xi in SWEEP:
             solve_deltas(y, xi)
-        assert len(counts) > len(SWEEP)
-        assert max(counts) <= 25
-        assert sum(counts) / len(counts) <= 12
+        assert len(steps) > len(SWEEP)
+        assert max(steps) <= 7
+        assert sum(steps) / len(steps) <= 1.7
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("solve", [solve_deltas, chernoff_upper, chernoff_lower])
+    def test_non_finite_expected_count_is_refused_by_name(self, solve, y):
+        # NaN gave "invalid bracket [nan, nan]" and infinity "tolerance must
+        # be positive, got 0.0"
+        with pytest.raises(ValueError, match="expected value must be positive and finite"):
+            solve(y, 1e-10)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

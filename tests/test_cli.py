@@ -224,6 +224,17 @@ class TestPoint:
         assert main(argv + [cfg]) == 2
         assert "failure_prob" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pulses", ["1e26", "1e30"])
+    def test_finite_at_a_huge_pulse_count(self, pulses, tmp_path, capsys):
+        # from about 1e22 expected counts the Chernoff solve refused its own
+        # bracket, so 1e30 pulses exited 2 where 1e26 gave a key
+        cfg = write_config(tmp_path, "preset = table2\np_z = 0.9\np_send = 0.1\nmu_z = 0.4\n"
+                           f"mu1 = 0.02\nmu2 = 0.1\ntotal_pulses = {pulses}\n")
+        assert main(["point", "--variant", "finite", "--distance", "300", "--config", cfg]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("key_length"))
+        key_length = float(line.split()[-1])
+        assert 0.0 < key_length < math.inf
+
 
 class TestMcVerify:
     def test_clean_run_exits_zero(self, tmp_path):
@@ -279,9 +290,9 @@ class TestOptimizeCommand:
         assert "  evaluations 266 (0 repeated points), restarts 2:" in out
         # with a larger cap the stalled simplex asks for points it has scored
         budget = 1500
-        assert main(["optimize", "--preset", "table2", "--distance", "400",
+        assert main(["optimize", "--preset", "table2", "--distance", "480",
                      "--variant", "finite"]) == 0
-        assert "  evaluations 1133 (171 repeated points), restarts 2:" in capsys.readouterr().out
+        assert "  evaluations 1133 (128 repeated points), restarts 2:" in capsys.readouterr().out
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

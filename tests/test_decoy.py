@@ -81,7 +81,7 @@ class TestDecoyBounds:
         proto = make_proto(
             decoy_intensities=(0.0, 0.001, 0.002), delta=2.0 * math.pi / 64.0
         )
-        stats = untagged_decoy(exp, proto, decoy_observations(exp, proto))
+        stats = untagged_decoy(exp, proto, decoy_observations(exp, proto, window_rates(exp, proto)))
         assert stats.n1 > 0.0
         assert stats.e1ph < 1e-3
         rates = window_rates(exp, proto)
@@ -91,7 +91,7 @@ class TestDecoyBounds:
     def test_asymptotic_consistency_small_decoys(self):
         exp, proto = make_exp(), make_proto(decoy_intensities=(0.0, 1e-3, 2e-3))
         rates = window_rates(exp, proto)
-        stats = untagged_decoy(exp, proto, decoy_observations(exp, proto))
+        stats = untagged_decoy(exp, proto, decoy_observations(exp, proto, window_rates(exp, proto)))
         assert stats.n1 == pytest.approx(untagged_asymptotic(exp, proto, rates).n1, rel=0.01)
 
     def test_bounds_are_conservative(self):
@@ -106,13 +106,13 @@ class TestDecoyBounds:
             proto = make_proto(decoy_intensities=(0.0, mu1, mu1 * float(rng.uniform(2.0, 4.0))))
             rates = window_rates(exp, proto)
             exact = untagged_asymptotic(exp, proto, rates)
-            stats = untagged_decoy(exp, proto, decoy_observations(exp, proto))
+            stats = untagged_decoy(exp, proto, decoy_observations(exp, proto, window_rates(exp, proto)))
             assert stats.n1 <= exact.n1 * (1.0 + 1e-12)
             assert stats.e1ph >= exact.e1ph - 1e-12
 
     def test_monotone_in_error_rate(self):
         exp, proto = make_exp(), make_proto()
-        obs = decoy_observations(exp, proto)
+        obs = decoy_observations(exp, proto, window_rates(exp, proto))
         base = untagged_decoy(exp, proto, obs)
         bumped = untagged_decoy(
             exp,
@@ -123,7 +123,7 @@ class TestDecoyBounds:
 
     def test_bound_violation_detected(self):
         exp, proto = make_exp(), make_proto()
-        obs = decoy_observations(exp, proto)
+        obs = decoy_observations(exp, proto, window_rates(exp, proto))
         broken = DecoyObservations(s_0=obs.s_0, s_mu1=obs.s_0 * 0.1, s_mu2=obs.s_mu2,
                                    t_delta=obs.t_delta)
         with pytest.raises(BoundViolationError):
@@ -133,18 +133,18 @@ class TestDecoyBounds:
         exp = make_exp()
         proto = make_proto(mu_z=0.1, decoy_intensities=(0.0, 0.05, 0.1))
         with pytest.raises(ValueError):
-            untagged_decoy(exp, proto, decoy_observations(exp, proto))
+            untagged_decoy(exp, proto, decoy_observations(exp, proto, window_rates(exp, proto)))
 
     def test_phase_error_capped_at_half(self):
         exp = make_exp(misalignment=0.45, dark_count=1e-6, distance_km=500.0)
         proto = make_proto()
-        stats = untagged_decoy(exp, proto, decoy_observations(exp, proto))
+        stats = untagged_decoy(exp, proto, decoy_observations(exp, proto, window_rates(exp, proto)))
         assert stats.e1ph <= 0.5
 
 
 def test_observations_from_channel():
     exp, proto = make_exp(), make_proto()
-    obs = decoy_observations(exp, proto)
+    obs = decoy_observations(exp, proto, window_rates(exp, proto))
     eta = arm_transmittance(exp)
     assert obs.s_0 == pytest.approx(2.0 * exp.dark_count, rel=1e-6)
     assert obs.s_mu2 > obs.s_mu1 > obs.s_0

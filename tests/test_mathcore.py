@@ -105,12 +105,14 @@ class TestBesselI0:
 
 
 class TestFindRoot:
+    # fn returns the value and the slope at a point
+
     def test_linear(self):
-        root = find_root(lambda x: x - 2.0, 0.0, 5.0, 1e-12)
-        assert root == pytest.approx(2.0, abs=1e-12)
+        root = find_root(lambda x: (x - 2.0, 1.0), 0.0, 5.0, 1e-12, 1.0)
+        assert root == 2.0
 
     def test_surd(self):
-        root = find_root(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12)
+        root = find_root(lambda x: (x * x - 2.0, 2.0 * x), 0.0, 2.0, 1e-12, 1.0)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_concentration_equation_residual(self):
@@ -119,45 +121,73 @@ class TestFindRoot:
         target = math.log(xi / 2.0)
 
         def eq(d):
-            return y * (d - (1.0 + d) * math.log1p(d)) - target
+            log = math.log1p(d)
+            return y * (d - (1.0 + d) * log) - target, -y * log
 
-        delta = find_root(eq, 0.0, 10.0, 1e-14)
+        delta = find_root(eq, 0.0, 10.0, 1e-14, 0.5)
         residual = math.exp(y * (delta - (1.0 + delta) * math.log1p(delta)))
         assert residual == pytest.approx(xi / 2.0, rel=1e-6)
 
     def test_bracket_error(self):
-        with pytest.raises(ValueError):
-            find_root(lambda x: x + 10.0, 0.0, 1.0, 1e-6)
+        with pytest.raises(ValueError, match="same sign"):
+            find_root(lambda x: (x + 10.0, 1.0), 0.0, 1.0, 1e-6, 0.5)
 
     def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            find_root(lambda x: x, -1.0, 1.0, 0.0)
+        for tol in (0.0, -1e-9, math.nan):
+            with pytest.raises(ValueError, match="tolerance"):
+                find_root(lambda x: (x, 1.0), -1.0, 1.0, tol, 0.5)
 
     def test_exact_zero_endpoint(self):
-        assert find_root(lambda x: x, 0.0, 1.0, 1e-9) == 0.0
+        assert find_root(lambda x: (x, 1.0), 0.0, 1.0, 1e-9, 0.5) == 0.0
 
-    def test_stale_end_does_not_stall_convergence(self):
-        # plain regula falsi keeps the right end here for hundreds of steps;
+    def test_steep_function_takes_few_steps(self):
+        # Newton from the right of a convex rising function never overshoots;
         # bisection to the same width would take 50 evaluations
         calls = []
 
         def steep(x):
             calls.append(x)
-            return x**12 - 0.5
+            return x**12 - 0.5, 12.0 * x**11
 
-        root = find_root(steep, 0.0, 1.5, 1e-15)
+        root = find_root(steep, 0.0, 1.5, 1e-15, 1.4)
         assert root == pytest.approx(0.5 ** (1.0 / 12.0), abs=1e-15)
-        assert len(calls) <= 30
+        assert len(calls) <= 12
 
     def test_infinite_end_falls_back_to_the_midpoint(self):
-        # the secant through an infinite value is NaN, never inside the bracket
-        root = find_root(lambda x: math.inf if x > 2.0 else x - 1.0, 0.0, 3.0, 1e-12)
+        # a Newton step through an infinite value is NaN, never inside the bracket
+        root = find_root(lambda x: (math.inf, math.inf) if x > 2.0 else (x - 1.0, 1.0),
+                         0.0, 3.0, 1e-12, 2.5)
         assert root == pytest.approx(1.0, abs=1e-12)
+
+    def test_step_leaving_the_bracket_bisects(self):
+        # from 5 the Newton step of atan lands at -30.7, outside [-1, 5]; the
+        # solve bisects to 2, whose step lands at -3.5, outside [-1, 2], and
+        # bisects again to 0.5, from where Newton converges
+        calls = []
+
+        def atan(x):
+            calls.append(x)
+            return math.atan(x), 1.0 / (1.0 + x * x)
+
+        root = find_root(atan, -1.0, 10.0, 1e-12, 5.0)
+        assert abs(root) <= 1e-12
+        assert calls[2:5] == [5.0, 2.0, 0.5]
+
+    def test_start_outside_the_bracket_is_replaced_by_the_midpoint(self):
+        calls = []
+
+        def linear(x):
+            calls.append(x)
+            return x - 2.0, 1.0
+
+        assert find_root(linear, 0.0, 5.0, 1e-12, 7.0) == 2.0
+        assert calls[2] == 2.5
 
     def test_stops_at_adjacent_floats(self):
         lo = 1.0
         hi = math.nextafter(lo, 2.0)
-        assert find_root(lambda x: x - 1.0 - 2.0**-53, lo, hi, 5e-324) in (lo, hi)
+        root = find_root(lambda x: (x - 1.0 - 2.0**-53, 1.0), lo, hi, 5e-324, lo)
+        assert root in (lo, hi)
 
 
 def test_simpson_sine():

@@ -285,11 +285,11 @@ def test_asymptotic_refinements_stop_when_the_simplex_converges(search):
 CAPPED_FINITE = (
     OptimizationSpec(variant="finite", grid_mu=4, grid_p=4, grid_pz=2, restarts=2, budget=1500,
                      delta_values=(2.0 * math.pi / 16.0,)),
-    preset("table2", 400.0),
+    preset("table2", 480.0),
 )
-CAPPED_FINITE_HEX = ("0x1.8e25173eeae6ap-22", "0x1.c4a3699ed31abp+22", 1133,
-                     ("0x1.fae147ae147aep-1", "0x1.3a839758a8d35p-4", "0x1.5c418c18d42f3p-2",
-                      "0x1.47ae147ae1482p-8", "0x1.47ae147ae147ep-6"))
+CAPPED_FINITE_HEX = ("0x1.26294ecfb2adcp-24", "0x1.4e6c391fa061cp+20", 1133,
+                     ("0x1.fae147ae147aep-1", "0x1.28ee36ba34cbbp-4", "0x1.67687615b74cfp-2",
+                      "0x1.47ae147ae148cp-8", "0x1.47ae147ae147ep-6"))
 
 
 def test_repeated_points_are_scored_once(monkeypatch):

@@ -28,7 +28,7 @@ def _evaluation_records():
     return {
         WindowRates: finite.rates,
         UntaggedStats: finite.untagged,
-        DecoyObservations: decoy_observations(EXP, PROTO),
+        DecoyObservations: decoy_observations(EXP, PROTO, finite.rates),
         ZWindowCounts: finite.counts,
         BferOutcome: finite.outcome,
         OddSiftOutcome: sift,
