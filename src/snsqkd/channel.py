@@ -8,8 +8,9 @@ windows.  Double clicks are discarded, never reassigned.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, get_args
 
 from .mathcore import bessel_i0, simpson
@@ -72,7 +73,12 @@ class ExperimentParams:
             raise ValueError(f"distance_km must be in [0, inf), got {self.distance_km!r}")
 
     def at_distance(self, distance_km: float) -> "ExperimentParams":
-        return replace(self, distance_km=distance_km)
+        # built directly, not by dataclasses.replace, which introspects the
+        # fields on every call; __post_init__ still validates the distance
+        return type(self)(
+            self.dark_count, self.detector_eff, self.error_correction_f, self.misalignment,
+            self.fiber_loss_db_km, self.total_pulses, self.failure_prob, distance_km,
+        )
 
 
 @dataclass(frozen=True)
@@ -87,12 +93,14 @@ class ProtocolParams:
     delta: float = 2.0 * math.pi / 16.0   # phase-slice width, radians
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p_z <= 1.0:
-            raise ValueError(f"p_z must be in (0, 1], got {self.p_z!r}")
+        # every search point builds one, so each field is read once
+        p_z, mu_z, delta, probs = self.p_z, self.mu_z, self.delta, self.decoy_probs
+        if not 0.0 < p_z <= 1.0:
+            raise ValueError(f"p_z must be in (0, 1], got {p_z!r}")
         if not 0.0 <= self.p_send <= 1.0:
             raise ValueError(f"p_send must be in [0, 1], got {self.p_send!r}")
-        if not 0.0 < self.mu_z < math.inf:
-            raise ValueError(f"mu_z must be in (0, inf), got {self.mu_z!r}")
+        if not 0.0 < mu_z < math.inf:
+            raise ValueError(f"mu_z must be in (0, inf), got {mu_z!r}")
         nu0, nu1, nu2 = self.decoy_intensities
         if nu0 != 0.0:
             raise ValueError("decoy_intensities must start with the vacuum intensity 0")
@@ -100,17 +108,19 @@ class ProtocolParams:
             raise ValueError(
                 f"decoy intensities must satisfy 0 < mu1 < mu2 < inf, got {nu1!r}, {nu2!r}"
             )
-        if not 0.0 < self.delta <= 2.0 * math.pi:
-            raise ValueError(f"delta must be in (0, 2*pi], got {self.delta!r}")
-        if self.decoy_probs is None:
+        if not 0.0 < delta <= 2.0 * math.pi:
+            raise ValueError(f"delta must be in (0, 2*pi], got {delta!r}")
+        if probs is None:
             # split the decoy-window probability evenly across the three sources
-            share = (1.0 - self.p_z) / 3.0
-            object.__setattr__(self, "decoy_probs", (share, share, share))
-        total = self.p_z + sum(self.decoy_probs)
+            share = (1.0 - p_z) / 3.0
+            probs = (share, share, share)
+            object.__setattr__(self, "decoy_probs", probs)
+        total = p_z + sum(probs)
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"p_z plus decoy probabilities must sum to 1, got {total!r}")
-        if not all(q >= 0.0 for q in self.decoy_probs):
-            raise ValueError(f"decoy_probs must be non-negative, got {self.decoy_probs!r}")
+        # a NaN probability already failed the sum
+        if not min(probs, default=0.0) >= 0.0:
+            raise ValueError(f"decoy_probs must be non-negative, got {probs!r}")
 
     @property
     def mu1(self) -> float:
@@ -194,10 +204,6 @@ def x_window_rates(
     probability is formed with expm1, so a rate far below one keeps its
     relative precision instead of being a difference of numbers near one.
     """
-    # imported here: only the finite variant integrates, so the asymptotic
-    # ones never load numpy
-    import numpy as np
-
     if not 0.0 <= mu_k < math.inf:  # an infinite intensity makes the integrand NaN
         raise ValueError(f"mu_k must be in [0, inf), got {mu_k!r}")
     if not 0.0 < delta <= 2.0 * math.pi:
@@ -205,7 +211,29 @@ def x_window_rates(
     if not 0.0 <= eta_arm <= 1.0:  # also refuses NaN
         raise ValueError(f"eta_arm must be in [0, 1], got {eta_arm!r}")
     vis, mix = _visibility(exp, convention)
-    base = math.log1p(-exp.dark_count) - eta_arm * mu_k
+    return _x_window_integral(mu_k, delta, exp.dark_count, vis, mix, eta_arm)
+
+
+# A search holds mu1 on its bound, and a slice-width refinement holds delta,
+# so most finite evaluations ask again for the previous one's t_x: one entry
+# answers them, and every other call still reaches ``simpson``.  The key is
+# every float the integral reads, so a hit returns the bits a fresh call
+# would.  Floats equal under == differ only as 0.0 and -0.0, which reach the
+# result only when d = 0 and eta_arm * mu_k = 0; then every integrand value
+# is a signed zero, the weighted sum (started at +0.0) is +0.0, and t_x is
+# -0.0 for either sign.  ``typed`` keeps a numpy scalar or an int out of a
+# float's entry: a float32 intensity equal to a float gives another t_x.
+@functools.lru_cache(maxsize=1, typed=True)
+def _x_window_integral(
+    mu_k: float, delta: float, dark_count: float, vis: float, mix: float, eta_arm: float
+) -> float:
+    """t_x of ``x_window_rates`` from checked arguments, the convention's
+    visibility and mixing weight in place of the convention."""
+    # imported here: only the finite variant integrates, so the asymptotic
+    # ones never load numpy
+    import numpy as np
+
+    base = math.log1p(-dark_count) - eta_arm * mu_k
     half = 0.5 * delta
 
     def clicks_alone(sign: float) -> float:
@@ -241,16 +269,32 @@ def single_photon_quantities(exp: ExperimentParams, eta_arm: float) -> tuple[flo
     return y1, e1
 
 
+# The last link's constants: (ExperimentParams, arm transmittance,
+# single-photon yield and error, vacuum rate).  Every point of a search shares
+# one ExperimentParams, so one entry matched by identity answers them; one
+# tuple, so a concurrent caller reads the old entry or the new one whole.
+_last_link: tuple = (None,)
+
+
 def window_rates(
     exp: ExperimentParams,
     proto: ProtocolParams,
     convention: Convention = "visibility",
 ) -> WindowRates:
     """Assemble the signal-window rates the counting formulas consume."""
-    eta = arm_transmittance(exp)
-    y1, e1 = single_photon_quantities(exp, eta)
+    global _last_link
+    link = _last_link
+    if link[0] is exp:
+        _, eta, y1, e1, q_nn = link
+    else:
+        eta = arm_transmittance(exp)
+        y1, e1 = single_photon_quantities(exp, eta)
+        # no intensity: the vacuum rate is the same in either convention
+        q_nn = effective_rate_phase_averaged(0.0, 0.0, exp, eta, convention)
+        _last_link = (exp, eta, y1, e1, q_nn)
+    # q_c's rate refuses an unknown convention, on a memo hit too
     return WindowRates(
-        q_nn=effective_rate_phase_averaged(0.0, 0.0, exp, eta, convention),
+        q_nn=q_nn,
         q_c=effective_rate_phase_averaged(proto.mu_z, 0.0, exp, eta, convention),
         q_dd=effective_rate_phase_averaged(proto.mu_z, proto.mu_z, exp, eta, convention),
         y1=y1,

@@ -62,6 +62,17 @@ class EpsilonBudget:
     def eps_tot(self) -> float:
         return self.eps_cor + self.eps_sec
 
+    @functools.cached_property
+    def key_penalty(self) -> float:
+        """The finite-size key length's failure-probability term,
+        log2(eps_cor/2) + 2*log2(sqrt(2)*eps_pa*eps_hat), formed once per
+        budget (``from_failure_prob`` shares one per ``xi``).  Summed as
+        logarithms: the products underflow for a failure probability below
+        about 1e-155."""
+        return (math.log2(self.eps_cor) - 1.0) + 2.0 * (
+            0.5 + math.log2(self.eps_pa) + math.log2(self.eps_hat)
+        )
+
     @classmethod
     @functools.lru_cache(maxsize=32)
     def from_failure_prob(cls, xi: float) -> "EpsilonBudget":

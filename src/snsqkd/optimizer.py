@@ -223,8 +223,10 @@ def minimize(
     while calls < maxfev:
         try:
             best, f_best = sim[0], fsim[0]
-            if all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best)) and all(
-                abs(f_best - fx) <= fatol for fx in fsim[1:]
+            # scipy's test with its terms swapped: a capped simplex fails the
+            # value term at once, without the pass over every coordinate
+            if all(abs(f_best - fx) <= fatol for fx in fsim[1:]) and all(
+                abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best)
             ):
                 break
             # the centroid of all vertices but the worst, summed left to right
@@ -319,10 +321,11 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams,
 
     # a collapsed or bound-clipped simplex asks for the same floats again a few
     # calls later; each call still counts as an evaluation, so the search
-    # makes the same decisions while each distinct point is scored once
+    # makes the same decisions while each distinct point is scored once.  A
+    # point is the tuple of its values in ``names`` order.
     @functools.lru_cache(maxsize=16)
-    def score(items: tuple[tuple[str, float], ...], delta: float) -> float:
-        values = dict(items)
+    def score(point: tuple[float, ...], delta: float) -> float:
+        values = dict(zip(names, point))
         if "mu1" in values:
             # graded penalty steers the simplex back into the valid ordering
             mu1, mu2 = values["mu1"], values["mu2"]
@@ -334,16 +337,25 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams,
         except (BoundViolationError, ValueError):
             return _INVALID
 
-    def objective(values: dict[str, float], delta: float) -> float:
+    def objective(point: tuple[float, ...], delta: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return score(tuple(values.items()), delta)
+        return score(point, delta)
+
+    def as_point(values: dict[str, float]) -> tuple[float, ...]:
+        return tuple([values[n] for n in names])
+
+    # every variable but p_z is searched in log space
+    logged = [n != "p_z" for n in names]
 
     def encode(values: dict[str, float]) -> list[float]:
-        return [values[n] if n == "p_z" else math.log(values[n]) for n in names]
+        return [math.log(values[n]) if log else values[n] for n, log in zip(names, logged)]
+
+    def unlog(vec: list[float]) -> tuple[float, ...]:
+        return tuple([math.exp(x) if log else x for x, log in zip(vec, logged)])
 
     def decode(vec: list[float]) -> dict[str, float]:
-        return {n: x if n == "p_z" else math.exp(x) for n, x in zip(names, vec)}
+        return dict(zip(names, unlog(vec)))
 
     low, high = ({n: b[side] for n, b in bounds.items()} for side in (0, 1))
     nm_bounds = list(zip(encode(low), encode(high)))
@@ -358,7 +370,7 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams,
         nonlocal best_value, best_values, best_delta
         maxfev = max(100, (spec.budget - evaluations) // max(1, n_restarts))
         x, fun, nfev, converged = minimize(
-            lambda vec: -objective(decode(vec), delta),
+            lambda vec: -objective(unlog(vec), delta),
             encode(start),
             nm_bounds,
             maxfev=maxfev,
@@ -373,7 +385,7 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams,
         if final_value > best_value:
             best_value, best_values, best_delta = final_value, final, delta
 
-    scored = [(objective(cell, pivot), cell) for cell in cells[: spec.budget]]
+    scored = [(objective(as_point(cell), pivot), cell) for cell in cells[: spec.budget]]
     scored.sort(key=lambda item: item[0], reverse=True)
     for cell_value, cell in scored[:n_restarts]:
         if cell_value <= _INVALID or evaluations >= spec.budget:
@@ -386,7 +398,7 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams,
         best_value, best_values = scored[0]
     for delta in deltas:
         if best_values is not None and delta != pivot and evaluations < spec.budget:
-            refine(best_values, delta, objective(best_values, delta))
+            refine(best_values, delta, objective(as_point(best_values), delta))
 
     proto = _make_proto(best_values or cells[0], best_delta)
     key_length, rate = min(max(best_value, _INVALID), 0.0), 0.0

@@ -337,17 +337,12 @@ def key_length_finite(
     ``bfer`` must come from ``bfer_expectations`` on the same ``untagged``.
     """
     n1_lower, e1_upper = post_rejection_bounds(bfer.n1_survived, untagged.e1ph, budget.xi)
-    # log2(eps_cor/2) + 2*log2(sqrt(2)*eps_pa*eps_hat) as sums of logarithms:
-    # the products underflow for a failure probability below about 1e-155
-    penalty = (math.log2(budget.eps_cor) - 1.0) + 2.0 * (
-        0.5 + math.log2(budget.eps_pa) + math.log2(budget.eps_hat)
-    )
     return _key_result(
         total_pulses,
         n1_lower,
         -n1_lower * binary_entropy(e1_upper),
         -f_ec * _class_ec(bfer),
-        penalty,
+        budget.key_penalty,
     )
 
 

@@ -141,22 +141,24 @@ SEARCHES = {
     ),
 }
 
-# search -> (rate, key length, evaluations, (mu_z, p_send, delta) of the result)
+# search -> (rate, key length, evaluations, evaluations answered from the
+# memo, (mu_z, p_send, delta) of the result); the memo's key decides which
+# points repeat, so a change to it moves the fourth entry
 SEARCH_HEX = {
     "aopp@rowF240": (
-        "0x1.0c0403c12989ep-18", "0x1.e7848713008e2p+21", 97,
+        "0x1.0c0403c12989ep-18", "0x1.e7848713008e2p+21", 97, 1,
         ("0x1.f99582103a090p-2", "0x1.1f8d83c29afe7p-2", "0x1.921fb54442d18p-2")),
     "finite@table2-400": (
-        "0x1.948b987cd835ap-22", "0x1.cbea2d4b58ab1p+22", 1498,
+        "0x1.948b987cd835ap-22", "0x1.cbea2d4b58ab1p+22", 1498, 45,
         ("0x1.5c53647901316p-2", "0x1.3c56550d9bbf1p-4", "0x1.41b2f769cf0e0p-2")),
     "finite@table2-502": (
-        "0x1.5ea2c72914251p-25", "0x1.8ea076b6bc044p+19", 20022,
+        "0x1.5ea2c72914251p-25", "0x1.8ea076b6bc044p+19", 20022, 8750,
         ("0x1.6e360788e11aap-2", "0x1.233bfbad10063p-4", "0x1.015bf9217271ap-2")),
     "finite@rowA600-zero-rate": (
-        "0x0.0p+0", "-0x1.4c511123fd4a0p+7", 105,
+        "0x0.0p+0", "-0x1.4c511123fd4a0p+7", 105, 7,
         ("0x1.999999999999bp-5", "0x1.47ae147ae147dp-8", "0x1.921fb54442d18p-2")),
     "bfer@one-pulse": (
-        "0x0.0p+0", "-0x1.93e5939a08ceap+99", 36,
+        "0x0.0p+0", "-0x1.93e5939a08ceap+99", 36, 0,
         ("0x1.999999999999ap-5", "0x1.47ae147ae147bp-8", "0x1.921fb54442d18p-2")),
 }
 
@@ -165,5 +167,6 @@ SEARCH_HEX = {
 def test_optimizer_bits(search):
     result = optimize(*SEARCHES[search])
     params = tuple(getattr(result.params, name).hex() for name in ("mu_z", "p_send", "delta"))
-    got = (result.rate.hex(), result.key_length.hex(), result.evaluations, params)
+    got = (result.rate.hex(), result.key_length.hex(), result.evaluations, result.repeated,
+           params)
     assert got == SEARCH_HEX[search]

@@ -1,12 +1,19 @@
+import dataclasses
+import itertools
 import math
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import snsqkd.channel
 from snsqkd import PRESETS, evaluate, preset
 from snsqkd.channel import (
+    CONVENTIONS,
     ExperimentParams,
     ProtocolParams,
     arm_transmittance,
@@ -82,6 +89,20 @@ class TestParams:
 
     def test_at_distance(self):
         assert make_exp().at_distance(10.0).distance_km == 10.0
+
+    def test_at_distance_carries_every_other_field(self):
+        # at_distance lists the fields itself: a new field, even one with a
+        # default, must be added there and here
+        fields = dataclasses.fields(ExperimentParams)
+        assert [f.name for f in fields] == list(EXPERIMENT_FIELDS)
+        exp = make_exp()
+        moved = exp.at_distance(250.0)
+        assert type(moved) is ExperimentParams and moved.distance_km == 250.0
+        for f in fields:
+            if f.name != "distance_km":
+                assert getattr(moved, f.name) == getattr(exp, f.name), f.name
+        with pytest.raises(ValueError, match="distance_km"):
+            exp.at_distance(-1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", EXPERIMENT_FIELDS)
@@ -302,8 +323,16 @@ def test_unknown_convention_is_refused(convention):
         effective_rate_phase_averaged(0.4, 0.4, exp, eta, convention)
     with pytest.raises(ValueError, match="convention"):
         x_window_rates(0.05, 0.4, exp, eta, convention)
+    proto = ProtocolParams(p_z=1.0, p_send=0.1, mu_z=0.4)
     with pytest.raises(ValueError, match="convention"):
-        window_rates(exp, ProtocolParams(p_z=1.0, p_send=0.1, mu_z=0.4), convention)
+        window_rates(exp, proto, convention)
+    # also when the link memo holds this exp, and the decoy memo this t_x
+    window_rates(exp, proto)
+    x_window_rates(0.05, 0.4, exp, eta)
+    with pytest.raises(ValueError, match="convention"):
+        window_rates(exp, proto, convention)
+    with pytest.raises(ValueError, match="convention"):
+        x_window_rates(0.05, 0.4, exp, eta, convention)
 
 
 # each public function that takes an arm transmittance, called with it
@@ -330,11 +359,15 @@ def test_transmittance_bounds_are_admitted(name):
         assert all(math.isfinite(v) for v in np.atleast_1d(ETA_TAKERS[name](make_exp(), eta)))
 
 
-@pytest.mark.parametrize("convention, calls", [("visibility", 1), ("mixing", 2)])
-def test_finite_evaluation_integrates_one_row_per_detector(convention, calls, monkeypatch):
-    # the decoy bound reads only t_x: the visibility convention integrates the
-    # wrong detector's row alone, the mixing one adds the right detector's;
-    # a stacked (2, 65) integrand formed a row nothing read
+def clear_memos():
+    """Empty the decoy-quadrature memo and the link memo of ``window_rates``,
+    so the next evaluation computes everything afresh."""
+    snsqkd.channel._x_window_integral.cache_clear()
+    snsqkd.channel._last_link = (None,)
+
+
+def record_quadratures(monkeypatch):
+    """The shape of every integrand ``x_window_rates`` hands to ``simpson``."""
     shapes = []
 
     def recording(fn, a, b, n):
@@ -345,6 +378,192 @@ def test_finite_evaluation_integrates_one_row_per_detector(convention, calls, mo
         return simpson(integrand, a, b, n)
 
     monkeypatch.setattr(snsqkd.channel, "simpson", recording)
-    proto = ProtocolParams(p_z=0.9, p_send=0.1, mu_z=0.4, decoy_intensities=(0.0, 0.05, 0.15))
-    evaluate(preset("rowC", 100.0), proto, "finite", convention=convention)
+    return shapes
+
+
+FINITE_PROTO = ProtocolParams(p_z=0.9, p_send=0.1, mu_z=0.4, decoy_intensities=(0.0, 0.05, 0.15))
+
+
+@pytest.mark.parametrize("convention, calls", [("visibility", 1), ("mixing", 2)])
+def test_finite_evaluation_integrates_one_row_per_detector(convention, calls, monkeypatch):
+    # the decoy bound reads only t_x: the visibility convention integrates the
+    # wrong detector's row alone, the mixing one adds the right detector's;
+    # a stacked (2, 65) integrand formed a row nothing read
+    shapes = record_quadratures(monkeypatch)
+    clear_memos()
+    evaluate(preset("rowC", 100.0), FINITE_PROTO, "finite", convention=convention)
     assert shapes == [(65,)] * calls
+
+
+def test_repeated_point_integrates_once(monkeypatch):
+    shapes = record_quadratures(monkeypatch)
+    clear_memos()
+    exp = preset("rowC", 100.0)
+    first = evaluate(exp, FINITE_PROTO, "finite").key.key_length
+    again = evaluate(exp, FINITE_PROTO, "finite").key.key_length
+    assert len(shapes) == 1 and again.hex() == first.hex()
+    # one ulp more of mu1 is another t_x
+    mu1 = math.nextafter(FINITE_PROTO.mu1, 1.0)
+    nudged = dataclasses.replace(FINITE_PROTO, decoy_intensities=(0.0, mu1, FINITE_PROTO.mu2))
+    evaluate(exp, nudged, "finite")
+    assert len(shapes) == 2
+
+
+def test_memos_shared_between_threads_return_each_threads_bits():
+    # each thread evaluates its own link and protocol; a memo read torn
+    # between two threads' entries would pair one link with another's constants
+    jobs = []
+    for k, name in enumerate(("rowA", "rowC", "rowF", "table2")):
+        mu1 = 0.005 * (k + 1)
+        proto = dataclasses.replace(FINITE_PROTO, decoy_intensities=(0.0, mu1, 0.15))
+        jobs.append((preset(name, 100.0 + 50.0 * k), proto))
+    clear_memos()
+    expected = [evaluate(exp, proto, "finite").key.key_length.hex() for exp, proto in jobs]
+    results = [[] for _ in jobs]
+
+    def work(k):
+        exp, proto = jobs[k]
+        for _ in range(200):
+            results[k].append(evaluate(exp, proto, "finite").key.key_length.hex())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[bits] * 200 for bits in expected]
+
+
+def test_evaluation_caches_nothing_on_the_link():
+    # a per-instance cache would cost memory for every ExperimentParams a
+    # distance scan or a point grid builds
+    exp = preset("rowC", 100.0)
+    for variant in ("finite", "aopp"):
+        evaluate(exp, FINITE_PROTO, variant)
+    assert set(vars(exp)) == {f.name for f in dataclasses.fields(exp)}
+
+
+# The memos must be invisible: each step of an interleaved sequence of calls,
+# made while the memos hold whatever the steps before left, gives the bits of
+# the same call made cold.  A step may set one of mu1, delta, the detector
+# efficiency (and so eta_arm), the dark count and the misalignment (and so the
+# visibility or mixing weight) to its base value, one ulp either side of it or
+# a signed zero, switch the convention, or pass an equal
+# new ExperimentParams in place of the last one; the rest stay as the step
+# before left them, so many steps find the memos holding their answer.  A
+# zero intensity or transmittance is reachable only by a direct
+# x_window_rates call, and a zero slice width not at all.
+MEMO_BASE_EXP = preset("table2", 502.0)
+MEMO_BASE_PROTO = ProtocolParams(p_z=0.99, p_send=0.25, mu_z=0.5,
+                                 decoy_intensities=(0.0, 0.005, 0.1), delta=2.0 * math.pi / 23.0)
+MEMO_STEP = st.tuples(
+    st.sampled_from(("finite", "finite", "aopp", "bfer", "x_window_rates", "x_window_rates")),
+    st.sampled_from((None, None, "mu", "delta", "eff", "dark", "mis", "new exp", "convention")),
+    st.sampled_from((-1, 0, 1, "+0", "-0")),  # ulps from the base value, or a zero
+)
+
+
+def nudge(x, how, zeros=True):
+    """x moved by ``how`` ulps, or a signed zero."""
+    if how in ("+0", "-0"):
+        return (0.0 if how == "+0" else -0.0) if zeros else x
+    return x if how == 0 else math.nextafter(x, math.copysign(math.inf, how))
+
+
+def memo_outcome(call):
+    """The call's result as its exact bits, or the name of what it raised."""
+    try:
+        value = call()
+    except (ValueError, RuntimeError) as err:
+        return type(err).__name__
+    assert type(value) is float and math.isfinite(value)
+    return value.hex()
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.lists(MEMO_STEP, min_size=1, max_size=12))
+def test_memos_return_the_bits_of_a_cold_call(steps):
+    calls = []
+    setting = dict(mu=0, delta=0, eff=0, dark=0, mis=0)
+    exp, convention = MEMO_BASE_EXP, CONVENTIONS[0]
+    for kind, change, how in steps:
+        if change in setting:
+            setting[change] = how
+        if change == "convention":
+            convention = CONVENTIONS[1 - CONVENTIONS.index(convention)]
+        if change in ("eff", "dark", "mis", "new exp"):
+            exp = dataclasses.replace(
+                MEMO_BASE_EXP, dark_count=nudge(MEMO_BASE_EXP.dark_count, setting["dark"]),
+                detector_eff=nudge(MEMO_BASE_EXP.detector_eff, setting["eff"], zeros=False),
+                misalignment=nudge(MEMO_BASE_EXP.misalignment, setting["mis"]))
+        delta = nudge(MEMO_BASE_PROTO.delta, setting["delta"], zeros=False)
+        if kind == "x_window_rates":
+            mu_k = nudge(MEMO_BASE_PROTO.mu1, setting["mu"])
+            eta = nudge(arm_transmittance(exp), setting["eff"])
+            calls.append(lambda e=exp, m=mu_k, d=delta, t=eta, c=convention:
+                         x_window_rates(m, d, e, t, c))
+        else:
+            mu1 = nudge(MEMO_BASE_PROTO.mu1, setting["mu"], zeros=False)
+            proto = dataclasses.replace(MEMO_BASE_PROTO, delta=delta,
+                                        decoy_intensities=(0.0, mu1, MEMO_BASE_PROTO.mu2))
+            calls.append(lambda e=exp, p=proto, v=kind, c=convention:
+                         evaluate(e, p, v, convention=c).key.key_length)
+    clear_memos()
+    warm = [memo_outcome(call) for call in calls]
+    cold = []
+    for call in calls:
+        clear_memos()
+        cold.append(memo_outcome(call))
+    assert warm == cold
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("name", ["mu_k", "delta", "dark_count", "misalignment", "eta_arm"])
+def test_decoy_memo_misses_when_one_input_changes(name, convention):
+    # each input reaches t_x in both conventions (the misalignment through
+    # the visibility or the mixing weight), so each must be in the memo's key
+    base = dict(mu_k=0.05, delta=0.4, dark_count=1e-8, misalignment=0.05, eta_arm=0.03)
+
+    def t_x(values):
+        exp = make_exp(dark_count=values["dark_count"], misalignment=values["misalignment"])
+        return x_window_rates(values["mu_k"], values["delta"], exp, values["eta_arm"],
+                              convention).hex()
+
+    clear_memos()
+    first = t_x(base)
+    changed = dict(base, **{name: 0.5 * base[name]})
+    warm = t_x(changed)
+    clear_memos()
+    assert warm == t_x(changed) != first
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_signed_zeros_share_a_decoy_memo_entry(convention):
+    # the memo is keyed on floats, so 0.0 and -0.0 find each other's entry:
+    # arguments equal under == must give one bit pattern, computed cold
+    bits = {}
+    for mu_k, eta, dark, mis in itertools.product(
+        (0.0, -0.0, 0.05), (0.0, -0.0, 0.03), (0.0, -0.0, 1e-8), (0.0, -0.0, 0.05)
+    ):
+        clear_memos()
+        t_x = x_window_rates(mu_k, 0.4, make_exp(dark_count=dark, misalignment=mis), eta,
+                             convention)
+        bits.setdefault((mu_k + 0.0, eta + 0.0, dark + 0.0, mis + 0.0), set()).add(t_x.hex())
+    assert all(len(patterns) == 1 for patterns in bits.values()), bits
+
+
+def test_decoy_memo_keeps_argument_types_apart():
+    # np.float32(0.5) == 0.5, but the float32 intensity makes its own t_x
+    exp = preset("rowC", 100.0)
+    eta = arm_transmittance(exp)
+    clear_memos()
+    x_window_rates(np.float32(0.5), 0.4, exp, eta)
+    warm = x_window_rates(0.5, 0.4, exp, eta)
+    clear_memos()
+    assert warm.hex() == x_window_rates(0.5, 0.4, exp, eta).hex()
