@@ -101,7 +101,10 @@ class ProtocolParams:
             raise ValueError(f"p_send must be in [0, 1], got {self.p_send!r}")
         if not 0.0 < mu_z < math.inf:
             raise ValueError(f"mu_z must be in (0, inf), got {mu_z!r}")
-        nu0, nu1, nu2 = self.decoy_intensities
+        intensities = self.decoy_intensities
+        if len(intensities) != 3:
+            raise ValueError(f"decoy_intensities must hold three values, got {intensities!r}")
+        nu0, nu1, nu2 = intensities
         if nu0 != 0.0:
             raise ValueError("decoy_intensities must start with the vacuum intensity 0")
         if not 0.0 < nu1 < nu2 < math.inf:
@@ -115,11 +118,13 @@ class ProtocolParams:
             share = (1.0 - p_z) / 3.0
             probs = (share, share, share)
             object.__setattr__(self, "decoy_probs", probs)
+        elif len(probs) != 3:
+            raise ValueError(f"decoy_probs must hold three values, got {probs!r}")
         total = p_z + sum(probs)
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"p_z plus decoy probabilities must sum to 1, got {total!r}")
         # a NaN probability already failed the sum
-        if not min(probs, default=0.0) >= 0.0:
+        if not min(probs) >= 0.0:
             raise ValueError(f"decoy_probs must be non-negative, got {probs!r}")
 
     @property

@@ -106,8 +106,9 @@ def _parse_variants(text: str) -> list[str]:
     return names
 
 
-# each distance is one optimization, for an asymptotic variant 1.5-2 ms chained or 2-3.5 ms
-# cold past the cutoff (rowD, shared 2-core machine), so the limit is at most 6 minutes of scan
+# each distance is one optimization, for an asymptotic variant 1.5-2 ms chained or 2-2.5 ms
+# cold (rowD, shared 2-core machine), and none past the variant's cutoff, so the limit is at
+# most about 4 minutes of scan
 _MAX_DISTANCES = 100_000
 
 
@@ -298,9 +299,12 @@ def _optimization_spec(cfg: RunConfig, variant: str) -> OptimizationSpec:
 
 
 def _protocol_for(cfg: RunConfig, exp: ExperimentParams, variant: str,
-                  warm: dict[str, ProtocolParams]) -> ProtocolParams:
+                  warm: dict[str, ProtocolParams],
+                  zeros: dict[str, tuple[float, ProtocolParams]]) -> ProtocolParams:
     """The fixed protocol, or the optimum at ``exp``; a search starts from the
-    variant's entry in ``warm``, which then holds this optimum if positive."""
+    variant's entry in ``warm``, which then holds this optimum if positive.
+    A zero optimum, found or confirmed by a cold search, goes into ``zeros``
+    with its distance."""
     fixed = cfg.fixed_protocol()
     if fixed is not None:
         return fixed
@@ -310,6 +314,8 @@ def _protocol_for(cfg: RunConfig, exp: ExperimentParams, variant: str,
         result = optimize(spec, exp)  # a zero is confirmed cold: a bad start moves no cutoff
     if result.positive:
         warm[variant] = result.params
+    else:
+        zeros[variant] = (exp.distance_km, result.params)
     return result.params
 
 
@@ -324,13 +330,19 @@ def _evaluate(
         raise ConfigError(f"variant {variant!r} at {distance} km: {err}") from None
 
 
-def _scan_row(cfg: RunConfig, distance: float, warm: dict[str, ProtocolParams]) -> dict[str, float]:
+def _scan_row(cfg: RunConfig, distance: float, warm: dict[str, ProtocolParams],
+              zeros: dict[str, tuple[float, ProtocolParams]]) -> dict[str, float]:
     row: dict[str, float] = {"distance_km": distance}
     exp = cfg.build_experiment(distance)
     for variant in cfg.variant:
-        proto = _protocol_for(cfg, exp, variant, warm)
-        point = _evaluate(cfg, exp, proto, variant)
-        row[f"{variant}_rate"] = point.key.rate
+        if variant in zeros:
+            # past a cold-confirmed zero no rate is positive (the rate law,
+            # tests/test_rate_law.py): the row repeats the confirming search
+            proto = zeros[variant][1]
+            row[f"{variant}_rate"] = 0.0
+        else:
+            proto = _protocol_for(cfg, exp, variant, warm, zeros)
+            row[f"{variant}_rate"] = _evaluate(cfg, exp, proto, variant).key.rate
         for name in _PROTOCOL_KEYS:
             row[f"{variant}_{name}"] = getattr(proto, name)
     row["plob_absolute"] = plob_rate(exp.fiber_loss_db_km, distance, 1.0)
@@ -338,7 +350,8 @@ def _scan_row(cfg: RunConfig, distance: float, warm: dict[str, ProtocolParams]) 
     return row
 
 
-def _config_header(cfg: RunConfig, columns: list[str]) -> list[str]:
+def _config_header(cfg: RunConfig, columns: list[str],
+                   zeros: dict[str, tuple[float, ProtocolParams]]) -> list[str]:
     lines = ["# key-rate scan"]
     resolved = {
         "preset": cfg.preset,
@@ -353,6 +366,12 @@ def _config_header(cfg: RunConfig, columns: list[str]) -> list[str]:
     }
     lines += [f"# {key} = {value}" for key, value in resolved.items()]
     lines.append("# rates are bits per pulse; *_hex columns carry the exact binary value")
+    lines += [
+        f"# {variant}: zero from {_format_cell('distance_km', zeros[variant][0])} km, "
+        "not searched beyond"
+        for variant in cfg.variant
+        if variant in zeros
+    ]
     lines.append("# columns: " + ",".join(columns))
     return lines
 
@@ -369,7 +388,10 @@ def _format_cell(name: str, value: float) -> str:
 
 def cmd_scan(cfg: RunConfig) -> int:
     warm: dict[str, ProtocolParams] = {}  # each variant's optimum at the previous distance
-    rows = [_scan_row(cfg, d, warm) for d in _scan_distances(*cfg.range)]
+    # each variant's cold-confirmed zero: its distance and the confirming
+    # search's parameters; later distances of the variant are not searched
+    zeros: dict[str, tuple[float, ProtocolParams]] = {}
+    rows = [_scan_row(cfg, d, warm, zeros) for d in _scan_distances(*cfg.range)]
 
     columns: list[str] = ["distance_km"]
     for variant in cfg.variant:
@@ -377,7 +399,7 @@ def cmd_scan(cfg: RunConfig) -> int:
         columns += [f"{variant}_{name}" for name in _PROTOCOL_KEYS]
     columns += ["plob_absolute", "plob_absolute_hex", "plob_relative", "plob_relative_hex"]
 
-    lines = _config_header(cfg, columns)
+    lines = _config_header(cfg, columns, zeros)
     lines.append(",".join(columns))
     for row in rows:
         cells = []
@@ -453,7 +475,7 @@ def cmd_point(cfg: RunConfig) -> int:
     exp = cfg.build_experiment(cfg.distance)
     chunks = []
     for variant in cfg.variant:
-        proto = _protocol_for(cfg, exp, variant, {})  # a point always searches cold
+        proto = _protocol_for(cfg, exp, variant, {}, {})  # a point always searches cold
         point = _evaluate(cfg, exp, proto, variant)
         chunks.append("\n".join(_breakdown_lines(point, exp, proto)))
     _write_output(cfg.out, "\n\n".join(chunks) + "\n")
@@ -503,7 +525,7 @@ def _mc_fixture(cfg: RunConfig) -> tuple[ZWindowCounts, UntaggedStats]:
     distance = cfg.distance if cfg.distance is not None else 100.0
     exp = cfg.build_experiment(distance)
     variant = cfg.variant[0] if cfg.variant else "bfer"
-    proto = _protocol_for(cfg, exp, variant, {})
+    proto = _protocol_for(cfg, exp, variant, {}, {})
     point = _evaluate(cfg, exp, proto, variant if variant != "finite" else "bfer")
     return point.counts, point.untagged
 

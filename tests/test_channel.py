@@ -87,6 +87,20 @@ class TestParams:
         assert sum(proto.decoy_probs) == pytest.approx(0.3)
         assert proto.mu1 == 0.05 and proto.mu2 == 0.1
 
+    @pytest.mark.parametrize("field, p_z, values", [
+        # each sums to one with p_z, so only the length is wrong; both were accepted
+        ("decoy_probs", 0.6, (0.1,) * 4),
+        ("decoy_probs", 1.0, ()),
+        ("decoy_probs", 0.8, (0.1, 0.1)),
+        # these failed with a bare unpacking error
+        ("decoy_intensities", 0.7, (0.0, 0.05)),
+        ("decoy_intensities", 0.7, (0.0, 0.05, 0.1, 0.2)),
+        ("decoy_intensities", 0.7, ()),
+    ])
+    def test_protocol_refuses_a_decoy_tuple_without_three_values(self, field, p_z, values):
+        with pytest.raises(ValueError, match=f"{field} must hold three values"):
+            ProtocolParams(p_z=p_z, p_send=0.1, mu_z=0.5, **{field: values})
+
     def test_at_distance(self):
         assert make_exp().at_distance(10.0).distance_km == 10.0
 

@@ -1,0 +1,109 @@
+"""The rate law that lets a scan stop at a variant's cutoff.
+
+At fixed protocol parameters the clamped rate, max(key_length, 0) / pulses,
+never rises with distance.  The key length itself does rise: a negative
+length tends to 0 from below as the link gets longer.  If every point of
+the search box obeys the law, so does the optimum, and a scan need not
+search a variant past a distance where a cold search found no key.
+
+A point the library refuses scores no key, as it does in the search.  The
+device box spans the presets and widens each field; at up to 800 km and
+0.25 dB/km with a detector efficiency of at least 0.1 the arm loss stays
+below 110 dB.  Past about 120 dB the law can fail (the last test).
+"""
+
+import dataclasses
+import sys
+import warnings
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from snsqkd import VARIANTS, ExperimentParams, evaluate, preset
+from snsqkd.channel import CONVENTIONS, ProtocolParams
+from snsqkd.decoy import BoundViolationError
+from snsqkd.optimizer import _BOUNDS, DELTA_CHOICES, _make_proto
+from snsqkd.pipeline import mode_for_variant
+
+LARGEST_PULSES = sys.float_info.max  # ExperimentParams admits every finite count
+
+
+def scored_rate(exp, values, delta, variant, vacuum_credit, convention):
+    """The clamped rate of the search point ``values`` at ``exp``; 0 where refused."""
+    try:
+        proto = _make_proto(values, delta)
+        with warnings.catch_warnings():
+            # the finite bounds warn when they clamp a lower bound to zero
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return evaluate(exp, proto, variant, vacuum_credit, convention).key.rate
+    except (ValueError, BoundViolationError):
+        return 0.0
+
+
+def edge_or(value, strategy):
+    return st.one_of(st.just(value), strategy)
+
+
+EXPERIMENTS = st.builds(
+    ExperimentParams,
+    dark_count=edge_or(0.0, st.floats(0.0, 1e-6)),
+    detector_eff=st.floats(0.1, 1.0),
+    error_correction_f=st.floats(1.0, 1.5),
+    misalignment=edge_or(0.0, st.floats(0.0, 1.0)),
+    fiber_loss_db_km=st.floats(0.15, 0.25),
+    total_pulses=edge_or(LARGEST_PULSES, st.floats(1.0, LARGEST_PULSES)),
+    failure_prob=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+@st.composite
+def search_points(draw, variant):
+    """Values from the search box of the variant's mode, and a slice width."""
+    mode = mode_for_variant(variant)
+    values = {name: draw(st.floats(lo, hi)) for name, (lo, hi) in _BOUNDS[mode].items()}
+    # an asymptotic search never moves the slice width
+    delta = draw(st.sampled_from(DELTA_CHOICES)) if mode == "finite" else ProtocolParams.delta
+    return values, delta
+
+
+# two to six distances up to 800 km in increasing order, often from the edge at 0 km
+DISTANCES = st.tuples(
+    edge_or(0.0, st.floats(0.0, 800.0)),
+    st.lists(st.floats(0.0, 800.0), min_size=1, max_size=5),
+).map(lambda t: sorted([t[0], *t[1]]))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    case=st.sampled_from(VARIANTS).flatmap(lambda v: st.tuples(st.just(v), search_points(v))),
+    exp=EXPERIMENTS,
+    convention=st.sampled_from(CONVENTIONS),
+    vacuum_credit=st.booleans(),
+    distances=DISTANCES,
+)
+def test_the_rate_never_rises_with_distance(case, exp, convention, vacuum_credit, distances):
+    variant, (values, delta) = case
+    rates = [scored_rate(exp.at_distance(d), values, delta, variant, vacuum_credit, convention)
+             for d in distances]
+    for (near, r_near), (far, r_far) in zip(zip(distances, rates), zip(distances[1:], rates[1:])):
+        assert r_far <= r_near, f"{variant}: {r_near!r} at {near!r} km < {r_far!r} at {far!r} km"
+
+
+def test_the_key_length_rises_toward_zero_from_below():
+    # the law is on the clamped rate: below zero the key length rises with distance
+    exp, proto = preset("rowD"), ProtocolParams(p_z=1.0, p_send=0.1, mu_z=0.3)
+    lengths = [evaluate(exp.at_distance(d), proto, "original").key.key_length
+               for d in (200.0, 400.0, 600.0)]
+    assert lengths[0] < lengths[1] < lengths[2] < 0.0
+
+
+@pytest.mark.xfail(strict=True, reason="Known defect: channel.effective_rate_phase_averaged "
+                   "subtracts two terms near 2, so at an arm transmittance of 1e-14 the "
+                   "one-click rate is 26 % off and the key's sign is noise")
+def test_the_law_at_139_db_of_arm_loss():
+    exp = dataclasses.replace(preset("rowD"), dark_count=0.0, misalignment=0.0)
+    values, delta = {"mu_z": 0.05, "p_send": 0.1}, ProtocolParams.delta
+    near, far = (scored_rate(exp.at_distance(d), values, delta, "refined", False, "visibility")
+                 for d in (1340.0, 1350.0))
+    assert far <= near, (near, far)

@@ -1,5 +1,6 @@
 """A scan starts each variant's search from its optimum at the previous
-distance; these tests hold the chained rates to a cold search at every
+distance, and stops searching a variant after a zero found or confirmed by
+a cold search; these tests hold the chained rates to a cold search at every
 distance."""
 
 import contextlib
@@ -12,9 +13,10 @@ import pytest
 from snsqkd import cli
 from snsqkd.cli import main
 from snsqkd.optimizer import OptimizationSpec, optimize
-from snsqkd.presets import preset
+from snsqkd.pipeline import VARIANTS, mode_for_variant
+from snsqkd.presets import PRESETS, preset
 
-VARIANTS = ("original", "bfer", "aopp")
+ASYMPTOTIC = tuple(v for v in VARIANTS if mode_for_variant(v) == "asymptotic")
 DISTANCES = tuple(float(d) for d in range(0, 701, 50))
 
 
@@ -32,17 +34,19 @@ def scan_rates(argv):
 
 @functools.lru_cache(maxsize=None)
 def warm_and_cold(row):
-    warm = scan_rates(["scan", "--preset", row, "--variant", ",".join(VARIANTS),
+    warm = scan_rates(["scan", "--preset", row, "--variant", ",".join(ASYMPTOTIC),
                        "--range", "0:700:50"])
     cold = {v: [optimize(OptimizationSpec(variant=v), preset(row, d)).rate for d in DISTANCES]
-            for v in VARIANTS}
+            for v in ASYMPTOTIC}
     return warm, cold
 
 
-@pytest.mark.parametrize("row", ["rowA", "rowD", "rowF"])
+# the oracle that a stopped variant hides no positive rate: the cold search
+# runs at every distance, past each cutoff too
+@pytest.mark.parametrize("row", sorted(PRESETS))
 def test_chained_rates_match_a_cold_search(row):
     warm, cold = warm_and_cold(row)
-    for variant in VARIANTS:
+    for variant in ASYMPTOTIC:
         for distance, w, c in zip(DISTANCES, warm[variant], cold[variant]):
             where = f"{row} {variant} at {distance:g} km: {w!r} vs {c!r}"
             assert (w > 0.0) == (c > 0.0), where
@@ -74,10 +78,41 @@ def test_a_zero_from_a_warm_start_is_confirmed_cold(monkeypatch):
                              for d in (100.0, 150.0, 200.0)]
 
 
+def test_a_variant_is_not_searched_past_its_cold_confirmed_zero(monkeypatch, capsys):
+    searches, results = [], []
+
+    def counted(spec, exp, start=None):
+        searches.append((exp.distance_km, "warm" if start is not None else "cold"))
+        results.append(optimize(spec, exp, start=start))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "optimize", counted)
+    assert main(["scan", "--preset", "rowD", "--variant", "aopp", "--range", "400:600:50"]) == 0
+    # 400 km is positive; the warm zero at 450 km is confirmed cold; 500-600 km are not searched
+    assert searches == [(400.0, "cold"), (450.0, "warm"), (450.0, "cold")]
+    lines = capsys.readouterr().out.splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    assert "# aopp: zero from 450 km, not searched beyond" in header
+    assert header[-1].startswith("# columns: ")  # the header block ends before the column names
+    names, *data = [line.split(",") for line in lines if not line.startswith("#")]
+    rows = [dict(zip(names, cells)) for cells in data]
+    assert [row["distance_km"] for row in rows] == ["400", "450", "500", "550", "600"]
+    assert float.fromhex(rows[0]["aopp_rate_hex"]) > 0.0
+    confirming = results[-1].params  # the cold search at 450 km
+    for row in rows[1:]:
+        assert row["aopp_rate"] == "0.000000e+00" and row["aopp_rate_hex"] == "0x0.0p+0"
+        for name in cli._PROTOCOL_KEYS:
+            assert row[f"aopp_{name}"] == f"{getattr(confirming, name):.6e}", name
+
+
 def test_two_runs_of_a_chained_scan_write_the_same_bytes(tmp_path):
-    # the chain's optima live in one run: the second run starts cold again
-    base = ["scan", "--preset", "rowC", "--variant", "aopp,bfer", "--range", "100:250:50",
+    # the chain's optima live in one run: the second run starts cold again;
+    # the range crosses both cutoffs, so the header's stop lines are compared too
+    base = ["scan", "--preset", "rowC", "--variant", "aopp,bfer", "--range", "400:650:50",
             "--seed", "5"]
     for name in ("a.csv", "b.csv"):
         assert main(base + ["--out", str(tmp_path / name)]) == 0
+    text = (tmp_path / "a.csv").read_text()
+    assert "# aopp: zero from 550 km, not searched beyond\n" in text
+    assert "# bfer: zero from 550 km, not searched beyond\n" in text
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
