@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, get_args
 
@@ -24,6 +25,7 @@ __all__ = [
     "ProtocolParams",
     "WindowRates",
     "arm_transmittance",
+    "checked_float",
     "effective_rate_phase_averaged",
     "x_window_rates",
     "single_photon_quantities",
@@ -38,10 +40,66 @@ CONVENTIONS: tuple[str, ...] = get_args(Convention)
 
 X_QUAD_INTERVALS = 64
 
+# The interval each checked number must lie in, as its error message shows
+# it: a bracket closes an end, a parenthesis opens it, and every bound but
+# 2*pi is a float literal.
+_INTERVALS = {
+    # ExperimentParams
+    "dark_count": "[0, 1]", "detector_eff": "[0, 1]", "error_correction_f": "[1, inf)",
+    "misalignment": "[0, 1]", "fiber_loss_db_km": "(0, inf)", "total_pulses": "[1, inf)",
+    "failure_prob": "(0, 1)", "distance_km": "[0, inf)",
+    # ProtocolParams
+    "p_z": "(0, 1]", "p_send": "[0, 1]", "mu_z": "(0, inf)", "delta": "(0, 2*pi]",
+    # rate-function arguments (an infinite intensity makes the integrand NaN)
+    "mu_k": "[0, inf)", "eta_arm": "[0, 1]",
+}
+
+
+def _bounds(text: str) -> tuple[float, float]:
+    """The least and the greatest float inside an interval: an open end moves
+    one float inward, so one chained comparison checks either kind."""
+    low, high = (2.0 * math.pi if b == "2*pi" else float(b) for b in text[1:-1].split(", "))
+    return (low if text[0] == "[" else math.nextafter(low, math.inf),
+            high if text[-1] == "]" else math.nextafter(high, -math.inf))
+
+
+_RANGES = {name: _bounds(text) for name, text in _INTERVALS.items()}
+
+
+def _real(name: str, value: object) -> float:
+    """``value`` as a float; a ValueError naming ``name`` if it is not a real
+    number.  ``numbers.Real`` admits ints, fractions and numpy's scalars
+    without importing numpy; bool is refused, as no count or rate is True."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def checked_float(name: str, value: object) -> float:
+    """``value`` as a float; a ValueError naming ``name`` if it is not a real
+    number inside ``name``'s interval (NaN never is).  A float comes back as
+    the same object."""
+    x = value if type(value) is float else _real(name, value)
+    low, high = _RANGES[name]
+    if low <= x <= high:
+        return x
+    raise ValueError(f"{name} must be in {_INTERVALS[name]}, got {value!r}")
+
+
+def _three_floats(name: str, values: object) -> tuple[float, float, float]:
+    """``values`` as a tuple of three floats (the same tuple if it is one)."""
+    try:
+        a, b, c = values
+    except (TypeError, ValueError):  # not iterable, or not three items
+        raise ValueError(f"{name} must hold three values, got {values!r}") from None
+    if type(values) is tuple and type(a) is float and type(b) is float and type(c) is float:
+        return values
+    return _real(f"{name}[0]", a), _real(f"{name}[1]", b), _real(f"{name}[2]", c)
+
 
 @dataclass(frozen=True)
 class ExperimentParams:
-    """Hardware/channel constants for one link configuration."""
+    """Hardware/channel constants for one link configuration, stored as floats."""
 
     dark_count: float            # per detector per time window
     detector_eff: float
@@ -53,37 +111,29 @@ class ExperimentParams:
     distance_km: float = 0.0     # total Alice-Bob separation
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.dark_count <= 1.0:
-            raise ValueError(f"dark_count must be in [0, 1], got {self.dark_count!r}")
-        if not 0.0 <= self.detector_eff <= 1.0:
-            raise ValueError(f"detector_eff must be in [0, 1], got {self.detector_eff!r}")
-        if not 1.0 <= self.error_correction_f < math.inf:
-            raise ValueError(
-                f"error_correction_f must be in [1, inf), got {self.error_correction_f!r}"
-            )
-        if not 0.0 <= self.misalignment <= 1.0:
-            raise ValueError(f"misalignment must be in [0, 1], got {self.misalignment!r}")
-        if not 0.0 < self.fiber_loss_db_km < math.inf:
-            raise ValueError(f"fiber_loss_db_km must be in (0, inf), got {self.fiber_loss_db_km!r}")
-        if not 1 <= self.total_pulses < math.inf:
-            raise ValueError(f"total_pulses must be in [1, inf), got {self.total_pulses!r}")
-        if not 0.0 < self.failure_prob < 1.0:
-            raise ValueError(f"failure_prob must be in (0, 1), got {self.failure_prob!r}")
-        if not 0.0 <= self.distance_km < math.inf:
-            raise ValueError(f"distance_km must be in [0, inf), got {self.distance_km!r}")
+        # set one by one, never through vars(self): a record whose __dict__ was
+        # read loses CPython's fast attribute reads, which every evaluation uses
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            checked = checked_float(name, value)
+            if checked is not value:
+                object.__setattr__(self, name, checked)
 
     def at_distance(self, distance_km: float) -> "ExperimentParams":
-        # built directly, not by dataclasses.replace, which introspects the
-        # fields on every call; __post_init__ still validates the distance
-        return type(self)(
-            self.dark_count, self.detector_eff, self.error_correction_f, self.misalignment,
-            self.fiber_loss_db_km, self.total_pulses, self.failure_prob, distance_km,
-        )
+        # a point grid moves each preset to hundreds of distances: the other
+        # fields were checked when this record was built, so they are copied,
+        # skipping __init__'s checks and dataclasses.replace's introspection
+        moved = object.__new__(type(self))
+        set_field = object.__setattr__
+        for name in self.__dataclass_fields__:
+            set_field(moved, name, getattr(self, name))
+        set_field(moved, "distance_km", checked_float("distance_km", distance_km))
+        return moved
 
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Tunable source and protocol choices."""
+    """Tunable source and protocol choices, stored as floats and float triples."""
 
     p_z: float                 # probability of committing to a signal window
     p_send: float              # sending probability inside a signal window
@@ -93,33 +143,21 @@ class ProtocolParams:
     delta: float = 2.0 * math.pi / 16.0   # phase-slice width, radians
 
     def __post_init__(self) -> None:
-        # every search point builds one, so each field is read once
-        p_z, mu_z, delta, probs = self.p_z, self.mu_z, self.delta, self.decoy_probs
-        if not 0.0 < p_z <= 1.0:
-            raise ValueError(f"p_z must be in (0, 1], got {p_z!r}")
-        if not 0.0 <= self.p_send <= 1.0:
-            raise ValueError(f"p_send must be in [0, 1], got {self.p_send!r}")
-        if not 0.0 < mu_z < math.inf:
-            raise ValueError(f"mu_z must be in (0, inf), got {mu_z!r}")
-        intensities = self.decoy_intensities
-        if len(intensities) != 3:
-            raise ValueError(f"decoy_intensities must hold three values, got {intensities!r}")
-        nu0, nu1, nu2 = intensities
-        if nu0 != 0.0:
-            raise ValueError("decoy_intensities must start with the vacuum intensity 0")
-        if not 0.0 < nu1 < nu2 < math.inf:
-            raise ValueError(
-                f"decoy intensities must satisfy 0 < mu1 < mu2 < inf, got {nu1!r}, {nu2!r}"
-            )
-        if not 0.0 < delta <= 2.0 * math.pi:
-            raise ValueError(f"delta must be in (0, 2*pi], got {delta!r}")
-        if probs is None:
-            # split the decoy-window probability evenly across the three sources
-            share = (1.0 - p_z) / 3.0
-            probs = (share, share, share)
+        # in the order that decides which of two faults is reported
+        for name in ("p_z", "p_send", "mu_z", "decoy_intensities", "delta"):
+            value = getattr(self, name)
+            checked = (_decoy_intensities(value) if name == "decoy_intensities"
+                       else checked_float(name, value))
+            if checked is not value:
+                object.__setattr__(self, name, checked)
+        p_z, given = self.p_z, self.decoy_probs
+        if given is None:
+            # an even split of 1 - p_z: non-negative, and sums to 1 to rounding
+            object.__setattr__(self, "decoy_probs", ((1.0 - p_z) / 3.0,) * 3)
+            return
+        probs = _three_floats("decoy_probs", given)
+        if probs is not given:
             object.__setattr__(self, "decoy_probs", probs)
-        elif len(probs) != 3:
-            raise ValueError(f"decoy_probs must hold three values, got {probs!r}")
         total = p_z + sum(probs)
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"p_z plus decoy probabilities must sum to 1, got {total!r}")
@@ -134,6 +172,18 @@ class ProtocolParams:
     @property
     def mu2(self) -> float:
         return self.decoy_intensities[2]
+
+
+def _decoy_intensities(values: object) -> tuple[float, float, float]:
+    """The decoy intensities as three floats: vacuum, then 0 < mu1 < mu2 < inf."""
+    nu0, nu1, nu2 = intensities = _three_floats("decoy_intensities", values)
+    if nu0 != 0.0:
+        raise ValueError("decoy_intensities must start with the vacuum intensity 0")
+    if not 0.0 < nu1 < nu2 < math.inf:
+        raise ValueError(
+            f"decoy intensities must satisfy 0 < mu1 < mu2 < inf, got {nu1!r}, {nu2!r}"
+        )
+    return intensities
 
 
 @dataclass(slots=True)
@@ -178,9 +228,11 @@ def effective_rate_phase_averaged(
     Closed form 2(1-d) e^{-S/2} I0(kappa) - 2(1-d)^2 e^{-S} with
     S = eta*(mu_a+mu_b) and kappa = eta*sqrt(mu_a*mu_b)*V.
     """
-    if mu_a < 0.0 or mu_b < 0.0:
-        raise ValueError("intensities must be non-negative")
-    if not 0.0 <= eta_arm <= 1.0:  # also refuses NaN
+    # inline, not through checked_float: every evaluation computes two to
+    # four of these rates, and a call would cost about 2 % of an asymptotic one
+    if not (0.0 <= mu_a < math.inf and 0.0 <= mu_b < math.inf):  # also refuses NaN
+        raise ValueError(f"intensities must be in [0, inf), got mu_a={mu_a!r}, mu_b={mu_b!r}")
+    if not 0.0 <= eta_arm <= 1.0:
         raise ValueError(f"eta_arm must be in [0, 1], got {eta_arm!r}")
     s = eta_arm * (mu_a + mu_b)
     vis, _ = _visibility(exp, convention)
@@ -209,12 +261,9 @@ def x_window_rates(
     probability is formed with expm1, so a rate far below one keeps its
     relative precision instead of being a difference of numbers near one.
     """
-    if not 0.0 <= mu_k < math.inf:  # an infinite intensity makes the integrand NaN
-        raise ValueError(f"mu_k must be in [0, inf), got {mu_k!r}")
-    if not 0.0 < delta <= 2.0 * math.pi:
-        raise ValueError(f"delta must be in (0, 2*pi], got {delta!r}")
-    if not 0.0 <= eta_arm <= 1.0:  # also refuses NaN
-        raise ValueError(f"eta_arm must be in [0, 1], got {eta_arm!r}")
+    mu_k = checked_float("mu_k", mu_k)
+    delta = checked_float("delta", delta)
+    eta_arm = checked_float("eta_arm", eta_arm)
     vis, mix = _visibility(exp, convention)
     return _x_window_integral(mu_k, delta, exp.dark_count, vis, mix, eta_arm)
 
@@ -222,17 +271,17 @@ def x_window_rates(
 # A search holds mu1 on its bound, and a slice-width refinement holds delta,
 # so most finite evaluations ask again for the previous one's t_x: one entry
 # answers them, and every other call still reaches ``simpson``.  The key is
-# every float the integral reads, so a hit returns the bits a fresh call
-# would.  Floats equal under == differ only as 0.0 and -0.0, which reach the
-# result only when d = 0 and eta_arm * mu_k = 0; then every integrand value
-# is a signed zero, the weighted sum (started at +0.0) is +0.0, and t_x is
-# -0.0 for either sign.  ``typed`` keeps a numpy scalar or an int out of a
-# float's entry: a float32 intensity equal to a float gives another t_x.
-@functools.lru_cache(maxsize=1, typed=True)
+# every number the integral reads, all floats (``x_window_rates`` converts
+# its arguments, ExperimentParams its fields), so a hit returns the bits a
+# fresh call would.  Floats equal under == differ only as 0.0 and -0.0, which
+# reach the result only when d = 0 and eta_arm * mu_k = 0; then every
+# integrand value is a signed zero, the weighted sum (started at +0.0) is
+# +0.0, and t_x is -0.0 for either sign.
+@functools.lru_cache(maxsize=1)
 def _x_window_integral(
     mu_k: float, delta: float, dark_count: float, vis: float, mix: float, eta_arm: float
 ) -> float:
-    """t_x of ``x_window_rates`` from checked arguments, the convention's
+    """t_x of ``x_window_rates`` from checked floats, the convention's
     visibility and mixing weight in place of the convention."""
     # imported here: only the finite variant integrates, so the asymptotic
     # ones never load numpy
@@ -264,8 +313,7 @@ def single_photon_quantities(exp: ExperimentParams, eta_arm: float) -> tuple[flo
     must stay dark; a lost photon leaves dark counts only, which carry no
     phase information.
     """
-    if not 0.0 <= eta_arm <= 1.0:  # also refuses NaN
-        raise ValueError(f"eta_arm must be in [0, 1], got {eta_arm!r}")
+    eta_arm = checked_float("eta_arm", eta_arm)
     d = exp.dark_count
     y1 = eta_arm * (1.0 - d) + (1.0 - eta_arm) * 2.0 * d * (1.0 - d)
     if y1 == 0.0:

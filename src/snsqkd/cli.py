@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .channel import CONVENTIONS, ExperimentParams, ProtocolParams
+from .channel import CONVENTIONS, ExperimentParams, ProtocolParams, checked_float
 from .decoy import BoundViolationError, UntaggedStats
 from .optimizer import OptimizationSpec, _make_proto, optimize
 from .pipeline import MODES, VARIANTS, PointResult, evaluate, mode_for_variant
@@ -281,9 +281,13 @@ def plob_rate(fiber_loss_db_km: float, distance_km: float, eta_detector: float =
     """Repeaterless secret-key capacity -log2(1 - eta) of the lossy channel.
 
     eta_detector=1 gives the absolute limit; a detector efficiency below one
-    gives the relative limit.  Returns inf at zero total loss.
+    gives the relative limit.  Returns inf at zero total loss.  Each argument
+    must lie in the interval of its ExperimentParams field.
     """
-    eta = eta_detector * 10.0 ** (-fiber_loss_db_km * distance_km / 10.0)
+    eta = checked_float("detector_eff", eta_detector) * 10.0 ** (
+        -checked_float("fiber_loss_db_km", fiber_loss_db_km)
+        * checked_float("distance_km", distance_km) / 10.0
+    )
     if eta >= 1.0:  # log1p(-1) raises
         return math.inf
     # log1p keeps the full precision of a small eta, where log2(1 - eta) cancels

@@ -12,71 +12,18 @@ from .channel import ExperimentParams
 
 __all__ = ["PRESETS", "preset"]
 
-PRESETS: dict[str, ExperimentParams] = {
-    "rowA": ExperimentParams(
-        dark_count=1e-8,
-        detector_eff=0.30,
-        error_correction_f=1.10,
-        misalignment=0.03,
-        fiber_loss_db_km=0.2,
-        total_pulses=1e11,
-        failure_prob=1e-10,
-    ),
-    "rowB": ExperimentParams(
-        dark_count=1e-8,
-        detector_eff=0.30,
-        error_correction_f=1.10,
-        misalignment=0.03,
-        fiber_loss_db_km=0.2,
-        total_pulses=1e12,
-        failure_prob=1e-10,
-    ),
-    "rowC": ExperimentParams(
-        dark_count=1e-8,
-        detector_eff=0.50,
-        error_correction_f=1.15,
-        misalignment=0.05,
-        fiber_loss_db_km=0.2,
-        total_pulses=1e12,
-        failure_prob=1e-10,
-    ),
-    "rowD": ExperimentParams(
-        dark_count=8e-8,
-        detector_eff=0.30,
-        error_correction_f=1.15,
-        misalignment=0.05,
-        fiber_loss_db_km=0.2,
-        total_pulses=1e12,
-        failure_prob=1e-10,
-    ),
-    "rowE": ExperimentParams(
-        dark_count=8e-8,
-        detector_eff=0.30,
-        error_correction_f=1.15,
-        misalignment=0.10,
-        fiber_loss_db_km=0.2,
-        total_pulses=1e12,
-        failure_prob=1e-10,
-    ),
-    "rowF": ExperimentParams(
-        dark_count=8e-8,
-        detector_eff=0.30,
-        error_correction_f=1.15,
-        misalignment=0.15,
-        fiber_loss_db_km=0.2,
-        total_pulses=1e12,
-        failure_prob=1e-10,
-    ),
-    "table2": ExperimentParams(
-        dark_count=1.26e-8,
-        detector_eff=0.29,
-        error_correction_f=1.10,
-        misalignment=0.098,
-        fiber_loss_db_km=0.162,
-        total_pulses=2.0e13,
-        failure_prob=1.71e-10,
-    ),
-}
+# one row per preset, the columns in ExperimentParams' field order:
+# dark count, detector efficiency, error-correction inefficiency,
+# misalignment, fiber loss (dB/km), pulses, failure probability
+PRESETS: dict[str, ExperimentParams] = {name: ExperimentParams(*row) for name, row in {
+    "rowA": (1e-8, 0.30, 1.10, 0.03, 0.2, 1e11, 1e-10),
+    "rowB": (1e-8, 0.30, 1.10, 0.03, 0.2, 1e12, 1e-10),
+    "rowC": (1e-8, 0.50, 1.15, 0.05, 0.2, 1e12, 1e-10),
+    "rowD": (8e-8, 0.30, 1.15, 0.05, 0.2, 1e12, 1e-10),
+    "rowE": (8e-8, 0.30, 1.15, 0.10, 0.2, 1e12, 1e-10),
+    "rowF": (8e-8, 0.30, 1.15, 0.15, 0.2, 1e12, 1e-10),
+    "table2": (1.26e-8, 0.29, 1.10, 0.098, 0.162, 2.0e13, 1.71e-10),
+}.items()}
 
 
 def preset(name: str, distance_km: float = 0.0) -> ExperimentParams:

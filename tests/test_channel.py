@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snsqkd.channel
-from snsqkd import PRESETS, evaluate, preset
+from snsqkd import PRESETS, VARIANTS, OptimizationSpec, evaluate, optimize, preset
 from snsqkd.channel import (
     CONVENTIONS,
     ExperimentParams,
@@ -105,8 +105,8 @@ class TestParams:
         assert make_exp().at_distance(10.0).distance_km == 10.0
 
     def test_at_distance_carries_every_other_field(self):
-        # at_distance lists the fields itself: a new field, even one with a
-        # default, must be added there and here
+        # at_distance copies the checked fields and checks only the distance:
+        # a new field, even one with a default, must be listed here
         fields = dataclasses.fields(ExperimentParams)
         assert [f.name for f in fields] == list(EXPERIMENT_FIELDS)
         exp = make_exp()
@@ -118,13 +118,15 @@ class TestParams:
         with pytest.raises(ValueError, match="distance_km"):
             exp.at_distance(-1.0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    # the last four are not real numbers: bool passed every range as 0 or 1,
+    # and the others failed a comparison with a TypeError that named no field
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "0.5", 1j, None])
     @pytest.mark.parametrize("name", EXPERIMENT_FIELDS)
     def test_experiment_refuses_non_finite(self, name, value):
         with pytest.raises(ValueError, match=name):
             make_exp(**{name: value})
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "0.5", 1j, None])
     @pytest.mark.parametrize("slot", PROTOCOL_SLOTS, ids=str)
     def test_protocol_refuses_non_finite(self, slot, value):
         name, index = slot
@@ -136,8 +138,55 @@ class TestParams:
             items = list(kwargs[name])
             items[index] = value
             kwargs[name] = tuple(items)
-        with pytest.raises(ValueError):
+        # a non-finite decoy value fails the intensity order or the probability
+        # sum, whose messages name no field
+        with pytest.raises(ValueError, match=None if isinstance(value, float) else name):
             ProtocolParams(**kwargs)
+
+
+# Each field's values, the ints among them admitted as they are; every value
+# is also given as a float, an np.float64 and an np.float32.
+TYPED_EXPERIMENT = dict(
+    dark_count=(1e-8, 0), detector_eff=(0.3, 1), error_correction_f=(1.1, 1),
+    misalignment=(0.05, 0), fiber_loss_db_km=(0.2, 0.16), total_pulses=(1e11, 10**11),
+    failure_prob=(1e-10,), distance_km=(100.0, 50),
+)
+TYPED_PROTOCOL = dict(p_z=(0.9, 0.95), p_send=(0.1, 0.25), mu_z=(0.4, 1), nu0=(0,),
+                      mu1=(0.02, 0.05), mu2=(0.1,), delta=(0.4, 1))
+
+
+def typed_values(pool):
+    """One value of each field, each in one of the four number types."""
+    return st.fixed_dictionaries({
+        name: st.sampled_from(values).flatmap(lambda v: st.sampled_from(
+            (v, float(v), np.float64(v), np.float32(v))))
+        for name, values in pool.items()
+    })
+
+
+def float_fields(record):
+    """True when every field of the record is a float or a tuple of floats."""
+    values = [getattr(record, f.name) for f in dataclasses.fields(record)]
+    flat = [x for v in values for x in (v if isinstance(v, tuple) else (v,))]
+    return all(type(x) is float for x in flat)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(typed_values(TYPED_EXPERIMENT), typed_values(TYPED_PROTOCOL))
+def test_results_are_built_in_floats_whatever_number_types_the_fields_are(exp_values, values):
+    # a numpy p_send made evaluate return numpy.float64 key lengths
+    exp = ExperimentParams(**exp_values)
+    proto = ProtocolParams(p_z=values["p_z"], p_send=values["p_send"], mu_z=values["mu_z"],
+                           decoy_intensities=(values["nu0"], values["mu1"], values["mu2"]),
+                           delta=values["delta"])
+    assert float_fields(exp) and float_fields(proto)
+    for variant in VARIANTS:
+        key = evaluate(exp, proto, variant).key
+        assert type(key.key_length) is float and type(key.rate) is float, variant
+    # a start replaces the search grid, so its fields reach the search itself
+    result = optimize(OptimizationSpec("aopp", budget=200), exp, start=proto)
+    assert type(result.key_length) is float and type(result.rate) is float
+    assert float_fields(result.params)
 
 
 class TestArmTransmittance:
@@ -201,6 +250,13 @@ class TestPhaseAveragedRate:
         q_nn = effective_rate_phase_averaged(0.0, 0.0, exp, eta)
         for mu in (0.01, 0.1, 0.5, 1.0):
             assert effective_rate_phase_averaged(mu, 0.0, exp, eta) > q_nn
+
+    @pytest.mark.parametrize("mu_a, mu_b", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                                            (0.4, math.inf), (-0.1, 0.4)])
+    def test_refuses_negative_or_non_finite_intensity(self, mu_a, mu_b):
+        # NaN and inf used to reach bessel_i0, which refused "x >= 0, got nan"
+        with pytest.raises(ValueError, match=r"intensities must be in \[0, inf\)"):
+            effective_rate_phase_averaged(mu_a, mu_b, make_exp(), 0.03)
 
 
 def x_window_oracle(mu, delta, exp, eta, convention):
@@ -573,7 +629,8 @@ def test_signed_zeros_share_a_decoy_memo_entry(convention):
 
 
 def test_decoy_memo_keeps_argument_types_apart():
-    # np.float32(0.5) == 0.5, but the float32 intensity makes its own t_x
+    # x_window_rates converts np.float32(0.5) to the float 0.5 before the memo
+    # sees it, so the float call that follows gets the bits of a cold call
     exp = preset("rowC", 100.0)
     eta = arm_transmittance(exp)
     clear_memos()

@@ -35,6 +35,19 @@ class TestPlob:
     def test_direct_value(self):
         assert plob_rate(0.2, 100.0, 1.0) == pytest.approx(-math.log2(1.0 - 0.01), rel=1e-12)
 
+    @pytest.mark.parametrize("args, field", [
+        ((0.2, math.nan), "distance_km"),          # returned nan
+        ((-0.2, 100.0), "fiber_loss_db_km"),       # returned inf, printed "unbounded"
+        ((0.0, 100.0), "fiber_loss_db_km"),
+        ((0.2, -1.0), "distance_km"),
+        ((0.2, 100.0, 1.5), "detector_eff"),
+        ((0.2, 100.0, math.nan), "detector_eff"),
+        ((0.2, "100"), "distance_km"),
+    ])
+    def test_refuses_what_experiment_params_refuses(self, args, field):
+        with pytest.raises(ValueError, match=field):
+            plob_rate(*args)
+
     def test_cli_absolute(self, capsys):
         assert main(["plob", "--preset", "rowA", "--distance", "100"]) == 0
         out = capsys.readouterr().out
