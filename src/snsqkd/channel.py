@@ -68,11 +68,15 @@ _RANGES = {name: _bounds(text) for name, text in _INTERVALS.items()}
 
 def _real(name: str, value: object) -> float:
     """``value`` as a float; a ValueError naming ``name`` if it is not a real
-    number.  ``numbers.Real`` admits ints, fractions and numpy's scalars
-    without importing numpy; bool is refused, as no count or rate is True."""
+    number or lies beyond the float range.  ``numbers.Real`` admits ints,
+    fractions and numpy's scalars without importing numpy; bool is refused,
+    as no count or rate is True."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int or a fraction; its repr may be too long to print
+        raise ValueError(f"{name} is a real number beyond the float range") from None
 
 
 def checked_float(name: str, value: object) -> float:
@@ -139,31 +143,16 @@ class ProtocolParams:
     p_send: float              # sending probability inside a signal window
     mu_z: float                # signal intensity
     decoy_intensities: tuple[float, float, float] = (0.0, 0.05, 0.1)
-    decoy_probs: tuple[float, float, float] | None = None
     delta: float = 2.0 * math.pi / 16.0   # phase-slice width, radians
 
     def __post_init__(self) -> None:
-        # in the order that decides which of two faults is reported
-        for name in ("p_z", "p_send", "mu_z", "decoy_intensities", "delta"):
+        # the field order decides which of two faults is reported
+        for name in self.__dataclass_fields__:
             value = getattr(self, name)
             checked = (_decoy_intensities(value) if name == "decoy_intensities"
                        else checked_float(name, value))
             if checked is not value:
                 object.__setattr__(self, name, checked)
-        p_z, given = self.p_z, self.decoy_probs
-        if given is None:
-            # an even split of 1 - p_z: non-negative, and sums to 1 to rounding
-            object.__setattr__(self, "decoy_probs", ((1.0 - p_z) / 3.0,) * 3)
-            return
-        probs = _three_floats("decoy_probs", given)
-        if probs is not given:
-            object.__setattr__(self, "decoy_probs", probs)
-        total = p_z + sum(probs)
-        if not abs(total - 1.0) <= 1e-9:
-            raise ValueError(f"p_z plus decoy probabilities must sum to 1, got {total!r}")
-        # a NaN probability already failed the sum
-        if not min(probs) >= 0.0:
-            raise ValueError(f"decoy_probs must be non-negative, got {probs!r}")
 
     @property
     def mu1(self) -> float:

@@ -328,6 +328,9 @@ START_UP = {
     "optimize": ["optimize", "--preset", "rowC", "--variant", "aopp", "--distance", "100"],
     # no p_send or mu_z in the config: each distance is optimized
     "scan": ["scan", "--preset", "rowC", "--variant", "aopp", "--range", "100:150:50"],
+    # its flags read the binomial tail of every statistic
+    "mc-verify": ["mc-verify", "--preset", "rowC", "--distance", "100", "--variant", "bfer",
+                  "--bits", "100000"],
 }
 
 
@@ -335,7 +338,7 @@ START_UP = {
 @pytest.mark.parametrize("command", ["import"] + list(START_UP))
 def test_commands_that_never_optimize_load_no_scipy(command, tmp_path):
     # scipy.special and scipy.optimize took most of the start-up of every
-    # command; only mc-verify loads scipy.special, at its first tail test
+    # command; scipy is no longer a runtime dependency, and no command loads it
     cfg = write_config(tmp_path, "preset = rowC\np_send = 0.1\nmu_z = 0.4\n")
     argv = [cfg if arg == "FIXED" else arg for arg in START_UP.get(command, [])]
     run = f"assert cli.main({argv!r}) == 0" if argv else ""

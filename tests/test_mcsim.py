@@ -3,6 +3,7 @@ import hashlib
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -218,9 +219,79 @@ class TestRunAopp:
             ("aopp_pairs", "aopp_both_c", "aopp_vd", "aopp_kept", "aopp_untagged"), 0)
 
 
+def exact_tail(value, trials, prob):
+    """The binomial tail that ``mcsim._tail`` computes, summed term by term:
+    the term at ``value`` in mpmath at 40 digits, times the sum of the later
+    terms' ratios to it, each a float product of term-to-term ratios (the
+    longest sum here has 12,000 terms and is within 4e-14 of an mpmath sum)."""
+    up = value > trials * prob
+    k = int(value)
+    with mpmath.workdps(40):
+        p = mpmath.mpf(prob)
+        q = 1 - p
+        lead = mpmath.binomial(trials, k) * p**k * q**(trials - k)
+        ratio_q = float(q)
+    ratios, term, j = 1.0, 1.0, k
+    while term > 1e-20 * ratios and (j < trials if up else j > 0):
+        if up:
+            term *= (trials - j) * prob / ((j + 1) * ratio_q)
+            j += 1
+        else:
+            term *= j * ratio_q / ((trials - j + 1) * prob)
+            j -= 1
+        ratios += term
+    return float(lead * ratios)
+
+
+# (trials, prob): from 2 to 1e7 trials, p near 0 and near 1, and expected
+# counts below one like the verify fixture's rare classes (0.23 pairs_vd and
+# 1e-5 pairs_vv in 500,000 pairs, 0.83 aopp_vd in 1M bits)
+TAIL_LAWS = [
+    (2, 0.5), (2, 1e-7), (10, 0.3), (1000, 1e-4), (1000, 1.0 - 1e-4), (100_000, 0.5),
+    (500_000, 0.23 / 500_000), (500_000, 1e-5 / 500_000), (1_000_000, 0.83 / 1_000_000),
+    (10**7, 0.3), (10**7, 1e-7), (10**7, 1.0 - 1e-7), (10**7, 3e-3),
+]
+# the z-scores sampled on each law, three of them around each of +-Z_LIMIT
+TAIL_Z = (-7.0, -5.2, -5.0, -4.8, -1.0, 0.5, 4.8, 5.0, 5.2, 7.0)
+# the limit on _tail's error relative to the exact tail: lgamma's cancellation
+# in the prefactor costs about 1e-7 at 1e7 trials
+TAIL_RTOL = 1e-6
+
+
+def tail_cases():
+    for trials, prob in TAIL_LAWS:
+        mean, sigma = trials * prob, math.sqrt(trials * prob * (1.0 - prob))
+        values = {min(max(round(mean + z * sigma), 0), trials) for z in TAIL_Z}
+        # every count of a rare class, or of a rare failure
+        few = range(min(trials, 8) + 1)
+        if mean < 10.0:
+            values.update(few)
+        if trials - mean < 10.0:
+            values.update(trials - v for v in few)
+        yield from ((float(v), trials, prob) for v in sorted(values) if v != mean)
+
+
+def test_tail_matches_the_exact_binomial_tail():
+    cases = list(tail_cases())
+    flagged = []
+    for value, trials, prob in cases:
+        got, want = mcsim._tail(value, trials, prob), exact_tail(value, trials, prob)
+        assert got == pytest.approx(want, rel=TAIL_RTOL, abs=0.0), (value, trials, prob)
+        assert (got < mcsim.TAIL_LIMIT) == (want < mcsim.TAIL_LIMIT), (value, trials, prob)
+        flagged.append(want < mcsim.TAIL_LIMIT)
+    # the grid tests decisions on both sides of the limit
+    assert 20 < sum(flagged) < len(cases) - 20
+
+
+def test_tail_fraction_stops_at_its_term_cap(monkeypatch):
+    monkeypatch.setattr(mcsim, "_MAX_TERMS", 3)
+    with pytest.raises(ArithmeticError, match=r"a=3001000\.0, b=6999001\.0, x=0\.3$"):
+        mcsim._tail(3_001_000.0, 10**7, 0.3)
+
+
 class TestCompare:
     def test_tail_limit_is_the_normal_tail_at_z_limit(self):
-        # written as a literal so that importing mcsim loads no scipy
+        # written as a literal, as the package does not depend on scipy
         from scipy.special import ndtr
 
         assert mcsim.TAIL_LIMIT == float(ndtr(-mcsim.Z_LIMIT))
