@@ -16,6 +16,10 @@ by vectorized draws (``_aopp_pairs``).
 
 All randomness comes from a single seeded PCG64 stream per run so results
 are reproducible; the algorithm identifier is recorded in emitted reports.
+Every per-bit pass (the draws, the pool split, Bob's bits, the histogram)
+runs over fixed slices of ``_CHUNK`` positions and reads the stream in the
+same order as whole-string draws, so the slice size changes no output and a
+run holds about 7 bytes per sampled bit at any string length.
 """
 
 from __future__ import annotations
@@ -56,6 +60,11 @@ TAIL_LIMIT = 2.866515718791933e-07
 # The continued fraction of _betainc takes about 900 terms at 1e7 trials and
 # 8,000 at 1e10 (its count grows about as trials**0.3); past the cap it raises.
 _MAX_TERMS = 10_000
+# Every per-bit pass runs over slices of at most this many positions, so its
+# float draws and the intp copies numpy makes of int8 inputs stay this size at
+# any string length.  The stream is read in the same order as by whole-string
+# draws, so the chunk size changes no draw and no tally.
+_CHUNK = 1 << 16
 
 # Label codes and the bit a label implies on each side.  One-sender events
 # agree on the bit; both-send (D) and neither-send (V) events are the
@@ -89,16 +98,32 @@ class LabeledString:
 
     @property
     def alice_bits(self) -> np.ndarray:
-        return np.take(ALICE_BITS, self.labels)
+        return _lookup(ALICE_BITS, self.labels)
 
     @property
     def bob_bits(self) -> np.ndarray:
-        return np.take(BOB_BITS, self.labels)
+        return _lookup(BOB_BITS, self.labels)
 
     @cached_property
     def states(self) -> np.ndarray:
         """Per-position state code, label * 2 + untagged flag, as int8."""
-        return (self.labels * 2 + self.untagged).astype(np.int8, copy=False)
+        states = self.labels.astype(np.int8)
+        states <<= 1
+        states |= self.untagged
+        return states
+
+
+def _slices(n: int) -> list[slice]:
+    """Consecutive slices of at most _CHUNK positions that cover range(n)."""
+    return [slice(start, min(start + _CHUNK, n)) for start in range(0, n, _CHUNK)]
+
+
+def _lookup(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``table[codes]``, taken one chunk at a time."""
+    out = np.empty(codes.size, dtype=table.dtype)
+    for part in _slices(codes.size):
+        out[part] = np.take(table, codes[part])
+    return out
 
 
 def sample_string(
@@ -114,23 +139,33 @@ def sample_string(
     if n_bits < 2:
         raise ValueError("need at least two positions to sample")
     probs = np.array([counts.n_c0, counts.n_c1, counts.n_d, counts.n_v]) / counts.n_t
-    rng = np.random.default_rng(seed)
-    # a label is the count of cumulative edges at or below its draw; the
-    # last edge is 1 (up to rounding) and lies above every draw
-    r = rng.random(n_bits)
-    labels = np.zeros(n_bits, dtype=np.int8)
-    for edge in np.cumsum(probs)[:-1]:
-        labels += r >= edge
-    u = rng.random(n_bits)
+    edges = np.cumsum(probs)[:-1]
     rate_c0 = untagged.n1_0 / counts.n_c0 if counts.n_c0 > 0.0 else 0.0
     rate_c1 = untagged.n1_1 / counts.n_c1 if counts.n_c1 > 0.0 else 0.0
-    flags = ((labels == C0) & (u < rate_c0)) | ((labels == C1) & (u < rate_c1))
+    rng = np.random.default_rng(seed)
+    # every label draw comes before every flag draw, the order of whole-string draws
+    labels = np.zeros(n_bits, dtype=np.int8)
+    for part in _slices(n_bits):
+        r = rng.random(part.stop - part.start)
+        chunk = labels[part]
+        # a label is the count of cumulative edges at or below its draw; the
+        # last edge is 1 (up to rounding) and lies above every draw
+        for edge in edges:
+            chunk += r >= edge
+    flags = np.empty(n_bits, dtype=bool)
+    for part in _slices(n_bits):
+        u = rng.random(part.stop - part.start)
+        chunk = labels[part]
+        flags[part] = ((chunk == C0) & (u < rate_c0)) | ((chunk == C1) & (u < rate_c1))
     return LabeledString(labels=labels, untagged=flags)
 
 
 def _pair_histogram(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Count of each of the 64 pair classes over paired state codes."""
-    return np.bincount((first << 3) | second, minlength=64)
+    hist = np.zeros(64, dtype=np.int64)
+    for part in _slices(first.size):
+        hist += np.bincount((first[part] << 3) | second[part], minlength=64)
+    return hist
 
 
 def _tally(hist: np.ndarray, masks: Mapping[str, np.ndarray]) -> dict[str, int]:
@@ -195,19 +230,33 @@ def _aopp_pairs(
     Returns the ``tags`` (by default the positions) of each pair's first and
     second bit.
     """
-    if tags is None:
-        tags = np.arange(bob.size)
-    zeros = np.compress(bob == 0, tags)
-    ones = np.compress(bob == 1, tags)
+    n = bob.size
+    n_ones = int(np.count_nonzero(bob))
+    dtype = np.intp if tags is None else tags.dtype
+    zeros = np.empty(n - n_ones, dtype=dtype)
+    ones = np.empty(n_ones, dtype=dtype)
+    n0 = n1 = 0  # filled so far
+    for part in _slices(n):
+        chunk_tags = np.arange(part.start, part.stop) if tags is None else tags[part]
+        is_one = bob[part] != 0
+        k1 = int(np.count_nonzero(is_one))
+        k0 = chunk_tags.size - k1
+        np.compress(~is_one, chunk_tags, out=zeros[n0 : n0 + k0])
+        np.compress(is_one, chunk_tags, out=ones[n1 : n1 + k1])
+        n0 += k0
+        n1 += k1
     n_pairs = min(zeros.size, ones.size)
-    # before step k the pools hold M0 - k zeros among M0 + M1 - 2k bits; the
-    # counts are exact as floats
-    zeros_left = np.arange(zeros.size, zeros.size - n_pairs, -1.0)
-    draw = rng.random(n_pairs)
-    draw *= np.arange(bob.size, bob.size - 2 * n_pairs, -2.0)
-    zero_first = draw < zeros_left
-    zeros = rng.permutation(zeros)[:n_pairs]
-    ones = rng.permutation(ones)[:n_pairs]
+    zero_first = np.empty(n_pairs, dtype=bool)
+    for part in _slices(n_pairs):
+        # before step k the pools hold M0 - k zeros among M0 + M1 - 2k bits;
+        # the counts are exact as floats
+        draw = rng.random(part.stop - part.start)
+        draw *= np.arange(n - 2.0 * part.start, n - 2.0 * part.stop, -2.0)
+        zero_first[part] = draw < np.arange(zeros.size - part.start, zeros.size - part.stop, -1.0)
+    # shuffling a pool in place takes the same draws as permuting a copy
+    rng.shuffle(zeros)
+    rng.shuffle(ones)
+    zeros, ones = zeros[:n_pairs], ones[:n_pairs]
     return np.where(zero_first, zeros, ones), np.where(zero_first, ones, zeros)
 
 

@@ -26,7 +26,7 @@ import numbers
 from dataclasses import dataclass
 from typing import Callable
 
-from .channel import CONVENTIONS, ExperimentParams, ProtocolParams
+from .channel import CONVENTIONS, ExperimentParams, ProtocolParams, checked_float
 from .decoy import BoundViolationError
 from .pipeline import VARIANTS, evaluate, mode_for_variant
 from .postproc import KeyResult
@@ -109,13 +109,18 @@ class OptimizationSpec:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"unknown convention {self.convention!r}; choose from {CONVENTIONS}")
-        if self.delta_values is not None and not (
-            self.delta_values and all(0.0 < d <= 2.0 * math.pi for d in self.delta_values)
-        ):
-            raise ValueError(
-                "delta_values must be a non-empty set of widths in (0, 2*pi], "
-                f"got {self.delta_values!r}"
-            )
+        if self.delta_values is not None:
+            # each width is checked as the protocol's delta is, and stored as a float
+            try:
+                deltas = tuple(checked_float("delta", d) for d in self.delta_values)
+            except (TypeError, ValueError):  # not iterable, or a width out of range
+                deltas = ()
+            if not deltas:
+                raise ValueError(
+                    "delta_values must be a non-empty set of widths in (0, 2*pi], "
+                    f"got {self.delta_values!r}"
+                )
+            object.__setattr__(self, "delta_values", deltas)
         # an empty grid leaves no cell to start from; a negative restart count
         # would slice the scored cells from the end; a fractional size fails
         # deep in range() or a slice

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -507,6 +508,43 @@ def test_tally_invariants(key):
         assert t[f"class{k}_errors"] <= t[f"class{k}_count"]
     assert t["bfer_untagged"] <= t["pairs_c0c0"] + t["pairs_c0c1"] + t["pairs_c1c0"] + t["pairs_c1c1"]
     assert t["aopp_kept"] == t["aopp_both_c"] + t["aopp_vd"]
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+@pytest.mark.parametrize("key", PINS, ids=PIN_IDS)
+def test_chunk_size_changes_no_draw(monkeypatch, key, chunk):
+    # chunked passes read the stream in whole-string order; 100,000 bits is
+    # a multiple of neither size, and the 1,001-bit string's 500 random and
+    # 444 active pairs are multiples of neither
+    monkeypatch.setattr(mcsim, "_CHUNK", chunk)
+    s, tally = _pinned_run(key)
+    checksum, pinned = PINS[key]
+    assert _checksum(s) == checksum
+    assert tally == pinned
+
+
+def test_oracle_memory_stays_a_few_bytes_per_bit():
+    # numpy reports its array data to tracemalloc, so these peaks repeat
+    # exactly; with whole-string passes they were 20.0, 6.5 and 12.8 MB (now
+    # 3.2, 2.6 and 3.8), most of it float64 draws and the intp copies numpy
+    # makes of int8 inputs; run_bfer's peak includes the 1 MB of cached states
+    counts, untagged = PIN_INSTANCES["unbalanced"]
+
+    def traced_peak(func, *args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = func(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    try:
+        s, sample_peak = traced_peak(mcsim.sample_string, counts, untagged, 1_000_000, 70)
+        _, bfer_peak = traced_peak(mcsim.run_bfer, s, 71)  # also caches the states
+        _, aopp_peak = traced_peak(mcsim.run_aopp, s, 72)
+    finally:
+        tracemalloc.stop()
+    peaks = {"sample_string": sample_peak, "run_bfer": bfer_peak, "run_aopp": aopp_peak}
+    assert all(peak < 6e6 for peak in peaks.values()), peaks
 
 
 @pytest.mark.parametrize("alice_bits, message", [

@@ -252,11 +252,18 @@ def test_default_asymptotic_search_keeps_the_larger_searchs_rates(name):
 
 
 @pytest.mark.parametrize("deltas", [(), (0.0,), (-0.1,), (2.0 * math.pi + 1e-9,), (math.nan,),
-                                    (0.4, 7.0)])
+                                    (0.4, 7.0), (True,), ("0.3",)])
 def test_spec_refuses_empty_or_out_of_range_slice_widths(deltas):
-    # an empty set used to end in an IndexError at the pivot slice width
-    with pytest.raises(ValueError, match="delta_values"):
+    # an empty set used to end in an IndexError at the pivot slice width; True
+    # was taken as a 1-radian slice and a string raised a bare TypeError
+    with pytest.raises(ValueError, match=r"delta_values must be a non-empty set of widths in \(0, 2\*pi\]"):
         OptimizationSpec(variant="aopp", delta_values=deltas)
+
+
+def test_spec_stores_slice_widths_as_floats():
+    spec = OptimizationSpec(variant="finite", delta_values=[np.float32(0.5), 1, 2.0 * math.pi])
+    assert spec.delta_values == (float(np.float32(0.5)), 1.0, 2.0 * math.pi)
+    assert all(type(d) is float for d in spec.delta_values)
 
 
 # rowD points whose refinements ran to their evaluation cap while an absolute
