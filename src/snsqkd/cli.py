@@ -175,6 +175,9 @@ _CHOICES = {"preset": tuple(PRESETS), "mode": MODES, "convention": CONVENTIONS}
 # numpy seeds are non-negative; sampling needs two bits, a pair-state grid
 # one point per axis
 _MINIMA = {"seed": 0, "bits": 2, "n_seeds": 1, "grid_points": 1}
+# the oracle's longest string, mcsim.MAX_BITS, written out so that importing
+# the CLI loads no numpy
+_MAXIMA = {"bits": 10**9 - 1}
 
 # the add_argument options of each key that is a flag of some command; the
 # flag is '--' plus the key with '-' for '_'
@@ -188,7 +191,7 @@ _FLAGS: dict[str, dict[str, str]] = {
     "range": {"help": "distance range lo:hi:step in km"},
     "convention": {"help": f"misalignment model, one of {CONVENTIONS}"},
     "vacuum_credit": {"action": "store_const", "const": "true"},
-    "bits": {"help": "sampled string length, at least 2"},
+    "bits": {"help": f"sampled string length, from 2 to {_MAXIMA['bits']}"},
     "n_seeds": {"help": "number of seeds to run, at least 1"},
     "inject_fault": {"action": "store_const", "const": "true"},
     "grid_points": {"help": "grid size per axis, at least 1"},
@@ -224,6 +227,8 @@ def _convert(key: str, text: str) -> object:
         raise ConfigError(f"field {key!r}: expected one of {_CHOICES[key]}, got {value!r}")
     if key in _MINIMA and value < _MINIMA[key]:
         raise ConfigError(f"field {key!r}: must be at least {_MINIMA[key]}, got {value}")
+    if key in _MAXIMA and value > _MAXIMA[key]:
+        raise ConfigError(f"field {key!r}: must be at most {_MAXIMA[key]}, got {value}")
     return value
 
 

@@ -11,15 +11,22 @@ instance as given: each probability is a class's share of the instance's own
 effective windows, so no instance is rescaled to the string length.
 ``compare`` reports each statistic with its z-score and flags it by its exact
 binomial tail, an incomplete beta function computed with ``math`` alone
-(``_betainc``).  The actively odd-parity pairing is sampled exactly in distribution
-by vectorized draws (``_aopp_pairs``).
+(``_betainc``).
+
+A pairing's tallies read the string only through the histogram, whose law
+depends only on the string's count of each of the 8 states (label and flag).
+So each pairing draws its histogram exactly from those counts
+(``_bfer_table``, ``_aopp_table``): multivariate hypergeometric draws of
+which states are paired and of a uniformly random matching between them,
+O(64) work at any string length.
 
 All randomness comes from a single seeded PCG64 stream per run so results
 are reproducible; the algorithm identifier is recorded in emitted reports.
-Every per-bit pass (the draws, the pool split, Bob's bits, the histogram)
-runs over fixed slices of ``_CHUNK`` positions and reads the stream in the
-same order as whole-string draws, so the slice size changes no output and a
-run holds about 7 bytes per sampled bit at any string length.
+Every per-bit pass (the draws, the state counts, the active pairing's order
+draws) runs over fixed slices of ``_CHUNK`` positions and reads the stream
+in the same order as whole-string draws, so the slice size changes no
+output and a run holds about 2 bytes per sampled bit, the labels and flags,
+at any string length up to ``MAX_BITS``.
 """
 
 from __future__ import annotations
@@ -60,11 +67,16 @@ TAIL_LIMIT = 2.866515718791933e-07
 # The continued fraction of _betainc takes about 900 terms at 1e7 trials and
 # 8,000 at 1e10 (its count grows about as trials**0.3); past the cap it raises.
 _MAX_TERMS = 10_000
-# Every per-bit pass runs over slices of at most this many positions, so its
-# float draws and the intp copies numpy makes of int8 inputs stay this size at
-# any string length.  The stream is read in the same order as by whole-string
-# draws, so the chunk size changes no draw and no tally.
+# Every per-bit pass (the label and flag draws, the state counts, the active
+# pairing's order draws) runs over slices of at most this many positions, so
+# its float draws and the intp copies numpy makes of int8 inputs stay this size
+# at any string length.  The stream is read in the same order as by
+# whole-string draws, so the chunk size changes no draw and no tally.
 _CHUNK = 1 << 16
+# The longest string the oracle takes: the "marginals" method of numpy's
+# multivariate_hypergeometric, which draws the pairings' class tables, needs
+# fewer than 1e9 items.
+MAX_BITS = 10**9 - 1
 
 # Label codes and the bit a label implies on each side.  One-sender events
 # agree on the bit; both-send (D) and neither-send (V) events are the
@@ -105,12 +117,14 @@ class LabeledString:
         return _lookup(BOB_BITS, self.labels)
 
     @cached_property
-    def states(self) -> np.ndarray:
-        """Per-position state code, label * 2 + untagged flag, as int8."""
-        states = self.labels.astype(np.int8)
-        states <<= 1
-        states |= self.untagged
-        return states
+    def state_counts(self) -> np.ndarray:
+        """Count of each state code, label * 2 + untagged flag (0..7)."""
+        counts = np.zeros(8, dtype=np.int64)
+        for part in _slices(self.n_t):
+            codes = self.labels[part] << 1
+            codes |= self.untagged[part]
+            counts += np.bincount(codes, minlength=8)
+        return counts
 
 
 def _slices(n: int) -> list[slice]:
@@ -126,6 +140,14 @@ def _lookup(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_length(n: int) -> None:
+    if n > MAX_BITS:
+        raise ValueError(
+            f"the oracle takes at most {MAX_BITS} positions (numpy's hypergeometric "
+            f"draws need fewer than 1e9), got {n}"
+        )
+
+
 def sample_string(
     counts: ZWindowCounts, untagged: UntaggedStats, n_bits: int, seed: int
 ) -> LabeledString:
@@ -138,6 +160,7 @@ def sample_string(
         raise ValueError("untagged counts exceed the one-sender event counts")
     if n_bits < 2:
         raise ValueError("need at least two positions to sample")
+    _check_length(n_bits)
     probs = np.array([counts.n_c0, counts.n_c1, counts.n_d, counts.n_v]) / counts.n_t
     edges = np.cumsum(probs)[:-1]
     rate_c0 = untagged.n1_0 / counts.n_c0 if counts.n_c0 > 0.0 else 0.0
@@ -160,12 +183,68 @@ def sample_string(
     return LabeledString(labels=labels, untagged=flags)
 
 
-def _pair_histogram(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Count of each of the 64 pair classes over paired state codes."""
-    hist = np.zeros(64, dtype=np.int64)
-    for part in _slices(first.size):
-        hist += np.bincount((first[part] << 3) | second[part], minlength=64)
-    return hist
+def _draw(rng: np.random.Generator, colors: np.ndarray, n: int) -> np.ndarray:
+    """Counts of each color among ``n`` items drawn without replacement."""
+    return rng.multivariate_hypergeometric(colors, n, method="marginals")
+
+
+def _matching(rng: np.random.Generator, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """State table (8 x 8) of a uniformly random one-to-one matching of items
+    with state counts ``rows`` to as many items with state counts ``cols``:
+    the items of each row state take a uniform draw of the columns left."""
+    table = np.zeros((8, 8), dtype=np.int64)
+    left = cols.copy()
+    for state in np.flatnonzero(rows):
+        table[state] = _draw(rng, left, rows[state])
+        left -= table[state]
+    return table
+
+
+def _bfer_table(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Pair-class histogram of the random pairing of a string with these
+    state counts: permute the string, pair positions 2k and 2k + 1, and leave
+    the last position unpaired when the length is odd.
+
+    The unpaired position is a uniform draw, the firsts a uniform draw of
+    half of the rest, and the seconds a uniform matching of what remains.
+    """
+    n = int(counts.sum())
+    paired = counts - _draw(rng, counts, 1) if n % 2 else counts
+    firsts = _draw(rng, paired, n // 2)
+    return _matching(rng, firsts, paired - firsts).ravel()
+
+
+def _aopp_table(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Pair-class histogram of the literal actively odd-parity pairing: draw
+    the first bit uniformly over both of Bob's pools, the second uniformly
+    over the opposite pool, until one pool empties.
+
+    Every pair takes one bit from each pool, so the pairs are a uniform
+    draw of min(M0, M1) bits from the larger pool matched uniformly to the
+    smaller one, and at step k the zero pool supplies the first bit with
+    probability (M0-k)/(M0+M1-2k), independently of which bits are paired;
+    the Z zero-first pairs are therefore a uniform draw from the pairs.
+    """
+    is_one = BOB_BITS[np.arange(8) >> 1] == 1
+    zeros = np.where(is_one, 0, counts)
+    ones = np.where(is_one, counts, 0)
+    n0, n1 = int(zeros.sum()), int(ones.sum())
+    n, n_pairs = n0 + n1, min(n0, n1)
+    n_zero_first = 0
+    for part in _slices(n_pairs):
+        # before step k the pools hold M0 - k zeros among M0 + M1 - 2k bits;
+        # the counts are exact as floats
+        draw = rng.random(part.stop - part.start)
+        draw *= np.arange(n - 2.0 * part.start, n - 2.0 * part.stop, -2.0)
+        n_zero_first += int(np.count_nonzero(
+            draw < np.arange(n0 - part.start, n0 - part.stop, -1.0)))
+    if n0 > n_pairs:
+        zeros = _draw(rng, zeros, n_pairs)
+    if n1 > n_pairs:
+        ones = _draw(rng, ones, n_pairs)
+    pairs = _matching(rng, zeros, ones)  # [zero's state, one's state]
+    zero_first = _draw(rng, pairs.ravel(), n_zero_first).reshape(8, 8)
+    return (zero_first + (pairs - zero_first).T).ravel()
 
 
 def _tally(hist: np.ndarray, masks: Mapping[str, np.ndarray]) -> dict[str, int]:
@@ -177,13 +256,10 @@ def run_bfer(s: LabeledString, seed: int) -> dict[str, int]:
 
     Returns the count of every random-pairing statistic by name.
     """
-    n = s.n_t
-    if n < 2:
+    if s.n_t < 2:
         raise ValueError("need at least two bits to pair")
-    # shuffling the states takes the same draws as permuting the positions
-    shuffled = np.random.default_rng(seed).permutation(s.states)
-    n_pairs = n // 2
-    hist = _pair_histogram(shuffled[: 2 * n_pairs : 2], shuffled[1 : 2 * n_pairs : 2])
+    _check_length(s.n_t)
+    hist = _bfer_table(s.state_counts, np.random.default_rng(seed))
 
     alice1, alice2 = ALICE_BITS[_LAB1], ALICE_BITS[_LAB2]
     bob1, bob2 = BOB_BITS[_LAB1], BOB_BITS[_LAB2]
@@ -218,56 +294,14 @@ def run_bfer(s: LabeledString, seed: int) -> dict[str, int]:
     return _tally(hist, masks)
 
 
-def _aopp_pairs(
-    bob: np.ndarray, rng: np.random.Generator, tags: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact sampler of the literal pairing: draw the first bit uniformly over
-    both pools, the second uniformly over the opposite pool, until one empties.
-
-    Every pair takes one bit from each pool, so both pools are consumed in
-    uniformly random order, and at step k the zero pool supplies the first
-    bit with probability (M0-k)/(M0+M1-2k), independently of the draws.
-    Returns the ``tags`` (by default the positions) of each pair's first and
-    second bit.
-    """
-    n = bob.size
-    n_ones = int(np.count_nonzero(bob))
-    dtype = np.intp if tags is None else tags.dtype
-    zeros = np.empty(n - n_ones, dtype=dtype)
-    ones = np.empty(n_ones, dtype=dtype)
-    n0 = n1 = 0  # filled so far
-    for part in _slices(n):
-        chunk_tags = np.arange(part.start, part.stop) if tags is None else tags[part]
-        is_one = bob[part] != 0
-        k1 = int(np.count_nonzero(is_one))
-        k0 = chunk_tags.size - k1
-        np.compress(~is_one, chunk_tags, out=zeros[n0 : n0 + k0])
-        np.compress(is_one, chunk_tags, out=ones[n1 : n1 + k1])
-        n0 += k0
-        n1 += k1
-    n_pairs = min(zeros.size, ones.size)
-    zero_first = np.empty(n_pairs, dtype=bool)
-    for part in _slices(n_pairs):
-        # before step k the pools hold M0 - k zeros among M0 + M1 - 2k bits;
-        # the counts are exact as floats
-        draw = rng.random(part.stop - part.start)
-        draw *= np.arange(n - 2.0 * part.start, n - 2.0 * part.stop, -2.0)
-        zero_first[part] = draw < np.arange(zeros.size - part.start, zeros.size - part.stop, -1.0)
-    # shuffling a pool in place takes the same draws as permuting a copy
-    rng.shuffle(zeros)
-    rng.shuffle(ones)
-    zeros, ones = zeros[:n_pairs], ones[:n_pairs]
-    return np.where(zero_first, zeros, ones), np.where(zero_first, ones, zeros)
-
-
 def run_aopp(s: LabeledString, seed: int) -> dict[str, int]:
     """Literal actively odd-parity pairing on Bob's bits plus the parity check.
 
     Returns the count of every actively paired statistic by name.  A string
     in which Bob holds only one bit value forms no pairs.
     """
-    first, second = _aopp_pairs(s.bob_bits, np.random.default_rng(seed), s.states)
-    hist = _pair_histogram(first, second)
+    _check_length(s.n_t)
+    hist = _aopp_table(s.state_counts, np.random.default_rng(seed))
 
     alice1 = ALICE_BITS[_LAB1]
     keep = (alice1 ^ ALICE_BITS[_LAB2]) == 1  # Bob's parity is odd by construction
@@ -281,7 +315,7 @@ def run_aopp(s: LabeledString, seed: int) -> dict[str, int]:
     if hist[_UNTAGGED_PAIR & ~keep].any():
         raise AssertionError("untagged pairs must always pass the parity check")
 
-    return {"aopp_pairs": int(first.size), **_tally(hist, {
+    return {"aopp_pairs": int(hist.sum()), **_tally(hist, {
         "aopp_both_c": both_c,
         "aopp_vd": vd_dv,
         "aopp_kept": keep,

@@ -12,7 +12,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from snsqkd import cli
+from snsqkd import cli, mcsim
 from snsqkd.cli import ConfigError, main, parse_config_file, plob_rate
 
 FIXED_PROTO = [
@@ -428,6 +428,27 @@ def test_count_below_minimum_is_a_configuration_error(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "must be at least" in err
+
+
+@pytest.mark.parametrize("given", [
+    ["--bits", "1000000000"],
+    ["--config", "bits.cfg"],
+], ids=["flag", "config"])
+def test_bits_past_the_oracle_limit_is_a_configuration_error(given, tmp_path, capsys, monkeypatch):
+    # refused while the arguments are read, before any string is allocated
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bits.cfg").write_text("bits = 1000000000\n")
+
+    def never(*args):
+        raise AssertionError("sampled past the limit")
+
+    monkeypatch.setattr(mcsim, "sample_string", never)
+    argv = ["mc-verify", "--preset", "rowC", "--variant", "bfer", "--distance", "100"]
+    assert main(argv + given) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "field 'bits': must be at most 999999999, got 1000000000" in err
+    assert cli._MAXIMA["bits"] == mcsim.MAX_BITS
 
 
 # a malformed value of every configuration key

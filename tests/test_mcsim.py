@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -65,6 +67,29 @@ def literal_pairing_law(bob) -> dict[tuple, Fraction]:
     return law
 
 
+def class_table(states, pairs) -> tuple[int, ...]:
+    """The pair classes, first state * 8 + second state, of ordered pairs of
+    positions, sorted: the histogram that a run's tallies read."""
+    return tuple(sorted(states[first] * 8 + states[second] for first, second in pairs))
+
+
+def histogram_table(hist: np.ndarray) -> tuple[int, ...]:
+    return tuple(np.repeat(np.arange(64), hist).tolist())
+
+
+def assert_follows_law(law: dict[tuple, Fraction], draw, trials=20_000):
+    # every class table within 5 sigma of its exact probability; a table
+    # outside the law fails at once
+    assert sum(law.values()) == 1
+    seen = dict.fromkeys(law, 0)
+    for _ in range(trials):
+        seen[draw()] += 1
+    for table, prob in law.items():
+        p = float(prob)
+        sigma = math.sqrt(trials * p * (1.0 - p))
+        assert abs(seen[table] - trials * p) < 5.0 * sigma, (table, seen[table], p)
+
+
 def make_fixture(balanced=True):
     # the oracle reads proportions, so the instance needs no rescaling to N_BITS
     if balanced:
@@ -124,6 +149,27 @@ class TestSampleString:
             mcsim.sample_string(counts, bad, N_BITS, seed=0)
 
 
+def test_longest_string_is_numpy_hypergeometric_limit():
+    rng = np.random.default_rng(0)
+    rng.multivariate_hypergeometric([mcsim.MAX_BITS], 1, method="marginals")
+    with pytest.raises(ValueError, match="less than 1000000000"):
+        rng.multivariate_hypergeometric([mcsim.MAX_BITS + 1], 1, method="marginals")
+
+
+def test_strings_past_the_limit_are_refused():
+    # refused before anything is allocated; the long string is a
+    # zero-stride view of one label and one flag
+    counts, untagged = make_fixture()
+    message = "the oracle takes at most 999999999 positions .* got 1000000000$"
+    with pytest.raises(ValueError, match=message):
+        mcsim.sample_string(counts, untagged, 10**9, seed=0)
+    long = mcsim.LabeledString(labels=np.broadcast_to(np.int8(mcsim.C0), (10**9,)),
+                               untagged=np.broadcast_to(False, (10**9,)))
+    for run in (mcsim.run_bfer, mcsim.run_aopp):
+        with pytest.raises(ValueError, match=message):
+            run(long, 1)
+
+
 class TestRunBfer:
     def test_error_free_string_discards_nothing(self):
         counts = ZWindowCounts(500.0, 500.0, 0.0, 0.0)
@@ -156,6 +202,25 @@ class TestRunBfer:
         s = mcsim.sample_string(counts, untagged, N_BITS, seed=13)
         assert mcsim.run_bfer(s, seed=14) == mcsim.run_bfer(s, seed=14)
 
+    @pytest.mark.parametrize("sampler", ["vectorized", "reference"])
+    def test_sampler_follows_literal_law(self, sampler):
+        # five positions in four states: all 120 orderings, paired 0-1 and
+        # 2-3 with position 4 left over, are equally likely
+        states = (0, 1, 1, 4, 6)
+        law: dict[tuple, Fraction] = Counter()
+        for order in itertools.permutations(range(5)):
+            law[class_table(states, [order[0:2], order[2:4]])] += Fraction(1, 120)
+        rng = np.random.default_rng(2025)
+        if sampler == "vectorized":
+            counts = np.bincount(states, minlength=8)
+            assert_follows_law(law, lambda: histogram_table(mcsim._bfer_table(counts, rng)))
+        else:
+            def permuted():
+                order = rng.permutation(5)
+                return class_table(states, [order[0:2], order[2:4]])
+
+            assert_follows_law(law, permuted)
+
 
 class TestRunAopp:
     def test_pair_total_is_exactly_min(self):
@@ -173,24 +238,27 @@ class TestRunAopp:
         rows = mcsim.compare({**emp_b, **emp_a}, mcsim.expected_statistics(counts, untagged, N_BITS))
         assert [r for r in rows if r.flagged] == []
 
-    @pytest.mark.parametrize("sampler", [mcsim._aopp_pairs, _aopp_pairs_sequential],
-                             ids=["vectorized", "reference"])
-    @pytest.mark.parametrize("bob", [(0, 0, 0, 1, 1), (1, 0, 1, 1)], ids=["3zeros2ones", "1zero3ones"])
-    def test_sampler_follows_literal_law(self, sampler, bob):
-        # every ordered outcome within 5 sigma of its exact probability
-        law = literal_pairing_law(bob)
-        assert sum(law.values()) == 1
-        bob = np.array(bob, dtype=np.uint8)
+    # the states of each position (label * 2 + untagged flag): Bob holds
+    # 0, 0, 0, 1, 1 and 1, 0, 1, 1; repeated states test the counts, distinct
+    # ones the matching and which bit comes first
+    @pytest.mark.parametrize("sampler", ["vectorized", "reference"])
+    @pytest.mark.parametrize("states", [(1, 1, 4, 3, 6), (2, 0, 2, 6)],
+                             ids=["3zeros2ones", "1zero3ones"])
+    def test_sampler_follows_literal_law(self, sampler, states):
+        # run_aopp's class table against the literal pairing's exact law,
+        # mapped from positions to states; the sequential reference
+        # pairs positions literally
+        bob = mcsim.BOB_BITS[np.array(states) >> 1]
+        law: dict[tuple, Fraction] = Counter()
+        for outcome, prob in literal_pairing_law(bob.tolist()).items():
+            law[class_table(states, outcome)] += prob
         rng = np.random.default_rng(2024)
-        trials = 20_000
-        seen = {outcome: 0 for outcome in law}
-        for _ in range(trials):
-            first, second = sampler(bob, rng)
-            seen[tuple(zip(first.tolist(), second.tolist()))] += 1
-        for outcome, prob in law.items():
-            p = float(prob)
-            sigma = math.sqrt(trials * p * (1.0 - p))
-            assert abs(seen[outcome] - trials * p) < 5.0 * sigma, (outcome, seen[outcome], p)
+        if sampler == "vectorized":
+            counts = np.bincount(states, minlength=8)
+            assert_follows_law(law, lambda: histogram_table(mcsim._aopp_table(counts, rng)))
+        else:
+            assert_follows_law(
+                law, lambda: class_table(states, zip(*_aopp_pairs_sequential(bob, rng))))
 
     def test_counting_identity_on_same_string(self):
         counts, untagged = make_fixture(balanced=False)
@@ -430,10 +498,12 @@ def test_oracle_flags_a_fault_in_the_formula_layer(monkeypatch):
     assert [r.name for r in rows if r.flagged] == ["class2_count"]
 
 
-# Bit-for-bit pins of the oracle's tallies, recorded with the per-position
-# gathers that the pair-state histogram replaced: (instance, bits, seed) ->
+# Bit-for-bit pins of the oracle's tallies: (instance, bits, seed) ->
 # (checksum of the sampled string, every statistic of run_bfer at seed + 1 and
-# run_aopp at seed + 2).  The empty-class instance has no c1 and no v events,
+# run_aopp at seed + 2).  The checksums date from the first sampler; the
+# tallies were recorded when the pairings began to draw their class tables
+# from the state counts, so they also depend on numpy's multivariate
+# hypergeometric sampler.  The empty-class instance has no c1 and no v events,
 # so Bob holds only zeros and the active pairing forms no pair.
 PIN_INSTANCES = {
     "balanced": make_fixture(),
@@ -442,36 +512,35 @@ PIN_INSTANCES = {
 }
 PINS = {
     ("balanced", 100_000, 60): ("8e3028748c160cdd", {
-        "pairs_cc": 31650, "pairs_cd": 4068, "pairs_cv": 4093, "pairs_dc": 4059, "pairs_dd": 468,
-        "pairs_dv": 512, "pairs_vc": 4083, "pairs_vd": 534, "pairs_vv": 533, "pairs_c0c0": 7878,
-        "pairs_c0c1": 8011, "pairs_c1c0": 7908, "pairs_c1c1": 7853, "bfer_survivors": 33697,
-        "class1_count": 16965, "class2_count": 8346, "class3_count": 8386, "class1_errors": 1046,
-        "class2_errors": 468, "class3_errors": 533, "bfer_untagged": 7912,
-        "odd_pairs_random": 25161, "aopp_pairs": 49999, "aopp_both_c": 31642, "aopp_vd": 2039,
-        "aopp_kept": 33681, "aopp_untagged": 7753}),
+        "pairs_cc": 31636, "pairs_cd": 4075, "pairs_cv": 4184, "pairs_dc": 3979, "pairs_dd": 540,
+        "pairs_dv": 506, "pairs_vc": 4093, "pairs_vd": 469, "pairs_vv": 518, "pairs_c0c0": 8057,
+        "pairs_c0c1": 7895, "pairs_c1c0": 7779, "pairs_c1c1": 7905, "bfer_survivors": 33669,
+        "class1_count": 16649, "class2_count": 8597, "class3_count": 8423, "class1_errors": 975,
+        "class2_errors": 540, "class3_errors": 518, "bfer_untagged": 7776,
+        "odd_pairs_random": 24799, "aopp_pairs": 49999, "aopp_both_c": 31626, "aopp_vd": 2024,
+        "aopp_kept": 33650, "aopp_untagged": 7865}),
     ("unbalanced", 100_000, 61): ("33403b5816d35b53", {
-        "pairs_cc": 28105, "pairs_cd": 3820, "pairs_cv": 5651, "pairs_dc": 3814, "pairs_dd": 513,
-        "pairs_dv": 739, "pairs_vc": 5512, "pairs_vd": 776, "pairs_vv": 1070, "pairs_c0c0": 10083,
-        "pairs_c0c1": 6825, "pairs_c1c0": 6629, "pairs_c1c1": 4568, "bfer_survivors": 31203,
-        "class1_count": 14969, "class2_count": 10596, "class3_count": 5638, "class1_errors": 1515,
-        "class2_errors": 513, "class3_errors": 1070, "bfer_untagged": 12482,
-        "odd_pairs_random": 24647, "aopp_pairs": 44943, "aopp_both_c": 24599, "aopp_vd": 2763,
-        "aopp_kept": 27362, "aopp_untagged": 10909}),
+        "pairs_cc": 28144, "pairs_cd": 3767, "pairs_cv": 5496, "pairs_dc": 3864, "pairs_dd": 517,
+        "pairs_dv": 767, "pairs_vc": 5592, "pairs_vd": 743, "pairs_vv": 1110, "pairs_c0c0": 10031,
+        "pairs_c0c1": 6807, "pairs_c1c0": 6737, "pairs_c1c1": 4569, "bfer_survivors": 31281,
+        "class1_count": 15054, "class2_count": 10548, "class3_count": 5679, "class1_errors": 1510,
+        "class2_errors": 517, "class3_errors": 1110, "bfer_untagged": 12560,
+        "odd_pairs_random": 24755, "aopp_pairs": 44943, "aopp_both_c": 24612, "aopp_vd": 2800,
+        "aopp_kept": 27412, "aopp_untagged": 10925}),
     ("unbalanced", 1_001, 62): ("87862f973286babe", {
-        "pairs_cc": 283, "pairs_cd": 39, "pairs_cv": 46, "pairs_dc": 44, "pairs_dd": 7,
-        "pairs_dv": 7, "pairs_vc": 49, "pairs_vd": 10, "pairs_vv": 15, "pairs_c0c0": 103,
-        "pairs_c0c1": 65, "pairs_c1c0": 64, "pairs_c1c1": 51, "bfer_survivors": 322,
-        "class1_count": 146, "class2_count": 110, "class3_count": 66, "class1_errors": 17,
-        "class2_errors": 7, "class3_errors": 15, "bfer_untagged": 124, "odd_pairs_random": 229,
-        "aopp_pairs": 444, "aopp_both_c": 241, "aopp_vd": 27, "aopp_kept": 268,
-        "aopp_untagged": 119}),
+        "pairs_cc": 276, "pairs_cd": 50, "pairs_cv": 47, "pairs_dc": 37, "pairs_dd": 5,
+        "pairs_dv": 9, "pairs_vc": 57, "pairs_vd": 8, "pairs_vv": 11, "pairs_c0c0": 95,
+        "pairs_c0c1": 76, "pairs_c1c0": 63, "pairs_c1c1": 42, "bfer_survivors": 309,
+        "class1_count": 156, "class2_count": 100, "class3_count": 53, "class1_errors": 17,
+        "class2_errors": 5, "class3_errors": 11, "bfer_untagged": 125, "odd_pairs_random": 258,
+        "aopp_pairs": 444, "aopp_both_c": 246, "aopp_vd": 35, "aopp_kept": 281,
+        "aopp_untagged": 124}),
     ("balanced", 2, 63): ("161a37dc7787f8e2", {
-        **dict.fromkeys(mcsim.expected_statistics(*make_fixture(), 2), 0), "pairs_vc": 1}),
+        **dict.fromkeys(mcsim.expected_statistics(*make_fixture(), 2), 0), "pairs_cv": 1}),
     ("empty_classes", 10_000, 64): ("a532a66c7d39a986", {
         **dict.fromkeys(mcsim.expected_statistics(*make_fixture(), 2), 0),
-        "pairs_cc": 4465, "pairs_cd": 261, "pairs_dc": 265, "pairs_dd": 9, "pairs_c0c0": 4465,
-        "bfer_survivors": 4474, "class2_count": 4474, "class2_errors": 9,
-        "bfer_untagged": 1112}),
+        "pairs_cc": 4473, "pairs_cd": 271, "pairs_dc": 239, "pairs_dd": 17, "pairs_c0c0": 4473,
+        "bfer_survivors": 4490, "class2_count": 4490, "class2_errors": 17, "bfer_untagged": 1127}),
 }
 PIN_IDS = ["{}-{}bits".format(*key) for key in PINS]
 
@@ -525,9 +594,10 @@ def test_chunk_size_changes_no_draw(monkeypatch, key, chunk):
 
 def test_oracle_memory_stays_a_few_bytes_per_bit():
     # numpy reports its array data to tracemalloc, so these peaks repeat
-    # exactly; with whole-string passes they were 20.0, 6.5 and 12.8 MB (now
-    # 3.2, 2.6 and 3.8), most of it float64 draws and the intp copies numpy
-    # makes of int8 inputs; run_bfer's peak includes the 1 MB of cached states
+    # exactly; with whole-string passes they were 20.0, 6.5 and 12.8 MB, with
+    # chunked passes and shuffled pairings 3.2, 2.6 and 3.8, and with class
+    # tables drawn from the state counts 3.2, 0.6 and 1.1: the pairings keep
+    # only one chunk's draws and index copies
     counts, untagged = PIN_INSTANCES["unbalanced"]
 
     def traced_peak(func, *args):
@@ -539,12 +609,12 @@ def test_oracle_memory_stays_a_few_bytes_per_bit():
     tracemalloc.start()
     try:
         s, sample_peak = traced_peak(mcsim.sample_string, counts, untagged, 1_000_000, 70)
-        _, bfer_peak = traced_peak(mcsim.run_bfer, s, 71)  # also caches the states
+        _, bfer_peak = traced_peak(mcsim.run_bfer, s, 71)  # also caches the state counts
         _, aopp_peak = traced_peak(mcsim.run_aopp, s, 72)
     finally:
         tracemalloc.stop()
-    peaks = {"sample_string": sample_peak, "run_bfer": bfer_peak, "run_aopp": aopp_peak}
-    assert all(peak < 6e6 for peak in peaks.values()), peaks
+    assert sample_peak < 6e6, sample_peak
+    assert bfer_peak < 2e6 and aopp_peak < 2e6, (bfer_peak, aopp_peak)
 
 
 @pytest.mark.parametrize("alice_bits, message", [
