@@ -1,39 +1,40 @@
 """Monte Carlo oracle for the pairing formulas.
 
-Samples a labeled bit string with the proportions of an expected-count
-instance, runs the literal post-processing procedures (random pairing with
-parity comparison, odd-parity sifting, actively odd-parity pairing), and
-tallies each run as ``{statistic: count}``, read from one histogram of the
-pairs' classes (the label and untagged flag of both bits).
+Samples a labeled bit string, as its count of each state, with the
+proportions of an expected-count instance, runs the literal post-processing
+procedures (random pairing with parity comparison, odd-parity sifting,
+actively odd-parity pairing), and tallies each run as ``{statistic: count}``,
+read from one histogram of the pairs' classes (the label and untagged flag of
+both bits).
 ``expected_statistics`` gives every statistic's binomial law, read from the
 formula layer (``postproc.bfer_expectations`` and ``postproc.aopp``) on the
 instance as given: each probability is a class's share of the instance's own
 effective windows, so no instance is rescaled to the string length.
 ``compare`` reports each statistic with its z-score and flags it by its exact
 binomial tail, an incomplete beta function computed with ``math`` alone
-(``_betainc``).
+(``_betainc``), which it skips where the binomial term at the count alone
+clears the limit.
 
 A pairing's tallies read the string only through the histogram, whose law
 depends only on the string's count of each of the 8 states (label and flag).
-So each pairing draws its histogram exactly from those counts
-(``_bfer_table``, ``_aopp_table``): multivariate hypergeometric draws of
-which states are paired and of a uniformly random matching between them,
-O(64) work at any string length.
+The string's positions are independent, so those counts are one multinomial
+draw (``sample_string``), and each pairing draws its histogram exactly from
+them (``_bfer_table``, ``_aopp_table``): multivariate hypergeometric draws of
+which states are paired and of a uniformly random matching between them.
+Only the active pairing's order draws, one uniform per pair, still take
+time in the string length.
 
 All randomness comes from a single seeded PCG64 stream per run so results
 are reproducible; the algorithm identifier is recorded in emitted reports.
-Every per-bit pass (the draws, the state counts, the active pairing's order
-draws) runs over fixed slices of ``_CHUNK`` positions and reads the stream
-in the same order as whole-string draws, so the slice size changes no
-output and a run holds about 2 bytes per sampled bit, the labels and flags,
-at any string length up to ``MAX_BITS``.
+The order draws run over fixed slices of ``_CHUNK`` pairs and read the stream
+in the same order as one whole draw, so the slice size changes no output and
+a run holds a fixed amount of memory at any string length up to ``MAX_BITS``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -43,7 +44,7 @@ from .postproc import ZWindowCounts, aopp, bfer_expectations
 
 __all__ = [
     "RNG_ALGORITHM",
-    "LabeledString",
+    "StateCounts",
     "StatCheck",
     "sample_string",
     "run_bfer",
@@ -64,14 +65,17 @@ RNG_ALGORITHM = "numpy-pcg64"
 # move a flag.
 Z_LIMIT = 5.0
 TAIL_LIMIT = 2.866515718791933e-07
+# A count's tail holds the binomial term at the count, so a count whose term
+# reaches twice TAIL_LIMIT is not flagged and compare() skips its tail; the
+# factor 2 is far more than lgamma's rounding costs the term up to MAX_BITS.
+_LOG_CLEAR = math.log(2.0 * TAIL_LIMIT)
 # The continued fraction of _betainc takes about 900 terms at 1e7 trials and
 # 8,000 at 1e10 (its count grows about as trials**0.3); past the cap it raises.
 _MAX_TERMS = 10_000
-# Every per-bit pass (the label and flag draws, the state counts, the active
-# pairing's order draws) runs over slices of at most this many positions, so
-# its float draws and the intp copies numpy makes of int8 inputs stay this size
-# at any string length.  The stream is read in the same order as by
-# whole-string draws, so the chunk size changes no draw and no tally.
+# The active pairing's order draws run over slices of at most this many
+# pairs, so its float draws stay this size at any string length.  The stream
+# is read in the same order as by one whole draw, so the chunk size changes no
+# draw and no tally.
 _CHUNK = 1 << 16
 # The longest string the oracle takes: the "marginals" method of numpy's
 # multivariate_hypergeometric, which draws the pairings' class tables, needs
@@ -98,46 +102,20 @@ _ONE_SENDER = (_LAB1 <= C1) & (_LAB2 <= C1)
 
 
 @dataclass(frozen=True)
-class LabeledString:
-    """Sampled effective-window string: per-position label and untagged flag."""
+class StateCounts:
+    """Sampled effective-window string, as its count of each state code,
+    label * 2 + untagged flag (0..7): all that the pairings read of it."""
 
-    labels: np.ndarray
-    untagged: np.ndarray
+    counts: tuple[int, ...]
 
     @property
     def n_t(self) -> int:
-        return self.labels.size
-
-    @property
-    def alice_bits(self) -> np.ndarray:
-        return _lookup(ALICE_BITS, self.labels)
-
-    @property
-    def bob_bits(self) -> np.ndarray:
-        return _lookup(BOB_BITS, self.labels)
-
-    @cached_property
-    def state_counts(self) -> np.ndarray:
-        """Count of each state code, label * 2 + untagged flag (0..7)."""
-        counts = np.zeros(8, dtype=np.int64)
-        for part in _slices(self.n_t):
-            codes = self.labels[part] << 1
-            codes |= self.untagged[part]
-            counts += np.bincount(codes, minlength=8)
-        return counts
+        return sum(self.counts)
 
 
 def _slices(n: int) -> list[slice]:
     """Consecutive slices of at most _CHUNK positions that cover range(n)."""
     return [slice(start, min(start + _CHUNK, n)) for start in range(0, n, _CHUNK)]
-
-
-def _lookup(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """``table[codes]``, taken one chunk at a time."""
-    out = np.empty(codes.size, dtype=table.dtype)
-    for part in _slices(codes.size):
-        out[part] = np.take(table, codes[part])
-    return out
 
 
 def _check_length(n: int) -> None:
@@ -150,37 +128,43 @@ def _check_length(n: int) -> None:
 
 def sample_string(
     counts: ZWindowCounts, untagged: UntaggedStats, n_bits: int, seed: int
-) -> LabeledString:
-    """Multinomial sample of ``n_bits`` labels with the instance's proportions.
-
-    Untagged flags are assigned uniformly within the one-sender labels at
-    rates n1_0/n_c0 and n1_1/n_c1.
+) -> StateCounts:
+    """State counts of ``n_bits`` independent positions, each a label drawn
+    with the instance's proportions and, on a one-sender label, an untagged
+    flag at the rate n1_0/n_c0 or n1_1/n_c1: one multinomial draw.
     """
     if untagged.n1_0 > counts.n_c0 or untagged.n1_1 > counts.n_c1:
         raise ValueError("untagged counts exceed the one-sender event counts")
     if n_bits < 2:
         raise ValueError("need at least two positions to sample")
     _check_length(n_bits)
-    probs = np.array([counts.n_c0, counts.n_c1, counts.n_d, counts.n_v]) / counts.n_t
-    edges = np.cumsum(probs)[:-1]
-    rate_c0 = untagged.n1_0 / counts.n_c0 if counts.n_c0 > 0.0 else 0.0
-    rate_c1 = untagged.n1_1 / counts.n_c1 if counts.n_c1 > 0.0 else 0.0
     rng = np.random.default_rng(seed)
-    # every label draw comes before every flag draw, the order of whole-string draws
-    labels = np.zeros(n_bits, dtype=np.int8)
-    for part in _slices(n_bits):
-        r = rng.random(part.stop - part.start)
-        chunk = labels[part]
-        # a label is the count of cumulative edges at or below its draw; the
-        # last edge is 1 (up to rounding) and lies above every draw
-        for edge in edges:
-            chunk += r >= edge
-    flags = np.empty(n_bits, dtype=bool)
-    for part in _slices(n_bits):
-        u = rng.random(part.stop - part.start)
-        chunk = labels[part]
-        flags[part] = ((chunk == C0) & (u < rate_c0)) | ((chunk == C1) & (u < rate_c1))
-    return LabeledString(labels=labels, untagged=flags)
+    return StateCounts(_multinomial(rng, _state_probs(counts, untagged), n_bits))
+
+
+def _state_probs(counts: ZWindowCounts, untagged: UntaggedStats) -> list[float]:
+    """Probability of each state code of a position, zero on flagged d and v."""
+    rates = (untagged.n1_0 / counts.n_c0 if counts.n_c0 > 0.0 else 0.0,
+             untagged.n1_1 / counts.n_c1 if counts.n_c1 > 0.0 else 0.0, 0.0, 0.0)
+    probs = []
+    for n_label, rate in zip((counts.n_c0, counts.n_c1, counts.n_d, counts.n_v), rates):
+        share = n_label / counts.n_t
+        probs += (share * (1.0 - rate), share * rate)
+    return probs
+
+
+def _multinomial(rng: np.random.Generator, probs: list[float], n: int) -> tuple[int, ...]:
+    """Count of each category among ``n`` independent draws with these
+    probabilities.  numpy's multinomial gives its last category what the
+    others leave, so the likeliest one goes last: rounding then never lands
+    on a category of probability zero, and each binomial share stays well
+    below one."""
+    order = sorted(range(len(probs)), key=probs.__getitem__)
+    drawn = rng.multinomial(n, [probs[i] for i in order]).tolist()
+    out = [0] * len(probs)
+    for i, count in zip(order, drawn):
+        out[i] = count
+    return tuple(out)
 
 
 def _draw(rng: np.random.Generator, colors: np.ndarray, n: int) -> np.ndarray:
@@ -251,7 +235,7 @@ def _tally(hist: np.ndarray, masks: Mapping[str, np.ndarray]) -> dict[str, int]:
     return {name: int(hist[mask].sum()) for name, mask in masks.items()}
 
 
-def run_bfer(s: LabeledString, seed: int) -> dict[str, int]:
+def run_bfer(s: StateCounts, seed: int) -> dict[str, int]:
     """Literal random pairing, parity comparison, keep-first-on-match.
 
     Returns the count of every random-pairing statistic by name.
@@ -259,7 +243,7 @@ def run_bfer(s: LabeledString, seed: int) -> dict[str, int]:
     if s.n_t < 2:
         raise ValueError("need at least two bits to pair")
     _check_length(s.n_t)
-    hist = _bfer_table(s.state_counts, np.random.default_rng(seed))
+    hist = _bfer_table(np.array(s.counts), np.random.default_rng(seed))
 
     alice1, alice2 = ALICE_BITS[_LAB1], ALICE_BITS[_LAB2]
     bob1, bob2 = BOB_BITS[_LAB1], BOB_BITS[_LAB2]
@@ -294,14 +278,14 @@ def run_bfer(s: LabeledString, seed: int) -> dict[str, int]:
     return _tally(hist, masks)
 
 
-def run_aopp(s: LabeledString, seed: int) -> dict[str, int]:
+def run_aopp(s: StateCounts, seed: int) -> dict[str, int]:
     """Literal actively odd-parity pairing on Bob's bits plus the parity check.
 
     Returns the count of every actively paired statistic by name.  A string
     in which Bob holds only one bit value forms no pairs.
     """
     _check_length(s.n_t)
-    hist = _aopp_table(s.state_counts, np.random.default_rng(seed))
+    hist = _aopp_table(np.array(s.counts), np.random.default_rng(seed))
 
     alice1 = ALICE_BITS[_LAB1]
     keep = (alice1 ^ ALICE_BITS[_LAB2]) == 1  # Bob's parity is odd by construction
@@ -432,12 +416,24 @@ def _tail(value: float, trials: int, prob: float) -> float:
     return _betainc(trials - value, value + 1.0, 1.0 - prob)  # P(X <= value)
 
 
+def _log_term(value: float, trials: int, prob: float) -> float:
+    """Log of the Binomial(trials, prob) probability of ``value``, or -inf
+    where it is not computed: at a certain or impossible class, or at a count
+    outside 0..trials."""
+    if not (0.0 < prob < 1.0 and 0.0 <= value <= trials):
+        return -math.inf
+    return (math.lgamma(trials + 1.0) - math.lgamma(value + 1.0)
+            - math.lgamma(trials - value + 1.0)
+            + value * math.log(prob) + (trials - value) * math.log1p(-prob))
+
+
 def compare(
     empirical: Mapping[str, float], analytic: Mapping[str, tuple[int, float]]
 ) -> list[StatCheck]:
     """Per-statistic z-scores against the binomial laws of
     ``expected_statistics``; a statistic is flagged when its binomial tail on
-    the side it deviates is below TAIL_LIMIT."""
+    the side it deviates is below TAIL_LIMIT.  The tail is computed only when
+    the term at the count, which it holds, does not already clear the limit."""
     rows = []
     for name, (trials, prob) in analytic.items():
         value = empirical[name]
@@ -447,7 +443,8 @@ def compare(
             z = 0.0 if value == mean else math.copysign(math.inf, value - mean)
         else:
             z = (value - mean) / sigma
-        flagged = value != mean and _tail(value, trials, prob) < TAIL_LIMIT
+        flagged = (value != mean and _log_term(value, trials, prob) < _LOG_CLEAR
+                   and _tail(value, trials, prob) < TAIL_LIMIT)
         rows.append(
             StatCheck(name=name, analytic=mean, empirical=value, sigma=sigma, z=z, flagged=flagged)
         )

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import itertools
 import math
 import tracemalloc
@@ -11,8 +10,11 @@ import numpy as np
 import pytest
 
 from snsqkd import mcsim
+from snsqkd.channel import ProtocolParams
 from snsqkd.decoy import UntaggedStats
+from snsqkd.pipeline import evaluate
 from snsqkd.postproc import ZWindowCounts, aopp, bfer_expectations
+from snsqkd.presets import preset
 
 N_BITS = 200_000
 
@@ -102,44 +104,66 @@ def make_fixture(balanced=True):
     return counts, untagged
 
 
+def reference_string(counts, untagged, n_bits, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The per-position sampler that ``mcsim.sample_string`` replaces: each
+    position's label by inverse transform of one uniform over the instance's
+    cumulative proportions, then, for every position in turn, its untagged
+    flag from a second uniform at its label's rate (zero off one-sender
+    labels).  Returns the labels and the flags."""
+    edges = np.cumsum([counts.n_c0, counts.n_c1, counts.n_d, counts.n_v])[:-1] / counts.n_t
+    rate_c0 = untagged.n1_0 / counts.n_c0 if counts.n_c0 > 0.0 else 0.0
+    rate_c1 = untagged.n1_1 / counts.n_c1 if counts.n_c1 > 0.0 else 0.0
+    labels = np.searchsorted(edges, rng.random(n_bits), side="right")  # edges at or below
+    flags = rng.random(n_bits) < np.array([rate_c0, rate_c1, 0.0, 0.0])[labels]
+    return labels, flags
+
+
+def reference_counts(counts, untagged, n_bits, rng) -> tuple[int, ...]:
+    labels, flags = reference_string(counts, untagged, n_bits, rng)
+    return tuple(np.bincount(2 * labels + flags, minlength=8).tolist())
+
+
 class TestSampleString:
     def test_deterministic(self):
         counts, untagged = make_fixture()
         a = mcsim.sample_string(counts, untagged, N_BITS, seed=42)
-        b = mcsim.sample_string(counts, untagged, N_BITS, seed=42)
-        assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.untagged, b.untagged)
-        c = mcsim.sample_string(counts, untagged, N_BITS, seed=43)
-        assert not np.array_equal(a.labels, c.labels)
+        assert a == mcsim.sample_string(counts, untagged, N_BITS, seed=42)
+        assert a != mcsim.sample_string(counts, untagged, N_BITS, seed=43)
+        assert len(a.counts) == 8 and all(type(count) is int for count in a.counts)
 
     def test_proportions_within_five_sigma(self):
         counts, untagged = make_fixture()
         s = mcsim.sample_string(counts, untagged, N_BITS, seed=7)
         n = s.n_t
         assert n == N_BITS
-        for code, expected in ((mcsim.C0, 0.4), (mcsim.C1, 0.4), (mcsim.D, 0.1), (mcsim.V, 0.1)):
-            observed = int((s.labels == code).sum())
+        for label, expected in enumerate((0.4, 0.4, 0.1, 0.1)):
+            observed = s.counts[2 * label] + s.counts[2 * label + 1]
             sigma = np.sqrt(n * expected * (1.0 - expected))
             assert abs(observed - n * expected) < 5.0 * sigma
 
     def test_bit_conventions(self):
         counts, untagged = make_fixture()
-        s = mcsim.sample_string(counts, untagged, N_BITS, seed=1)
-        disagree = s.alice_bits != s.bob_bits
-        errors = (s.labels == mcsim.D) | (s.labels == mcsim.V)
+        labels, _ = reference_string(counts, untagged, N_BITS, np.random.default_rng(1))
+        disagree = mcsim.ALICE_BITS[labels] != mcsim.BOB_BITS[labels]
+        errors = (labels == mcsim.D) | (labels == mcsim.V)
         assert np.array_equal(disagree, errors)
 
     def test_untagged_only_on_one_sender_events(self):
         counts, untagged = make_fixture()
+        labels, flags = reference_string(counts, untagged, N_BITS, np.random.default_rng(2))
+        assert not flags[(labels == mcsim.D) | (labels == mcsim.V)].any()
         s = mcsim.sample_string(counts, untagged, N_BITS, seed=2)
-        assert not s.untagged[(s.labels == mcsim.D) | (s.labels == mcsim.V)].any()
+        assert s.counts[2 * mcsim.D + 1] == s.counts[2 * mcsim.V + 1] == 0
+        assert s.counts[2 * mcsim.C0 + 1] > 0 and s.counts[2 * mcsim.C1 + 1] > 0
 
     def test_all_c_untagged(self):
         counts = ZWindowCounts(500.0, 500.0, 10.0, 10.0)
         untagged = UntaggedStats(n1=1000.0, n1_0=500.0, n1_1=500.0, e1ph=0.0, n0=0.0)
+        labels, flags = reference_string(counts, untagged, 102_000, np.random.default_rng(3))
+        assert flags[labels <= mcsim.C1].all()
         s = mcsim.sample_string(counts, untagged, 102_000, seed=3)
-        c_mask = s.labels <= mcsim.C1
-        assert s.untagged[c_mask].all()
+        assert s.counts[2 * mcsim.C0] == s.counts[2 * mcsim.C1] == 0
+        assert s.counts[2 * mcsim.C0 + 1] > 0 and s.counts[2 * mcsim.C1 + 1] > 0
 
     def test_inconsistent_untagged_counts(self):
         counts, _ = make_fixture()
@@ -147,6 +171,40 @@ class TestSampleString:
                             e1ph=0.0, n0=0.0)
         with pytest.raises(ValueError):
             mcsim.sample_string(counts, bad, N_BITS, seed=0)
+
+    @pytest.mark.parametrize("sampler", ["vectorized", "reference"])
+    def test_sampler_follows_multinomial_law(self, sampler):
+        # four positions, each in state 0..7 with these exact probabilities:
+        # labels 5:3:1:1, untagged at 1/5 of c0 and 2/3 of c1, never on d or v;
+        # every count vector against its multinomial probability
+        counts = ZWindowCounts(5.0, 3.0, 1.0, 1.0)
+        untagged = UntaggedStats(n1=3.0, n1_0=1.0, n1_1=2.0, e1ph=0.0, n0=0.0)
+        probs = [Fraction(4, 10), Fraction(1, 10), Fraction(1, 10), Fraction(2, 10),
+                 Fraction(1, 10), Fraction(0), Fraction(1, 10), Fraction(0)]
+        assert mcsim._state_probs(counts, untagged) == pytest.approx(probs, rel=1e-15, abs=0.0)
+        n_bits = 4
+        law: dict[tuple, Fraction] = {}
+        for states in itertools.combinations_with_replacement(range(8), n_bits):
+            table = tuple(states.count(state) for state in range(8))
+            prob = Fraction(math.factorial(n_bits))
+            for state, count in enumerate(table):
+                prob *= probs[state] ** count / math.factorial(count)
+            if prob:
+                law[table] = prob
+        rng = np.random.default_rng(2026)
+        if sampler == "vectorized":
+            state_probs = mcsim._state_probs(counts, untagged)
+            assert_follows_law(law, lambda: mcsim._multinomial(rng, state_probs, n_bits))
+        else:
+            assert_follows_law(law, lambda: reference_counts(counts, untagged, n_bits, rng))
+
+
+def test_rounding_never_lands_on_an_impossible_state():
+    # numpy's multinomial gives its last category whatever the others leave;
+    # in the given order this zero would take about 1,000 of these draws
+    probs = [0.5, 0.499, 0.0]
+    assert mcsim._multinomial(np.random.default_rng(4), probs, 10**6)[2] == 0
+    assert np.random.default_rng(4).multinomial(10**6, probs)[2] > 0
 
 
 def test_longest_string_is_numpy_hypergeometric_limit():
@@ -157,14 +215,11 @@ def test_longest_string_is_numpy_hypergeometric_limit():
 
 
 def test_strings_past_the_limit_are_refused():
-    # refused before anything is allocated; the long string is a
-    # zero-stride view of one label and one flag
     counts, untagged = make_fixture()
     message = "the oracle takes at most 999999999 positions .* got 1000000000$"
     with pytest.raises(ValueError, match=message):
         mcsim.sample_string(counts, untagged, 10**9, seed=0)
-    long = mcsim.LabeledString(labels=np.broadcast_to(np.int8(mcsim.C0), (10**9,)),
-                               untagged=np.broadcast_to(False, (10**9,)))
+    long = mcsim.StateCounts((10**9,) + (0,) * 7)
     for run in (mcsim.run_bfer, mcsim.run_aopp):
         with pytest.raises(ValueError, match=message):
             run(long, 1)
@@ -222,13 +277,19 @@ class TestRunBfer:
             assert_follows_law(law, permuted)
 
 
+def bob_counts(s: mcsim.StateCounts) -> tuple[int, int]:
+    """How many of the string's bits Bob holds as 0 and as 1."""
+    bob = mcsim.BOB_BITS[np.arange(8) >> 1]
+    return (sum(c for c, b in zip(s.counts, bob) if b == 0),
+            sum(c for c, b in zip(s.counts, bob) if b == 1))
+
+
 class TestRunAopp:
     def test_pair_total_is_exactly_min(self):
         counts, untagged = make_fixture(balanced=False)
         s = mcsim.sample_string(counts, untagged, N_BITS, seed=15)
-        n0 = int((s.bob_bits == 0).sum())
-        n1 = int((s.bob_bits == 1).sum())
-        assert mcsim.run_aopp(s, seed=16)["aopp_pairs"] == min(n0, n1)
+        n0, n1 = bob_counts(s)
+        assert mcsim.run_aopp(s, seed=16)["aopp_pairs"] == min(n0, n1) > 0
 
     def test_matches_expectations(self):
         counts, untagged = make_fixture(balanced=False)
@@ -283,7 +344,7 @@ class TestRunAopp:
         counts = ZWindowCounts(1000.0, 0.0, 10.0, 0.0)
         untagged = UntaggedStats(0.0, 0.0, 0.0, 0.0, 0.0)
         s = mcsim.sample_string(counts, untagged, 1010, seed=25)
-        assert len(set(s.bob_bits.tolist())) == 1
+        assert bob_counts(s) == (1010, 0)
         assert mcsim.run_aopp(s, seed=26) == dict.fromkeys(
             ("aopp_pairs", "aopp_both_c", "aopp_vd", "aopp_kept", "aopp_untagged"), 0)
 
@@ -418,6 +479,56 @@ class TestCompare:
             assert row.z == z and row.flagged, (observed, prob)
 
 
+def random_tail_cases(n_cases, seed):
+    """(value, trials, prob) with trials log-uniform up to 1e7, prob
+    log-uniform on either side of 1/2 and value within 8 sigmas of the mean."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_cases):
+        trials = int(10.0 ** rng.uniform(0.0, 7.0))
+        prob = 10.0 ** rng.uniform(-8.0, math.log10(0.5))
+        prob = 1.0 - prob if rng.random() < 0.5 else prob
+        mean, sigma = trials * prob, math.sqrt(trials * prob * (1.0 - prob))
+        yield float(min(max(round(mean + rng.uniform(-8.0, 8.0) * sigma), 0), trials)), trials, prob
+
+
+@pytest.mark.parametrize("cases", [
+    lambda: tail_cases(), lambda: random_tail_cases(5_000, 31),
+], ids=["grid", "random"])
+def test_term_shortcut_keeps_every_flag(cases):
+    # compare() skips the tail where the binomial term at the count clears
+    # the limit; every flag stays the one the tail gives, and the skip fires
+    cases = list(cases())
+    skipped = 0
+    for value, trials, prob in cases:
+        (row,) = mcsim.compare({"a": value}, {"a": (trials, prob)})
+        flagged = value != trials * prob and mcsim._tail(value, trials, prob) < mcsim.TAIL_LIMIT
+        assert row.flagged is flagged, (value, trials, prob)
+        skipped += mcsim._log_term(value, trials, prob) >= mcsim._LOG_CLEAR
+    assert skipped > len(cases) / 2
+
+
+def test_term_shortcut_skips_most_tails_at_the_verify_fixture(monkeypatch):
+    # the benchmark's mc-verify instance (rowC at 100 km, its recorded bfer
+    # protocol), one 1M-bit seed: a clean run computes few tails
+    exp = preset("rowC", 100.0)
+    proto = ProtocolParams(p_z=1.0, p_send=0.1038105905101263, mu_z=0.35455900466111784,
+                           decoy_intensities=(0.0, 0.02, 0.06), delta=2.0 * math.pi / 16.0)
+    point = evaluate(exp, proto, "bfer")
+    analytic = mcsim.expected_statistics(point.counts, point.untagged, 1_000_000)
+    s = mcsim.sample_string(point.counts, point.untagged, 1_000_000, 0)
+    empirical = {**mcsim.run_bfer(s, 1_000_003), **mcsim.run_aopp(s, 2_000_003)}
+    tail, tails = mcsim._tail, []
+
+    def counted_tail(value, trials, prob):
+        tails.append(value)
+        return tail(value, trials, prob)
+
+    monkeypatch.setattr(mcsim, "_tail", counted_tail)
+    rows = mcsim.compare(empirical, analytic)
+    assert not any(row.flagged for row in rows)
+    assert len(rows) == 27 and len(tails) < 5, len(tails)
+
+
 # the formula-layer field behind each statistic; random-pairing statistics
 # count n_bits // 2 pairs, actively paired ones n_bits bits
 BFER_FIELDS = {
@@ -499,48 +610,49 @@ def test_oracle_flags_a_fault_in_the_formula_layer(monkeypatch):
 
 
 # Bit-for-bit pins of the oracle's tallies: (instance, bits, seed) ->
-# (checksum of the sampled string, every statistic of run_bfer at seed + 1 and
-# run_aopp at seed + 2).  The checksums date from the first sampler; the
-# tallies were recorded when the pairings began to draw their class tables
-# from the state counts, so they also depend on numpy's multivariate
-# hypergeometric sampler.  The empty-class instance has no c1 and no v events,
-# so Bob holds only zeros and the active pairing forms no pair.
+# (the sampled string's 8 state counts, every statistic of run_bfer at
+# seed + 1 and run_aopp at seed + 2).  Recorded when the string became one
+# multinomial draw of its state counts, so they depend on numpy's multinomial
+# and multivariate hypergeometric samplers.  The empty-class instance has no
+# c1 and no v events, so Bob holds only zeros and the active pairing forms no
+# pair.
 PIN_INSTANCES = {
     "balanced": make_fixture(),
     "unbalanced": make_fixture(balanced=False),
     "empty_classes": (ZWindowCounts(500.0, 0.0, 30.0, 0.0), UntaggedStats(250.0, 250.0, 0.0, 0.05, 0.0)),
 }
 PINS = {
-    ("balanced", 100_000, 60): ("8e3028748c160cdd", {
-        "pairs_cc": 31636, "pairs_cd": 4075, "pairs_cv": 4184, "pairs_dc": 3979, "pairs_dd": 540,
-        "pairs_dv": 506, "pairs_vc": 4093, "pairs_vd": 469, "pairs_vv": 518, "pairs_c0c0": 8057,
-        "pairs_c0c1": 7895, "pairs_c1c0": 7779, "pairs_c1c1": 7905, "bfer_survivors": 33669,
-        "class1_count": 16649, "class2_count": 8597, "class3_count": 8423, "class1_errors": 975,
-        "class2_errors": 540, "class3_errors": 518, "bfer_untagged": 7776,
-        "odd_pairs_random": 24799, "aopp_pairs": 49999, "aopp_both_c": 31626, "aopp_vd": 2024,
-        "aopp_kept": 33650, "aopp_untagged": 7865}),
-    ("unbalanced", 100_000, 61): ("33403b5816d35b53", {
-        "pairs_cc": 28144, "pairs_cd": 3767, "pairs_cv": 5496, "pairs_dc": 3864, "pairs_dd": 517,
-        "pairs_dv": 767, "pairs_vc": 5592, "pairs_vd": 743, "pairs_vv": 1110, "pairs_c0c0": 10031,
-        "pairs_c0c1": 6807, "pairs_c1c0": 6737, "pairs_c1c1": 4569, "bfer_survivors": 31281,
-        "class1_count": 15054, "class2_count": 10548, "class3_count": 5679, "class1_errors": 1510,
-        "class2_errors": 517, "class3_errors": 1110, "bfer_untagged": 12560,
-        "odd_pairs_random": 24755, "aopp_pairs": 44943, "aopp_both_c": 24612, "aopp_vd": 2800,
-        "aopp_kept": 27412, "aopp_untagged": 10925}),
-    ("unbalanced", 1_001, 62): ("87862f973286babe", {
-        "pairs_cc": 276, "pairs_cd": 50, "pairs_cv": 47, "pairs_dc": 37, "pairs_dd": 5,
-        "pairs_dv": 9, "pairs_vc": 57, "pairs_vd": 8, "pairs_vv": 11, "pairs_c0c0": 95,
-        "pairs_c0c1": 76, "pairs_c1c0": 63, "pairs_c1c1": 42, "bfer_survivors": 309,
-        "class1_count": 156, "class2_count": 100, "class3_count": 53, "class1_errors": 17,
-        "class2_errors": 5, "class3_errors": 11, "bfer_untagged": 125, "odd_pairs_random": 258,
-        "aopp_pairs": 444, "aopp_both_c": 246, "aopp_vd": 35, "aopp_kept": 281,
-        "aopp_untagged": 124}),
-    ("balanced", 2, 63): ("161a37dc7787f8e2", {
-        **dict.fromkeys(mcsim.expected_statistics(*make_fixture(), 2), 0), "pairs_cv": 1}),
-    ("empty_classes", 10_000, 64): ("a532a66c7d39a986", {
+    ("balanced", 100_000, 60): ((19762, 20168, 20283, 19900, 10083, 0, 9804, 0), {
+        "pairs_cc": 32167, "pairs_cd": 4028, "pairs_cv": 3927, "pairs_dc": 3965, "pairs_dd": 511,
+        "pairs_dv": 516, "pairs_vc": 3859, "pairs_vd": 552, "pairs_vv": 475, "pairs_c0c0": 8073,
+        "pairs_c0c1": 8003, "pairs_c1c0": 7957, "pairs_c1c1": 8134, "bfer_survivors": 34221,
+        "class1_count": 17028, "class2_count": 8584, "class3_count": 8609, "class1_errors": 1068,
+        "class2_errors": 511, "class3_errors": 475, "bfer_untagged": 8069,
+        "odd_pairs_random": 24885, "aopp_pairs": 49987, "aopp_both_c": 32021, "aopp_vd": 1919,
+        "aopp_kept": 33940, "aopp_untagged": 7898}),
+    ("unbalanced", 100_000, 61): ((14925, 30045, 9944, 20141, 10043, 0, 14902, 0), {
+        "pairs_cc": 28180, "pairs_cd": 3720, "pairs_cv": 5531, "pairs_dc": 3817, "pairs_dd": 503,
+        "pairs_dv": 762, "pairs_vc": 5627, "pairs_vd": 738, "pairs_vv": 1122, "pairs_c0c0": 10070,
+        "pairs_c0c1": 6812, "pairs_c1c0": 6741, "pairs_c1c1": 4557, "bfer_survivors": 31305,
+        "class1_count": 15053, "class2_count": 10573, "class3_count": 5679, "class1_errors": 1500,
+        "class2_errors": 503, "class3_errors": 1122, "bfer_untagged": 12686,
+        "odd_pairs_random": 24761, "aopp_pairs": 44987, "aopp_both_c": 24629, "aopp_vd": 2765,
+        "aopp_kept": 27394, "aopp_untagged": 11122}),
+    ("unbalanced", 1_001, 62): ((156, 287, 106, 193, 100, 0, 159, 0), {
+        "pairs_cc": 276, "pairs_cd": 41, "pairs_cv": 55, "pairs_dc": 32, "pairs_dd": 2,
+        "pairs_dv": 10, "pairs_vc": 61, "pairs_vd": 13, "pairs_vv": 10, "pairs_c0c0": 96,
+        "pairs_c0c1": 71, "pairs_c1c0": 63, "pairs_c1c1": 46, "bfer_survivors": 311,
+        "class1_count": 157, "class2_count": 98, "class3_count": 56, "class1_errors": 23,
+        "class2_errors": 2, "class3_errors": 10, "bfer_untagged": 111, "odd_pairs_random": 246,
+        "aopp_pairs": 458, "aopp_both_c": 247, "aopp_vd": 32, "aopp_kept": 279,
+        "aopp_untagged": 106}),
+    ("balanced", 2, 63): ((0, 0, 0, 0, 0, 0, 2, 0), {
         **dict.fromkeys(mcsim.expected_statistics(*make_fixture(), 2), 0),
-        "pairs_cc": 4473, "pairs_cd": 271, "pairs_dc": 239, "pairs_dd": 17, "pairs_c0c0": 4473,
-        "bfer_survivors": 4490, "class2_count": 4490, "class2_errors": 17, "bfer_untagged": 1127}),
+        "pairs_vv": 1, "bfer_survivors": 1, "class3_count": 1, "class3_errors": 1}),
+    ("empty_classes", 10_000, 64): ((4720, 4768, 0, 0, 512, 0, 0, 0), {
+        **dict.fromkeys(mcsim.expected_statistics(*make_fixture(), 2), 0),
+        "pairs_cc": 4504, "pairs_cd": 256, "pairs_dc": 224, "pairs_dd": 16, "pairs_c0c0": 4504,
+        "bfer_survivors": 4520, "class2_count": 4520, "class2_errors": 16, "bfer_untagged": 1150}),
 }
 PIN_IDS = ["{}-{}bits".format(*key) for key in PINS]
 
@@ -551,17 +663,11 @@ def _pinned_run(key):
     return s, {**mcsim.run_bfer(s, seed + 1), **mcsim.run_aopp(s, seed + 2)}
 
 
-def _checksum(s: mcsim.LabeledString) -> str:
-    data = s.labels.astype(np.int8).tobytes() + s.untagged.astype(np.uint8).tobytes()
-    return hashlib.sha256(data).hexdigest()[:16]
-
-
 @pytest.mark.parametrize("key", PINS, ids=PIN_IDS)
 def test_tallies_are_pinned_bit_for_bit(key):
     s, tally = _pinned_run(key)
-    checksum, pinned = PINS[key]
-    assert s.n_t == key[1] and s.labels.dtype == np.int8 and s.untagged.dtype == bool
-    assert _checksum(s) == checksum
+    state_counts, pinned = PINS[key]
+    assert s.n_t == key[1] and s.counts == state_counts
     assert tally == pinned
     assert all(type(count) is int for count in tally.values())
 
@@ -582,22 +688,23 @@ def test_tally_invariants(key):
 @pytest.mark.parametrize("chunk", [7, 64])
 @pytest.mark.parametrize("key", PINS, ids=PIN_IDS)
 def test_chunk_size_changes_no_draw(monkeypatch, key, chunk):
-    # chunked passes read the stream in whole-string order; 100,000 bits is
-    # a multiple of neither size, and the 1,001-bit string's 500 random and
-    # 444 active pairs are multiples of neither
+    # the active pairing's order draws, the only chunked pass, read the
+    # stream in whole-draw order; of the pinned strings' 49,987, 44,987 and
+    # 458 active pairs only the first is a multiple of 7, and none of 64
     monkeypatch.setattr(mcsim, "_CHUNK", chunk)
     s, tally = _pinned_run(key)
-    checksum, pinned = PINS[key]
-    assert _checksum(s) == checksum
+    state_counts, pinned = PINS[key]
+    assert s.counts == state_counts
     assert tally == pinned
 
 
 def test_oracle_memory_stays_a_few_bytes_per_bit():
     # numpy reports its array data to tracemalloc, so these peaks repeat
     # exactly; with whole-string passes they were 20.0, 6.5 and 12.8 MB, with
-    # chunked passes and shuffled pairings 3.2, 2.6 and 3.8, and with class
-    # tables drawn from the state counts 3.2, 0.6 and 1.1: the pairings keep
-    # only one chunk's draws and index copies
+    # chunked passes and shuffled pairings 3.2, 2.6 and 3.8, with class tables
+    # drawn from the state counts 3.2, 0.6 and 1.1, and with the string drawn
+    # as its state counts 0.002, 0.01 and 1.1: only the active pairing's order
+    # draws keep one chunk of floats
     counts, untagged = PIN_INSTANCES["unbalanced"]
 
     def traced_peak(func, *args):
@@ -609,11 +716,11 @@ def test_oracle_memory_stays_a_few_bytes_per_bit():
     tracemalloc.start()
     try:
         s, sample_peak = traced_peak(mcsim.sample_string, counts, untagged, 1_000_000, 70)
-        _, bfer_peak = traced_peak(mcsim.run_bfer, s, 71)  # also caches the state counts
+        _, bfer_peak = traced_peak(mcsim.run_bfer, s, 71)
         _, aopp_peak = traced_peak(mcsim.run_aopp, s, 72)
     finally:
         tracemalloc.stop()
-    assert sample_peak < 6e6, sample_peak
+    assert sample_peak < 1e4, sample_peak
     assert bfer_peak < 2e6 and aopp_peak < 2e6, (bfer_peak, aopp_peak)
 
 

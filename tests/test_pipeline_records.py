@@ -4,13 +4,12 @@ mutable; the inputs and the reports stay frozen."""
 import dataclasses
 import pickle
 
-import numpy as np
 import pytest
 
 from snsqkd.channel import ExperimentParams, ProtocolParams, WindowRates
 from snsqkd.chernoff import ChernoffDelta, EpsilonBudget, solve_deltas
 from snsqkd.decoy import DecoyObservations, UntaggedStats, decoy_observations
-from snsqkd.mcsim import LabeledString, StatCheck
+from snsqkd.mcsim import StatCheck, StateCounts
 from snsqkd.optimizer import OptimizationResult, OptimizationSpec, RestartRecord
 from snsqkd.pipeline import VARIANTS, PointResult, evaluate
 from snsqkd.postproc import AoppOutcome, BferOutcome, KeyResult, OddSiftOutcome, ZWindowCounts
@@ -47,7 +46,7 @@ def _reports():
         OptimizationSpec: OptimizationSpec(variant="aopp"),
         RestartRecord: RestartRecord({}, 0.0, {}, 0.0, 0, True),
         OptimizationResult: OptimizationResult(PROTO, 0.0, 0.0, (), 0, 0),
-        LabeledString: LabeledString(np.zeros(2, dtype=np.int8), np.zeros(2, dtype=bool)),
+        StateCounts: StateCounts((2,) + (0,) * 7),
         StatCheck: StatCheck("n_t", 1.0, 1.0, 0.0, 0.0, False),
         PairState: make_sigma(0.3, 0.1, 0.0),
         IterationReport: IterationReport(1, 0.0, 0, 0.0, 0, 0.0),
