@@ -13,7 +13,9 @@ config and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -548,25 +550,24 @@ def cmd_mc_verify(cfg: RunConfig) -> int:
         # deliberately shift every probability by ten sigmas (self-test hook)
         analytic = {k: (n, min(p + 10.0 * math.sqrt(p * (1.0 - p) / n), 1.0))
                     for k, (n, p) in analytic.items()}
-    lines = [
-        "# statistic,analytic,empirical,sigma,z",
-        f"# rng = {mcsim.RNG_ALGORITHM}, bits = {cfg.bits}, seeds = {cfg.n_seeds}, base_seed = {cfg.seed}",
-    ]
     flagged = 0
-    for offset in range(cfg.n_seeds):
-        seed = cfg.seed + offset
-        s = mcsim.sample_string(counts, untagged, cfg.bits, seed)
-        bfer = mcsim.run_bfer(s, seed + 1_000_003)
-        aopp_run = mcsim.run_aopp(s, seed + 2_000_003)
-        rows = mcsim.compare({**bfer, **aopp_run}, analytic)
-        for row in rows:
-            flagged += row.flagged
-            lines.append(
+    # each seed's rows are written as they are computed, so memory does not
+    # grow with the seed count
+    with _opened_output(cfg.out) as out:
+        out.write("# statistic,analytic,empirical,sigma,z\n"
+                  f"# rng = {mcsim.RNG_ALGORITHM}, bits = {cfg.bits}, seeds = {cfg.n_seeds}, "
+                  f"base_seed = {cfg.seed}\n")
+        for offset in range(cfg.n_seeds):
+            seed = cfg.seed + offset
+            s = mcsim.sample_string(counts, untagged, cfg.bits, seed)
+            bfer = mcsim.run_bfer(s, seed + 1_000_003)
+            aopp_run = mcsim.run_aopp(s, seed + 2_000_003)
+            rows = mcsim.compare({**bfer, **aopp_run}, analytic)
+            flagged += sum(row.flagged for row in rows)
+            out.write("".join(
                 f"{row.name},{row.analytic:.6e},{row.empirical:.6e},{row.sigma:.6e},{row.z:+.3f}"
-                + (",FLAG" if row.flagged else "")
-            )
-    lines.append(f"# flagged = {flagged}")
-    _write_output(cfg.out, "\n".join(lines) + "\n")
+                + (",FLAG\n" if row.flagged else "\n") for row in rows))
+        out.write(f"# flagged = {flagged}\n")
     return 1 if flagged else 0
 
 
@@ -589,15 +590,27 @@ def cmd_qubit_check(cfg: RunConfig) -> int:
 
 
 def _write_output(out: str | None, text: str) -> None:
+    with _opened_output(out) as stream:
+        stream.write(text)
+
+
+@contextlib.contextmanager
+def _opened_output(out: str | None):
+    """The output stream, stdout when ``out`` is None.  The file is opened
+    before the block runs, so a command that writes as it goes stops before
+    its work when the file cannot be opened; a failed write in the block is
+    reported the same way."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            Path(out).write_text(text)
-        except OSError as err:
-            raise ConfigError(f"field 'out': cannot write {out!r}: {err.strerror}") from None
+        yield sys.stdout
+        return
+    try:
+        with Path(out).open("w") as stream:
+            yield stream
+    except OSError as err:
+        raise ConfigError(f"field 'out': cannot write {out!r}: {err.strerror}") from None
 
 
+@functools.cache  # argparse does not change a parser as it parses
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="snsqkd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -21,14 +21,11 @@ The string's positions are independent, so those counts are one multinomial
 draw (``sample_string``), and each pairing draws its histogram exactly from
 them (``_bfer_table``, ``_aopp_table``): multivariate hypergeometric draws of
 which states are paired and of a uniformly random matching between them.
-Only the active pairing's order draws, one uniform per pair, still take
-time in the string length.
+No draw is made per bit, so a run takes the same time and memory at any
+string length up to ``MAX_BITS``.
 
 All randomness comes from a single seeded PCG64 stream per run so results
 are reproducible; the algorithm identifier is recorded in emitted reports.
-The order draws run over fixed slices of ``_CHUNK`` pairs and read the stream
-in the same order as one whole draw, so the slice size changes no output and
-a run holds a fixed amount of memory at any string length up to ``MAX_BITS``.
 """
 
 from __future__ import annotations
@@ -72,11 +69,6 @@ _LOG_CLEAR = math.log(2.0 * TAIL_LIMIT)
 # The continued fraction of _betainc takes about 900 terms at 1e7 trials and
 # 8,000 at 1e10 (its count grows about as trials**0.3); past the cap it raises.
 _MAX_TERMS = 10_000
-# The active pairing's order draws run over slices of at most this many
-# pairs, so its float draws stay this size at any string length.  The stream
-# is read in the same order as by one whole draw, so the chunk size changes no
-# draw and no tally.
-_CHUNK = 1 << 16
 # The longest string the oracle takes: the "marginals" method of numpy's
 # multivariate_hypergeometric, which draws the pairings' class tables, needs
 # fewer than 1e9 items.
@@ -111,11 +103,6 @@ class StateCounts:
     @property
     def n_t(self) -> int:
         return sum(self.counts)
-
-
-def _slices(n: int) -> list[slice]:
-    """Consecutive slices of at most _CHUNK positions that cover range(n)."""
-    return [slice(start, min(start + _CHUNK, n)) for start in range(0, n, _CHUNK)]
 
 
 def _check_length(n: int) -> None:
@@ -199,36 +186,27 @@ def _bfer_table(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _aopp_table(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Pair-class histogram of the literal actively odd-parity pairing: draw
+    """Pair-class histogram of the literal actively odd-parity pairing (draw
     the first bit uniformly over both of Bob's pools, the second uniformly
-    over the opposite pool, until one pool empties.
+    over the opposite pool, until one pool empties), each pair oriented as
+    [zero-pool state, one-pool state].
 
     Every pair takes one bit from each pool, so the pairs are a uniform
     draw of min(M0, M1) bits from the larger pool matched uniformly to the
-    smaller one, and at step k the zero pool supplies the first bit with
-    probability (M0-k)/(M0+M1-2k), independently of which bits are paired;
-    the Z zero-first pairs are therefore a uniform draw from the pairs.
+    smaller one.  Which pool supplied a pair's first bit is not drawn: every
+    mask that ``run_aopp`` reads is symmetric on the classes a pair can form
+    (``_aopp_masks``), so the order changes no tally.
     """
     is_one = BOB_BITS[np.arange(8) >> 1] == 1
     zeros = np.where(is_one, 0, counts)
     ones = np.where(is_one, counts, 0)
     n0, n1 = int(zeros.sum()), int(ones.sum())
-    n, n_pairs = n0 + n1, min(n0, n1)
-    n_zero_first = 0
-    for part in _slices(n_pairs):
-        # before step k the pools hold M0 - k zeros among M0 + M1 - 2k bits;
-        # the counts are exact as floats
-        draw = rng.random(part.stop - part.start)
-        draw *= np.arange(n - 2.0 * part.start, n - 2.0 * part.stop, -2.0)
-        n_zero_first += int(np.count_nonzero(
-            draw < np.arange(n0 - part.start, n0 - part.stop, -1.0)))
+    n_pairs = min(n0, n1)
     if n0 > n_pairs:
         zeros = _draw(rng, zeros, n_pairs)
     if n1 > n_pairs:
         ones = _draw(rng, ones, n_pairs)
-    pairs = _matching(rng, zeros, ones)  # [zero's state, one's state]
-    zero_first = _draw(rng, pairs.ravel(), n_zero_first).reshape(8, 8)
-    return (zero_first + (pairs - zero_first).T).ravel()
+    return _matching(rng, zeros, ones).ravel()
 
 
 def _tally(hist: np.ndarray, masks: Mapping[str, np.ndarray]) -> dict[str, int]:
@@ -278,6 +256,30 @@ def run_bfer(s: StateCounts, seed: int) -> dict[str, int]:
     return _tally(hist, masks)
 
 
+def _aopp_masks() -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """The active pairing's tally masks by statistic, and the masks of the
+    classes that ``run_aopp`` refuses, by the message it raises."""
+    alice1 = ALICE_BITS[_LAB1]
+    keep = (alice1 ^ ALICE_BITS[_LAB2]) == 1  # Bob's parity is odd by construction
+    both_c = keep & _ONE_SENDER
+    vd_dv = keep & ~_ONE_SENDER
+    # read from the first state only: on a kept pair of a zero and a one,
+    # both states agree on it
+    kept_error = alice1 != BOB_BITS[_LAB1]
+    tallies = {
+        "aopp_both_c": both_c,
+        "aopp_vd": vd_dv,
+        "aopp_kept": keep,
+        "aopp_untagged": _UNTAGGED_PAIR,
+    }
+    refused = {
+        "kept one-sender pairs cannot carry bit-flip errors": both_c & kept_error,
+        "kept V/D pairs are always bit-flip errors": vd_dv & ~kept_error,
+        "untagged pairs must always pass the parity check": _UNTAGGED_PAIR & ~keep,
+    }
+    return tallies, refused
+
+
 def run_aopp(s: StateCounts, seed: int) -> dict[str, int]:
     """Literal actively odd-parity pairing on Bob's bits plus the parity check.
 
@@ -286,25 +288,11 @@ def run_aopp(s: StateCounts, seed: int) -> dict[str, int]:
     """
     _check_length(s.n_t)
     hist = _aopp_table(np.array(s.counts), np.random.default_rng(seed))
-
-    alice1 = ALICE_BITS[_LAB1]
-    keep = (alice1 ^ ALICE_BITS[_LAB2]) == 1  # Bob's parity is odd by construction
-    both_c = keep & _ONE_SENDER
-    vd_dv = keep & ~_ONE_SENDER
-    kept_error = alice1 != BOB_BITS[_LAB1]
-    if hist[both_c & kept_error].any():
-        raise AssertionError("kept one-sender pairs cannot carry bit-flip errors")
-    if hist[vd_dv & ~kept_error].any():
-        raise AssertionError("kept V/D pairs are always bit-flip errors")
-    if hist[_UNTAGGED_PAIR & ~keep].any():
-        raise AssertionError("untagged pairs must always pass the parity check")
-
-    return {"aopp_pairs": int(hist.sum()), **_tally(hist, {
-        "aopp_both_c": both_c,
-        "aopp_vd": vd_dv,
-        "aopp_kept": keep,
-        "aopp_untagged": _UNTAGGED_PAIR,
-    })}
+    tallies, refused = _aopp_masks()
+    for message, mask in refused.items():
+        if hist[mask].any():
+            raise AssertionError(message)
+    return {"aopp_pairs": int(hist.sum()), **_tally(hist, tallies)}
 
 
 def expected_statistics(

@@ -2,11 +2,13 @@ import argparse
 import contextlib
 import dataclasses
 import errno
+import io
 import json
 import math
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -619,15 +621,56 @@ def test_out_naming_a_directory_is_a_configuration_error(tmp_path, capsys):
     assert_names_field("out", capsys)
 
 
-def test_write_failure_is_a_configuration_error(tmp_path, monkeypatch, capsys):
-    # the target passes the up-front check, then the disk fills up
-    def full_disk(path, text):
+class FullDisk(io.StringIO):
+    def write(self, text):
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(cli.Path, "write_text", full_disk)
+
+def refused_open(path, mode):
+    raise OSError(errno.EACCES, "Permission denied")
+
+
+def test_write_failure_is_a_configuration_error(tmp_path, monkeypatch, capsys):
+    # the target passes the up-front check, then the disk fills up
+    monkeypatch.setattr(cli.Path, "open", lambda path, mode: FullDisk())
     assert main(OUT_COMMANDS["plob"] + ["--out", str(tmp_path / "z.txt")]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "cannot write" in err
+
+
+@pytest.mark.parametrize("open_output", [refused_open, lambda path, mode: FullDisk()],
+                         ids=["open", "write"])
+def test_mc_verify_output_failure_is_a_configuration_error(open_output, tmp_path, monkeypatch,
+                                                           capsys):
+    # the report is written as it is computed, from a header written before
+    # the first seed: a file that cannot be opened or written stops the run
+    # before it samples
+    sampled = []
+    monkeypatch.setattr(cli.Path, "open", open_output)
+    monkeypatch.setattr(mcsim, "sample_string", lambda *args: sampled.append(args))
+    assert main(MC_ARGV + ["--out", str(tmp_path / "z.csv")]) == 2
+    assert_names_field("out", capsys)
+    assert sampled == []
+
+
+def test_mc_verify_memory_does_not_grow_with_seeds(tmp_path):
+    # each seed's rows are written as they are computed; when the report was
+    # held until the end, 400 seeds of 1,000 bits raised the traced peak from
+    # 0.09 to 2.5 MB over 4 seeds; now both measure about 0.04 MB
+    def traced_peak(n_seeds):
+        argv = MC_ARGV + ["--n-seeds", str(n_seeds), "--out", str(tmp_path / f"{n_seeds}.csv")]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(argv) in (0, 1)
+        return tracemalloc.get_traced_memory()[1] - before
+
+    main(MC_ARGV + ["--out", str(tmp_path / "warm.csv")])  # imports and memos
+    tracemalloc.start()
+    try:
+        few, many = traced_peak(4), traced_peak(400)
+    finally:
+        tracemalloc.stop()
+    assert many - few < 2e4, (few, many)
 
 
 FIXED_AOPP = "preset = rowC\np_send = 0.103\nmu_z = 0.43\nvariant = aopp\n"

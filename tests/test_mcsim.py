@@ -301,25 +301,46 @@ class TestRunAopp:
 
     # the states of each position (label * 2 + untagged flag): Bob holds
     # 0, 0, 0, 1, 1 and 1, 0, 1, 1; repeated states test the counts, distinct
-    # ones the matching and which bit comes first
+    # ones the matching
     @pytest.mark.parametrize("sampler", ["vectorized", "reference"])
     @pytest.mark.parametrize("states", [(1, 1, 4, 3, 6), (2, 0, 2, 6)],
                              ids=["3zeros2ones", "1zero3ones"])
     def test_sampler_follows_literal_law(self, sampler, states):
         # run_aopp's class table against the literal pairing's exact law,
-        # mapped from positions to states; the sequential reference
-        # pairs positions literally
+        # mapped from positions to states with each pair written as its
+        # [zero-pool, one-pool] positions; the sequential reference pairs
+        # positions literally
         bob = mcsim.BOB_BITS[np.array(states) >> 1]
+
+        def oriented(pairs):
+            return [(a, b) if bob[a] == 0 else (b, a) for a, b in pairs]
+
         law: dict[tuple, Fraction] = Counter()
         for outcome, prob in literal_pairing_law(bob.tolist()).items():
-            law[class_table(states, outcome)] += prob
+            law[class_table(states, oriented(outcome))] += prob
         rng = np.random.default_rng(2024)
         if sampler == "vectorized":
             counts = np.bincount(states, minlength=8)
             assert_follows_law(law, lambda: histogram_table(mcsim._aopp_table(counts, rng)))
         else:
             assert_follows_law(
-                law, lambda: class_table(states, zip(*_aopp_pairs_sequential(bob, rng))))
+                law, lambda: class_table(states, oriented(zip(*_aopp_pairs_sequential(bob, rng)))))
+
+    def test_masks_ignore_which_pool_comes_first(self):
+        # _aopp_table does not draw which pool gives a pair's first bit; that
+        # decides nothing, since every tally and every refused-class mask is
+        # its own transpose on the classes a pair of a zero and a one can form
+        is_one = mcsim.BOB_BITS[np.arange(8) >> 1] == 1
+        formable = is_one[:, None] != is_one[None, :]
+        tallies, refused = mcsim._aopp_masks()
+        assert len(tallies) == 4 and len(refused) == 3
+        for name, mask in {**tallies, **refused}.items():
+            table = mask.reshape(8, 8)
+            assert np.array_equal(table[formable], table.T[formable]), name
+        # not on every class: a kept d-c0 pair, which no active pairing forms,
+        # is refused in one order only
+        table = refused["kept V/D pairs are always bit-flip errors"].reshape(8, 8)
+        assert not np.array_equal(table, table.T)
 
     def test_counting_identity_on_same_string(self):
         counts, untagged = make_fixture(balanced=False)
@@ -613,7 +634,9 @@ def test_oracle_flags_a_fault_in_the_formula_layer(monkeypatch):
 # (the sampled string's 8 state counts, every statistic of run_bfer at
 # seed + 1 and run_aopp at seed + 2).  Recorded when the string became one
 # multinomial draw of its state counts, so they depend on numpy's multinomial
-# and multivariate hypergeometric samplers.  The empty-class instance has no
+# and multivariate hypergeometric samplers; the active pairing's tallies were
+# re-recorded when it stopped drawing which pool gives a pair's first bit,
+# which moved no other count.  The empty-class instance has no
 # c1 and no v events, so Bob holds only zeros and the active pairing forms no
 # pair.
 PIN_INSTANCES = {
@@ -628,24 +651,24 @@ PINS = {
         "pairs_c0c1": 8003, "pairs_c1c0": 7957, "pairs_c1c1": 8134, "bfer_survivors": 34221,
         "class1_count": 17028, "class2_count": 8584, "class3_count": 8609, "class1_errors": 1068,
         "class2_errors": 511, "class3_errors": 475, "bfer_untagged": 8069,
-        "odd_pairs_random": 24885, "aopp_pairs": 49987, "aopp_both_c": 32021, "aopp_vd": 1919,
-        "aopp_kept": 33940, "aopp_untagged": 7898}),
+        "odd_pairs_random": 24885, "aopp_pairs": 49987, "aopp_both_c": 32116, "aopp_vd": 2012,
+        "aopp_kept": 34128, "aopp_untagged": 7997}),
     ("unbalanced", 100_000, 61): ((14925, 30045, 9944, 20141, 10043, 0, 14902, 0), {
         "pairs_cc": 28180, "pairs_cd": 3720, "pairs_cv": 5531, "pairs_dc": 3817, "pairs_dd": 503,
         "pairs_dv": 762, "pairs_vc": 5627, "pairs_vd": 738, "pairs_vv": 1122, "pairs_c0c0": 10070,
         "pairs_c0c1": 6812, "pairs_c1c0": 6741, "pairs_c1c1": 4557, "bfer_survivors": 31305,
         "class1_count": 15053, "class2_count": 10573, "class3_count": 5679, "class1_errors": 1500,
         "class2_errors": 503, "class3_errors": 1122, "bfer_untagged": 12686,
-        "odd_pairs_random": 24761, "aopp_pairs": 44987, "aopp_both_c": 24629, "aopp_vd": 2765,
-        "aopp_kept": 27394, "aopp_untagged": 11122}),
+        "odd_pairs_random": 24761, "aopp_pairs": 44987, "aopp_both_c": 24580, "aopp_vd": 2742,
+        "aopp_kept": 27322, "aopp_untagged": 10984}),
     ("unbalanced", 1_001, 62): ((156, 287, 106, 193, 100, 0, 159, 0), {
         "pairs_cc": 276, "pairs_cd": 41, "pairs_cv": 55, "pairs_dc": 32, "pairs_dd": 2,
         "pairs_dv": 10, "pairs_vc": 61, "pairs_vd": 13, "pairs_vv": 10, "pairs_c0c0": 96,
         "pairs_c0c1": 71, "pairs_c1c0": 63, "pairs_c1c1": 46, "bfer_survivors": 311,
         "class1_count": 157, "class2_count": 98, "class3_count": 56, "class1_errors": 23,
         "class2_errors": 2, "class3_errors": 10, "bfer_untagged": 111, "odd_pairs_random": 246,
-        "aopp_pairs": 458, "aopp_both_c": 247, "aopp_vd": 32, "aopp_kept": 279,
-        "aopp_untagged": 106}),
+        "aopp_pairs": 458, "aopp_both_c": 241, "aopp_vd": 26, "aopp_kept": 267,
+        "aopp_untagged": 105}),
     ("balanced", 2, 63): ((0, 0, 0, 0, 0, 0, 2, 0), {
         **dict.fromkeys(mcsim.expected_statistics(*make_fixture(), 2), 0),
         "pairs_vv": 1, "bfer_survivors": 1, "class3_count": 1, "class3_errors": 1}),
@@ -685,26 +708,14 @@ def test_tally_invariants(key):
     assert t["aopp_kept"] == t["aopp_both_c"] + t["aopp_vd"]
 
 
-@pytest.mark.parametrize("chunk", [7, 64])
-@pytest.mark.parametrize("key", PINS, ids=PIN_IDS)
-def test_chunk_size_changes_no_draw(monkeypatch, key, chunk):
-    # the active pairing's order draws, the only chunked pass, read the
-    # stream in whole-draw order; of the pinned strings' 49,987, 44,987 and
-    # 458 active pairs only the first is a multiple of 7, and none of 64
-    monkeypatch.setattr(mcsim, "_CHUNK", chunk)
-    s, tally = _pinned_run(key)
-    state_counts, pinned = PINS[key]
-    assert s.counts == state_counts
-    assert tally == pinned
-
-
 def test_oracle_memory_stays_a_few_bytes_per_bit():
     # numpy reports its array data to tracemalloc, so these peaks repeat
     # exactly; with whole-string passes they were 20.0, 6.5 and 12.8 MB, with
     # chunked passes and shuffled pairings 3.2, 2.6 and 3.8, with class tables
-    # drawn from the state counts 3.2, 0.6 and 1.1, and with the string drawn
-    # as its state counts 0.002, 0.01 and 1.1: only the active pairing's order
-    # draws keep one chunk of floats
+    # drawn from the state counts 3.2, 0.6 and 1.1, with the string drawn as
+    # its state counts 0.002, 0.01 and 1.1 (the active pairing's order draws
+    # kept one chunk of floats), and without those order draws a few kB each:
+    # no pass runs per bit
     counts, untagged = PIN_INSTANCES["unbalanced"]
 
     def traced_peak(func, *args):
@@ -721,7 +732,7 @@ def test_oracle_memory_stays_a_few_bytes_per_bit():
     finally:
         tracemalloc.stop()
     assert sample_peak < 1e4, sample_peak
-    assert bfer_peak < 2e6 and aopp_peak < 2e6, (bfer_peak, aopp_peak)
+    assert bfer_peak < 1e5 and aopp_peak < 1e5, (bfer_peak, aopp_peak)
 
 
 @pytest.mark.parametrize("alice_bits, message", [
