@@ -3,26 +3,26 @@
 Samples a labeled bit string, as its count of each state, with the
 proportions of an expected-count instance, runs the literal post-processing
 procedures (random pairing with parity comparison, odd-parity sifting,
-actively odd-parity pairing), and tallies each run as ``{statistic: count}``,
-read from one histogram of the pairs' classes (the label and untagged flag of
-both bits).
-``expected_statistics`` gives every statistic's binomial law, read from the
-formula layer (``postproc.bfer_expectations`` and ``postproc.aopp``) on the
-instance as given: each probability is a class's share of the instance's own
-effective windows, so no instance is rescaled to the string length.
+actively odd-parity pairing), and tallies each run as ``{statistic: count}``.
+
+One table, built at import (``_build_table``), states each statistic once:
+its name, its pairing, its mask over the 64 pair classes (the label and
+untagged flag of both bits) and its mean in the formula layer
+(``postproc.bfer_expectations`` and ``postproc.aopp``).  A pairing tallies
+its rows from its pair-class histogram with one integer matrix product, and
+``expected_statistics`` reads each binomial law from them, on the instance
+as given: a probability is a class's share of its own effective windows.
 ``compare`` reports each statistic with its z-score and flags it by its exact
 binomial tail, an incomplete beta function computed with ``math`` alone
 (``_betainc``), which it skips where the binomial term at the count alone
 clears the limit.
 
-A pairing's tallies read the string only through the histogram, whose law
-depends only on the string's count of each of the 8 states (label and flag).
-The string's positions are independent, so those counts are one multinomial
-draw (``sample_string``), and each pairing draws its histogram exactly from
-them (``_bfer_table``, ``_aopp_table``): multivariate hypergeometric draws of
-which states are paired and of a uniformly random matching between them.
-No draw is made per bit, so a run takes the same time and memory at any
-string length up to ``MAX_BITS``.
+The histogram's law depends only on the string's count of each of the 8
+states, and the positions are independent, so those counts are one
+multinomial draw (``sample_string``) and each pairing draws its histogram
+exactly from them (``_bfer_table``, ``_aopp_table``) by multivariate
+hypergeometric draws.  No draw is made per bit, so a run takes the same time
+and memory at any string length up to ``MAX_BITS``.
 
 All randomness comes from a single seeded PCG64 stream per run so results
 are reproducible; the algorithm identifier is recorded in emitted reports.
@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .decoy import UntaggedStats
-from .postproc import ZWindowCounts, aopp, bfer_expectations
+from .postproc import AoppOutcome, BferOutcome, ZWindowCounts, aopp, bfer_expectations
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -78,19 +78,83 @@ MAX_BITS = 10**9 - 1
 # agree on the bit; both-send (D) and neither-send (V) events are the
 # bit-flip errors.
 C0, C1, D, V = 0, 1, 2, 3
-_LABEL_NAMES = ("c0", "c1", "d", "v")
 ALICE_BITS = np.array([0, 1, 1, 0], dtype=np.uint8)
 BOB_BITS = np.array([0, 1, 0, 1], dtype=np.uint8)
 
 # A position's state is its label and untagged flag, label * 2 + flag (0..7),
-# and a pair's class is first_state * 8 + second_state (0..63).  Each tally is
-# the pair-class histogram summed over a mask of classes; the masks are built
-# at each call from the label columns below and ALICE_BITS/BOB_BITS.
-_CLASS = np.arange(64)
-_LAB1 = _CLASS >> 4
-_LAB2 = (_CLASS >> 1) & 3
-_UNTAGGED_PAIR = ((_CLASS >> 3) & _CLASS & 1).astype(bool)
-_ONE_SENDER = (_LAB1 <= C1) & (_LAB2 <= C1)
+# and a pair's class is first_state * 8 + second_state (0..63).  Bob holds a
+# one in these states:
+_BOB_ONE = BOB_BITS[np.arange(8) >> 1] == 1
+
+
+class _Row(NamedTuple):
+    """A statistic: its name, the pair classes it counts (a mask over the 64)
+    and its mean, read from the formula layer's two expected outcomes.  A row
+    without a mean names, by its message, classes the pairing refuses."""
+
+    name: str
+    mask: np.ndarray
+    mean: Callable[[BferOutcome, AoppOutcome], float] | None
+
+
+def _build_table(
+    alice_bits: np.ndarray, bob_bits: np.ndarray
+) -> dict[str, tuple[tuple[_Row, ...], np.ndarray]]:
+    """The oracle's table for these bits per label: the random pairing's rows
+    ("bfer") and the active pairing's ("aopp"), each the classes it refuses
+    and then its statistics in report order, with the rows' masks stacked as
+    one 0/1 integer matrix."""
+    classes = np.arange(64)
+    lab1, lab2 = classes >> 4, (classes >> 1) & 3
+    untagged = ((classes >> 3) & classes & 1).astype(bool)
+    alice1, alice2 = alice_bits[lab1], alice_bits[lab2]
+    bob1, bob2 = bob_bits[lab1], bob_bits[lab2]
+    # a survivor keeps its first bit; on a kept active pair of a zero and a
+    # one both states agree on the error
+    kept_error = alice1 != bob1
+
+    # random pairing: keep a pair whose parities agree
+    keep = (alice1 ^ alice2) == (bob1 ^ bob2)
+    odd = bob1 != bob2
+    class1, class2, class3 = keep & odd, keep & ~odd & (bob1 == 0), keep & ~odd & (bob1 == 1)
+    merged1, merged2 = np.maximum(lab1 - 1, 0), np.maximum(lab2 - 1, 0)  # c -> 0, d -> 1, v -> 2
+    bfer = [
+        _Row("untagged pairs must always pass the parity comparison", untagged & ~keep, None),
+        _Row("untagged survivors must be error-free", untagged & kept_error, None),
+        *(_Row(f"pairs_{x}{y}", (first == i) & (second == j),
+               lambda b, a, field=f"n_{x}{y}": getattr(b, field))
+          for first, second, labels in ((merged1, merged2, "cdv"), (lab1, lab2, ("c0", "c1")))
+          for i, x in enumerate(labels) for j, y in enumerate(labels)),
+        _Row("bfer_survivors", keep, lambda b, a: b.n_survived),
+        _Row("class1_count", class1, lambda b, a: b.n_t1),
+        _Row("class2_count", class2, lambda b, a: b.n_t2),
+        _Row("class3_count", class3, lambda b, a: b.n_t3),
+        _Row("class1_errors", class1 & kept_error, lambda b, a: b.n_vd + b.n_dv),
+        _Row("class2_errors", class2 & kept_error, lambda b, a: b.n_dd),
+        _Row("class3_errors", class3 & kept_error, lambda b, a: b.n_vv),
+        _Row("bfer_untagged", untagged, lambda b, a: b.n1_survived),
+        _Row("odd_pairs_random", odd, lambda b, a: a.n_r),
+    ]
+
+    # active pairing: Bob's parity is odd by construction
+    kept = (alice1 ^ alice2) == 1
+    one_sender = (lab1 <= C1) & (lab2 <= C1)
+    both_c, vd_dv = kept & one_sender, kept & ~one_sender
+    active = [
+        _Row("kept one-sender pairs cannot carry bit-flip errors", both_c & kept_error, None),
+        _Row("kept V/D pairs are always bit-flip errors", vd_dv & ~kept_error, None),
+        _Row("untagged pairs must always pass the parity check", untagged & ~kept, None),
+        _Row("aopp_pairs", np.ones(64, dtype=bool), lambda b, a: a.n_a),
+        _Row("aopp_both_c", both_c, lambda b, a: a.n_both_c),
+        _Row("aopp_vd", vd_dv, lambda b, a: a.n_vd_dv),
+        _Row("aopp_kept", kept, lambda b, a: a.n_kept),
+        _Row("aopp_untagged", untagged, lambda b, a: a.n1_kept),
+    ]
+    return {pairing: (tuple(rows), np.array([row.mask for row in rows], dtype=np.int64))
+            for pairing, rows in (("bfer", bfer), ("aopp", active))}
+
+
+_TABLE = _build_table(ALICE_BITS, BOB_BITS)
 
 
 @dataclass(frozen=True)
@@ -99,6 +163,13 @@ class StateCounts:
     label * 2 + untagged flag (0..7): all that the pairings read of it."""
 
     counts: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.counts) != 8:
+            raise ValueError(f"need one count for each of the 8 states, got {len(self.counts)}")
+        if not all(type(count) is int and count >= 0 for count in self.counts):
+            raise ValueError(f"state counts must be non-negative ints, got {self.counts!r}")
+        _check_length(self.n_t)
 
     @property
     def n_t(self) -> int:
@@ -194,12 +265,10 @@ def _aopp_table(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     Every pair takes one bit from each pool, so the pairs are a uniform
     draw of min(M0, M1) bits from the larger pool matched uniformly to the
     smaller one.  Which pool supplied a pair's first bit is not drawn: every
-    mask that ``run_aopp`` reads is symmetric on the classes a pair can form
-    (``_aopp_masks``), so the order changes no tally.
+    mask of the active pairing's rows in ``_TABLE`` is symmetric on the
+    classes a pair can form, so the order changes no tally.
     """
-    is_one = BOB_BITS[np.arange(8) >> 1] == 1
-    zeros = np.where(is_one, 0, counts)
-    ones = np.where(is_one, counts, 0)
+    zeros, ones = np.where(_BOB_ONE, 0, counts), np.where(_BOB_ONE, counts, 0)
     n0, n1 = int(zeros.sum()), int(ones.sum())
     n_pairs = min(n0, n1)
     if n0 > n_pairs:
@@ -209,8 +278,17 @@ def _aopp_table(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return _matching(rng, zeros, ones).ravel()
 
 
-def _tally(hist: np.ndarray, masks: Mapping[str, np.ndarray]) -> dict[str, int]:
-    return {name: int(hist[mask].sum()) for name, mask in masks.items()}
+def _tally(pairing: str, hist: np.ndarray) -> dict[str, int]:
+    """Every statistic of the pairing from its pair-class histogram; a pair
+    in a refused class raises the row's message."""
+    rows, masks = _TABLE[pairing]
+    tally = {}
+    for row, count in zip(rows, (masks @ hist).tolist()):
+        if row.mean is not None:
+            tally[row.name] = count
+        elif count:
+            raise AssertionError(row.name)
+    return tally
 
 
 def run_bfer(s: StateCounts, seed: int) -> dict[str, int]:
@@ -220,64 +298,7 @@ def run_bfer(s: StateCounts, seed: int) -> dict[str, int]:
     """
     if s.n_t < 2:
         raise ValueError("need at least two bits to pair")
-    _check_length(s.n_t)
-    hist = _bfer_table(np.array(s.counts), np.random.default_rng(seed))
-
-    alice1, alice2 = ALICE_BITS[_LAB1], ALICE_BITS[_LAB2]
-    bob1, bob2 = BOB_BITS[_LAB1], BOB_BITS[_LAB2]
-    keep = (alice1 ^ alice2) == (bob1 ^ bob2)
-    odd = bob1 != bob2
-    class1 = keep & odd
-    class2 = keep & ~odd & (bob1 == 0)
-    class3 = keep & ~odd & (bob1 == 1)
-    kept_error = alice1 != bob1
-    if hist[_UNTAGGED_PAIR & ~keep].any():
-        raise AssertionError("untagged pairs must always pass the parity comparison")
-    if hist[_UNTAGGED_PAIR & kept_error].any():
-        raise AssertionError("untagged survivors must be error-free")
-
-    merged1 = np.maximum(_LAB1 - 1, 0)  # c -> 0, d -> 1, v -> 2
-    merged2 = np.maximum(_LAB2 - 1, 0)
-    masks = {f"pairs_{a}{b}": (merged1 == i) & (merged2 == j)
-             for i, a in enumerate("cdv") for j, b in enumerate("cdv")}
-    masks.update((f"pairs_{_LABEL_NAMES[i]}{_LABEL_NAMES[j]}", (_LAB1 == i) & (_LAB2 == j))
-                 for i in (C0, C1) for j in (C0, C1))
-    masks.update(
-        bfer_survivors=keep,
-        class1_count=class1,
-        class2_count=class2,
-        class3_count=class3,
-        class1_errors=class1 & kept_error,
-        class2_errors=class2 & kept_error,
-        class3_errors=class3 & kept_error,
-        bfer_untagged=_UNTAGGED_PAIR,
-        odd_pairs_random=odd,
-    )
-    return _tally(hist, masks)
-
-
-def _aopp_masks() -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """The active pairing's tally masks by statistic, and the masks of the
-    classes that ``run_aopp`` refuses, by the message it raises."""
-    alice1 = ALICE_BITS[_LAB1]
-    keep = (alice1 ^ ALICE_BITS[_LAB2]) == 1  # Bob's parity is odd by construction
-    both_c = keep & _ONE_SENDER
-    vd_dv = keep & ~_ONE_SENDER
-    # read from the first state only: on a kept pair of a zero and a one,
-    # both states agree on it
-    kept_error = alice1 != BOB_BITS[_LAB1]
-    tallies = {
-        "aopp_both_c": both_c,
-        "aopp_vd": vd_dv,
-        "aopp_kept": keep,
-        "aopp_untagged": _UNTAGGED_PAIR,
-    }
-    refused = {
-        "kept one-sender pairs cannot carry bit-flip errors": both_c & kept_error,
-        "kept V/D pairs are always bit-flip errors": vd_dv & ~kept_error,
-        "untagged pairs must always pass the parity check": _UNTAGGED_PAIR & ~keep,
-    }
-    return tallies, refused
+    return _tally("bfer", _bfer_table(np.array(s.counts), np.random.default_rng(seed)))
 
 
 def run_aopp(s: StateCounts, seed: int) -> dict[str, int]:
@@ -286,13 +307,7 @@ def run_aopp(s: StateCounts, seed: int) -> dict[str, int]:
     Returns the count of every actively paired statistic by name.  A string
     in which Bob holds only one bit value forms no pairs.
     """
-    _check_length(s.n_t)
-    hist = _aopp_table(np.array(s.counts), np.random.default_rng(seed))
-    tallies, refused = _aopp_masks()
-    for message, mask in refused.items():
-        if hist[mask].any():
-            raise AssertionError(message)
-    return {"aopp_pairs": int(hist.sum()), **_tally(hist, tallies)}
+    return _tally("aopp", _aopp_table(np.array(s.counts), np.random.default_rng(seed)))
 
 
 def expected_statistics(
@@ -309,32 +324,15 @@ def expected_statistics(
     the two groups are not balanced (choose fixtures accordingly); each kept
     class is a thinning of it, so it is binomial too.
     """
-    b = bfer_expectations(counts, untagged)
-    a = aopp(counts, untagged)
-    pair_means = {
-        "pairs_cc": b.n_cc, "pairs_cd": b.n_cd, "pairs_cv": b.n_cv,
-        "pairs_dc": b.n_dc, "pairs_dd": b.n_dd, "pairs_dv": b.n_dv,
-        "pairs_vc": b.n_vc, "pairs_vd": b.n_vd, "pairs_vv": b.n_vv,
-        "pairs_c0c0": b.n_c0c0, "pairs_c0c1": b.n_c0c1,
-        "pairs_c1c0": b.n_c1c0, "pairs_c1c1": b.n_c1c1,
-        "bfer_survivors": b.n_survived,
-        "class1_count": b.n_t1, "class2_count": b.n_t2, "class3_count": b.n_t3,
-        "class1_errors": b.n_vd + b.n_dv, "class2_errors": b.n_dd, "class3_errors": b.n_vv,
-        "bfer_untagged": b.n1_survived,
-        "odd_pairs_random": a.n_r,
-    }
-    bit_means = {
-        "aopp_pairs": a.n_a,
-        "aopp_both_c": a.n_both_c,
-        "aopp_vd": a.n_vd_dv,
-        "aopp_kept": a.n_kept,
-        "aopp_untagged": a.n1_kept,
-    }
-    # a class of probability one can round above it
-    n_t = counts.n_t
-    pairs = n_bits // 2
-    out = {name: (pairs, min(mean / (0.5 * n_t), 1.0)) for name, mean in pair_means.items()}
-    out.update((name, (n_bits, min(mean / n_t, 1.0))) for name, mean in bit_means.items())
+    b, a = bfer_expectations(counts, untagged), aopp(counts, untagged)
+    laws = {"bfer": (n_bits // 2, 0.5 * counts.n_t), "aopp": (n_bits, counts.n_t)}
+    out = {}
+    for pairing, (rows, _) in _TABLE.items():
+        trials, windows = laws[pairing]
+        for row in rows:
+            if row.mean is not None:
+                # a class of probability one can round above it
+                out[row.name] = (trials, min(row.mean(b, a) / windows, 1.0))
     return out
 
 

@@ -59,6 +59,17 @@ _M_ODD = _pair_projector({(0, 1): 0, (1, 0): 1})
 _M_EVEN = _pair_projector({(0, 0): 0, (1, 1): 1})
 
 
+def _coherence_limit(theta: float | np.ndarray) -> float | np.ndarray:
+    """The positivity limit |cos(theta) sin(theta)| of the coherence alpha."""
+    return np.abs(np.cos(theta) * np.sin(theta))
+
+
+def _odd_survivor_error(alpha: float | np.ndarray, limit: float | np.ndarray) -> float | np.ndarray:
+    """Closed-form phase error (1 - alpha^2/(cos^2 sin^2))/2 of the odd-parity
+    survivor, given the coherence limit |cos sin|; beta does not enter it."""
+    return 0.5 * (1.0 - alpha**2 / limit**2)
+
+
 @dataclass(frozen=True)
 class PairState:
     """Two-qubit state with diagonal weights cos^2/sin^2 and a coherence
@@ -86,7 +97,7 @@ def make_sigma(theta: float, alpha: float, beta: float | np.ndarray) -> PairStat
         raise ValueError(f"beta must be finite, got {beta!r}")
     if alpha < 0.0:
         raise ValueError(f"alpha must be non-negative, got {alpha!r}")
-    limit = abs(math.cos(theta) * math.sin(theta))
+    limit = float(_coherence_limit(theta))
     if alpha > limit + 1e-15:
         raise ValueError(
             f"alpha={alpha!r} violates positivity (limit {limit!r} at theta={theta!r})"
@@ -164,14 +175,13 @@ def odd_parity_survivor(
 
     Returns (normalized survivor matrix, its phase error, pass probability),
     each stacked over beta for a stacked state; every phase error is
-    cross-checked against the closed form (1 - alpha^2/(cos^2 sin^2))/2,
-    which is independent of beta.
+    cross-checked against its closed form (``_odd_survivor_error``).
     """
-    cos2sin2 = (math.cos(state.theta) * math.sin(state.theta)) ** 2
-    if cos2sin2 == 0.0:
+    limit = _coherence_limit(state.theta)
+    if limit**2 == 0.0:
         raise ValueError(f"degenerate theta={state.theta!r}: no odd-parity survivors")
     survivor, e_odd, pass_prob = _survivor(state, _K_ODD)
-    _cross_check("odd-parity error", e_odd, 0.5 * (1.0 - state.alpha**2 / cos2sin2))
+    _cross_check("odd-parity error", e_odd, _odd_survivor_error(state.alpha, limit))
     return survivor, _output(e_odd), _output(pass_prob)
 
 
@@ -239,10 +249,9 @@ def verify_iteration_inequality(
     fracs = np.linspace(0.0, 1.0, n_alpha)
     betas = np.linspace(0.0, 2.0 * math.pi, n_beta, endpoint=False)
 
-    limits = np.abs(np.cos(thetas) * np.sin(thetas))
+    limits = _coherence_limit(thetas)
     alphas = np.outer(fracs, limits)  # shape (n_alpha, n_theta)
-    cos2sin2 = limits**2
-    e_odd = 0.5 * (1.0 - alphas**2 / cos2sin2)
+    e_odd = _odd_survivor_error(alphas, limits)
     e_bar = 0.5 * (1.0 - 2.0 * alphas)  # worst case over beta (cos(beta) <= 1)
     bound = iterate_phase_error(e_bar)
     # beta does not enter either side; the grid over beta adds no violations.
@@ -253,10 +262,10 @@ def verify_iteration_inequality(
     beta_sweeps = 0
     max_spread = 0.0
     checked = betas[::matrix_stride]
-    for theta in thetas[::matrix_stride]:
+    for theta, limit in zip(thetas[::matrix_stride], limits[::matrix_stride]):
         for frac in fracs[::matrix_stride]:
-            alpha = frac * abs(math.cos(theta) * math.sin(theta))
-            closed = 0.5 * (1.0 - alpha**2 / (math.cos(theta) * math.sin(theta)) ** 2)
+            alpha = frac * limit
+            closed = _odd_survivor_error(alpha, limit)
             # one stacked call per sweep over beta; both raise on a
             # matrix/closed-form mismatch
             _, e_matrix, _ = odd_parity_survivor(make_sigma(theta, alpha, betas))

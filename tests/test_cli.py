@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import dataclasses
 import errno
+import hashlib
 import io
 import json
 import math
@@ -536,6 +537,26 @@ def test_mc_verify_on_two_bit_strings(tmp_path):
     argv = ["mc-verify", "--preset", "rowC", "--distance", "100", "--variant", "bfer",
             "--bits", "2", "--n-seeds", "50", "--out", str(tmp_path / "z.csv")]
     assert main(argv) == 0
+
+
+# SHA-256 of the whole mc-verify report at rowC, 100 km, 4 seeds: they pin
+# the row order, every analytic and empirical value and the formatting
+MC_REPORT_SHA256 = {
+    "1M": "a0a1d3f0f150222b58623e118bfc86ce35b2a2b839c58227dde04a33b9b3c5fa",
+    "100k-fault": "cf88f1d90845afe939134d0e33f7166b2753c6df28db74ca51d00ebae5dbf1e5",
+}
+
+
+@pytest.mark.parametrize("case, extra, exit_code", [
+    ("1M", ["--bits", "1000000"], 0),
+    ("100k-fault", ["--bits", "100000", "--inject-fault"], 1),
+], ids=MC_REPORT_SHA256)
+def test_mc_verify_report_bytes_are_pinned(case, extra, exit_code, capsys):
+    argv = ["mc-verify", "--preset", "rowC", "--distance", "100", "--variant", "bfer",
+            "--n-seeds", "4", *extra]
+    assert main(argv) == exit_code
+    report = capsys.readouterr().out.encode()
+    assert hashlib.sha256(report).hexdigest() == MC_REPORT_SHA256[case]
 
 
 @pytest.mark.parametrize("row, distance", [("rowF", "50"), ("rowF", "100"), ("rowD", "150"),

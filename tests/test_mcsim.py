@@ -219,10 +219,22 @@ def test_strings_past_the_limit_are_refused():
     message = "the oracle takes at most 999999999 positions .* got 1000000000$"
     with pytest.raises(ValueError, match=message):
         mcsim.sample_string(counts, untagged, 10**9, seed=0)
-    long = mcsim.StateCounts((10**9,) + (0,) * 7)
-    for run in (mcsim.run_bfer, mcsim.run_aopp):
-        with pytest.raises(ValueError, match=message):
-            run(long, 1)
+    # no pairing ever sees such a string: its state counts are refused
+    with pytest.raises(ValueError, match=message):
+        mcsim.StateCounts((10**9,) + (0,) * 7)
+
+
+@pytest.mark.parametrize("counts, message", [
+    ((1,) * 7, "need one count for each of the 8 states, got 7"),
+    ((2, -1, 0, 0, 0, 0, 0, 0), "state counts must be non-negative ints"),
+    ((1.5, 1, 0, 0, 0, 0, 0, 0), "state counts must be non-negative ints"),
+    ((mcsim.MAX_BITS - 1, 2, 0, 0, 0, 0, 0, 0), "the oracle takes at most 999999999 positions"),
+], ids=["seven-counts", "negative", "fraction", "past-the-limit"])
+def test_malformed_state_counts_are_refused(counts, message):
+    # unchecked, each would fail inside numpy's samplers with a message that
+    # names no state count
+    with pytest.raises(ValueError, match=message):
+        mcsim.StateCounts(counts)
 
 
 class TestRunBfer:
@@ -332,14 +344,15 @@ class TestRunAopp:
         # its own transpose on the classes a pair of a zero and a one can form
         is_one = mcsim.BOB_BITS[np.arange(8) >> 1] == 1
         formable = is_one[:, None] != is_one[None, :]
-        tallies, refused = mcsim._aopp_masks()
-        assert len(tallies) == 4 and len(refused) == 3
-        for name, mask in {**tallies, **refused}.items():
+        rows, _ = mcsim._build_table(mcsim.ALICE_BITS, mcsim.BOB_BITS)["aopp"]
+        masks = {row.name: row.mask for row in rows}
+        assert sum(row.mean is not None for row in rows) == 5 and len(rows) == 8
+        for name, mask in masks.items():
             table = mask.reshape(8, 8)
             assert np.array_equal(table[formable], table.T[formable]), name
         # not on every class: a kept d-c0 pair, which no active pairing forms,
         # is refused in one order only
-        table = refused["kept V/D pairs are always bit-flip errors"].reshape(8, 8)
+        table = masks["kept V/D pairs are always bit-flip errors"].reshape(8, 8)
         assert not np.array_equal(table, table.T)
 
     def test_counting_identity_on_same_string(self):
@@ -357,7 +370,8 @@ class TestRunAopp:
         # run_aopp checks that every kept V/D pair, and no kept one-sender
         # pair, is a bit-flip error; a D event on which Alice and Bob agree
         # breaks that
-        monkeypatch.setattr(mcsim, "ALICE_BITS", np.array([0, 1, 0, 0], dtype=np.uint8))
+        alice_bits = np.array([0, 1, 0, 0], dtype=np.uint8)
+        monkeypatch.setattr(mcsim, "_TABLE", mcsim._build_table(alice_bits, mcsim.BOB_BITS))
         with pytest.raises(AssertionError, match="bit-flip errors"):
             mcsim.run_aopp(s, seed=24)
 
@@ -710,12 +724,7 @@ def test_tally_invariants(key):
 
 def test_oracle_memory_stays_a_few_bytes_per_bit():
     # numpy reports its array data to tracemalloc, so these peaks repeat
-    # exactly; with whole-string passes they were 20.0, 6.5 and 12.8 MB, with
-    # chunked passes and shuffled pairings 3.2, 2.6 and 3.8, with class tables
-    # drawn from the state counts 3.2, 0.6 and 1.1, with the string drawn as
-    # its state counts 0.002, 0.01 and 1.1 (the active pairing's order draws
-    # kept one chunk of floats), and without those order draws a few kB each:
-    # no pass runs per bit
+    # exactly; they are a few kB each, as no pass runs per bit
     counts, untagged = PIN_INSTANCES["unbalanced"]
 
     def traced_peak(func, *args):
@@ -747,6 +756,7 @@ def test_run_bfer_checks_fire_under_wrong_bits(monkeypatch, alice_bits, message)
     counts, untagged = make_fixture()
     s = mcsim.sample_string(counts, untagged, 10_000, seed=65)
     mcsim.run_bfer(s, seed=66)
-    monkeypatch.setattr(mcsim, "ALICE_BITS", np.array(alice_bits, dtype=np.uint8))
+    table = mcsim._build_table(np.array(alice_bits, dtype=np.uint8), mcsim.BOB_BITS)
+    monkeypatch.setattr(mcsim, "_TABLE", table)
     with pytest.raises(AssertionError, match=message):
         mcsim.run_bfer(s, seed=66)
