@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, get_args
 
@@ -22,11 +23,13 @@ if TYPE_CHECKING:
 __all__ = [
     "CONVENTIONS",
     "ExperimentParams",
+    "PROTOCOL_KEYS",
     "ProtocolParams",
     "WindowRates",
     "arm_transmittance",
     "checked_float",
     "effective_rate_phase_averaged",
+    "protocol_from_keys",
     "x_window_rates",
     "single_photon_quantities",
     "window_rates",
@@ -142,7 +145,7 @@ class ProtocolParams:
     p_z: float                 # probability of committing to a signal window
     p_send: float              # sending probability inside a signal window
     mu_z: float                # signal intensity
-    decoy_intensities: tuple[float, float, float] = (0.0, 0.05, 0.1)
+    decoy_intensities: tuple[float, float, float] = (0.0, 0.02, 0.06)
     delta: float = 2.0 * math.pi / 16.0   # phase-slice width, radians
 
     def __post_init__(self) -> None:
@@ -161,6 +164,24 @@ class ProtocolParams:
     @property
     def mu2(self) -> float:
         return self.decoy_intensities[2]
+
+
+# the flat keys that set a protocol: its scalar fields, with the decoys as mu1 and mu2
+PROTOCOL_KEYS = ("p_z", "p_send", "mu_z", "mu1", "mu2", "delta")
+
+
+def protocol_from_keys(values: Mapping[str, float], delta: float | None = None) -> ProtocolParams:
+    """The protocol that flat keys set; ``p_send`` and ``mu_z`` are needed,
+    ``p_z`` falls back to 1 and the rest to the field defaults.  A given
+    ``delta`` replaces the keys' own."""
+    _, mu1, mu2 = ProtocolParams.decoy_intensities
+    return ProtocolParams(
+        p_z=values.get("p_z", 1.0),
+        p_send=values["p_send"],
+        mu_z=values["mu_z"],
+        decoy_intensities=(0.0, values.get("mu1", mu1), values.get("mu2", mu2)),
+        delta=values.get("delta", ProtocolParams.delta) if delta is None else delta,
+    )
 
 
 def _decoy_intensities(values: object) -> tuple[float, float, float]:

@@ -19,73 +19,28 @@ import functools
 import math
 import os
 import sys
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
-from .channel import CONVENTIONS, ExperimentParams, ProtocolParams, checked_float
+from .channel import (CONVENTIONS, PROTOCOL_KEYS, ExperimentParams, ProtocolParams,
+                      checked_float, protocol_from_keys)
 from .decoy import BoundViolationError, UntaggedStats
-from .optimizer import OptimizationSpec, _make_proto, optimize
+from .optimizer import OptimizationSpec, optimize
 from .pipeline import MODES, VARIANTS, PointResult, evaluate, mode_for_variant
 from .postproc import BferOutcome, ZWindowCounts
-from .presets import PRESETS, preset
+from .presets import PRESETS
 
 __all__ = ["RunConfig", "ConfigError", "plob_rate", "main", "console_main"]
 
 _EXPERIMENT_KEYS = tuple(
     f.name for f in dataclasses.fields(ExperimentParams) if f.name != "distance_km"
 )
-_PROTOCOL_KEYS = ("p_z", "p_send", "mu_z", "mu1", "mu2", "delta")
 
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message carries field/line diagnostics."""
-
-
-@dataclass
-class RunConfig:
-    """Resolved inputs of one command run."""
-
-    preset: str | None = None
-    experiment: dict[str, float] = field(default_factory=dict)
-    protocol: dict[str, float] = field(default_factory=dict)
-    variant: list[str] = field(default_factory=list)
-    mode: str | None = None
-    distance: float | None = None
-    range: tuple[float, float, float] | None = None
-    seed: int = 0
-    out: str | None = None
-    bits: int = 1_000_000
-    n_seeds: int = 1
-    grid_points: int = 100
-    vacuum_credit: bool = False
-    convention: str = "visibility"
-    inject_fault: bool = False
-
-    def build_experiment(self, distance_km: float) -> ExperimentParams:
-        base = dataclasses.asdict(PRESETS[self.preset]) if self.preset is not None else {}
-        base.update(self.experiment)
-        base["distance_km"] = distance_km
-        missing = [key for key in _EXPERIMENT_KEYS if key not in base]
-        if missing:
-            raise ConfigError(f"missing experiment fields {missing}; give a preset or set them")
-        try:
-            return ExperimentParams(**{k: base[k] for k in _EXPERIMENT_KEYS + ("distance_km",)})
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-
-    def fixed_protocol(self) -> ProtocolParams | None:
-        """Protocol from config when it sets any protocol key; None means optimize."""
-        if not self.protocol:
-            return None
-        if "p_send" not in self.protocol or "mu_z" not in self.protocol:
-            raise ConfigError(
-                "fields 'p_send' and 'mu_z' are both needed to fix the protocol; "
-                f"the config sets only {sorted(self.protocol)}"
-            )
-        try:
-            return _make_proto(self.protocol, self.protocol.get("delta", ProtocolParams.delta))
-        except ValueError as err:
-            raise ConfigError(f"invalid protocol parameters: {err}") from err
 
 
 def _parse_bool(text: str) -> bool:
@@ -96,10 +51,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+_NO_VARIANT = "at least one pipeline variant is required"
+
+
 def _parse_variants(text: str) -> list[str]:
     names = [v.strip() for v in text.split(",") if v.strip()]
     if not names:
-        raise ValueError(_REQUIRED["variant"])
+        raise ValueError(_NO_VARIANT)
     for i, name in enumerate(names):
         if name not in VARIANTS:
             raise ValueError(f"unknown variant {name!r}; choose from {VARIANTS}")
@@ -155,65 +113,114 @@ def _parse_out(text: str) -> str:
     return text
 
 
-# the parser of every configuration key; config-file values and flag values
-# both go through _convert
-_FIELDS = {
-    "preset": str,
-    "mode": str,
-    "convention": str,
-    "out": _parse_out,
-    "seed": int,
-    "bits": int,
-    "n_seeds": int,
-    "grid_points": int,
-    "vacuum_credit": _parse_bool,
-    "inject_fault": _parse_bool,
-    "distance": float,
-    "range": _parse_range,
-    "variant": _parse_variants,
-    **dict.fromkeys(_EXPERIMENT_KEYS + _PROTOCOL_KEYS, float),
-}
-_CHOICES = {"preset": tuple(PRESETS), "mode": MODES, "convention": CONVENTIONS}
-# numpy seeds are non-negative; sampling needs two bits, a pair-state grid
-# one point per axis
-_MINIMA = {"seed": 0, "bits": 2, "n_seeds": 1, "grid_points": 1}
-# the oracle's longest string, mcsim.MAX_BITS, written out so that importing
-# the CLI loads no numpy
-_MAXIMA = {"bits": 10**9 - 1}
+def _choice(options: tuple[str, ...]) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"expected one of {options}, got {text!r}")
+        return text
+    return parse
 
-# the add_argument options of each key that is a flag of some command; the
-# flag is '--' plus the key with '-' for '_'
-_FLAGS: dict[str, dict[str, str]] = {
-    "preset": {"help": f"device preset, one of {sorted(PRESETS)}"},
-    "seed": {"help": "base seed recorded in outputs, at least 0"},
-    "out": {"help": "output path (default: stdout)"},
-    "mode": {"help": f"pipeline mode, one of {_CHOICES['mode']}"},
-    "variant": {"action": "append", "help": "pipeline variant(s), comma-separable"},
-    "distance": {"help": "distance in km"},
-    "range": {"help": "distance range lo:hi:step in km"},
-    "convention": {"help": f"misalignment model, one of {CONVENTIONS}"},
-    "vacuum_credit": {"action": "store_const", "const": "true"},
-    "bits": {"help": f"sampled string length, from 2 to {_MAXIMA['bits']}"},
-    "n_seeds": {"help": "number of seeds to run, at least 1"},
-    "inject_fault": {"action": "store_const", "const": "true"},
-    "grid_points": {"help": "grid size per axis, at least 1"},
-}
+
+def _count(least: int, most: float = math.inf) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise ValueError(f"must be at least {least}, got {value}")
+        if value > most:
+            raise ValueError(f"must be at most {most}, got {value}")
+        return value
+    return parse
+
+
+def _key(default: object, parse: Callable[[str], object], missing: str | None = None,
+         **flag: str) -> Any:
+    """A configuration key: its default, the parser of its text (a ValueError
+    says why it refuses a value), the message when a command needs the key and
+    lacks it, and the add_argument options of its flag '--key-name'."""
+    return field(default=default, metadata={"parse": parse, "missing": missing, "flag": flag})
+
+
+_MAX_BITS = 10**9 - 1  # mcsim.MAX_BITS, written out so that importing the CLI loads no numpy
+_MAX_GRID_POINTS = 1_000  # the check's n-by-n arrays grow the peak RSS by 40-50 MB here
+
+
+@dataclass
+class RunConfig:
+    """Resolved inputs of one command run; each field but the last two is a ``_key``."""
+
+    preset: str | None = _key(None, _choice(tuple(PRESETS)),
+                              help=f"device preset, one of {sorted(PRESETS)}")
+    mode: str | None = _key(None, _choice(MODES), help=f"pipeline mode, one of {MODES}")
+    convention: str = _key("visibility", _choice(CONVENTIONS),
+                           help=f"misalignment model, one of {CONVENTIONS}")
+    out: str | None = _key(None, _parse_out, help="output path (default: stdout)")
+    # numpy seeds are non-negative, sampling needs two bits, a pair-state
+    # grid one point per axis
+    seed: int = _key(0, _count(0), help="base seed recorded in outputs, at least 0")
+    bits: int = _key(1_000_000, _count(2, _MAX_BITS),
+                     help=f"sampled string length, from 2 to {_MAX_BITS}")
+    n_seeds: int = _key(1, _count(1), help="number of seeds to run, at least 1")
+    grid_points: int = _key(100, _count(1, _MAX_GRID_POINTS),
+                            help=f"grid size per axis, from 1 to {_MAX_GRID_POINTS}")
+    vacuum_credit: bool = _key(False, _parse_bool, action="store_const", const="true")
+    inject_fault: bool = _key(False, _parse_bool, action="store_const", const="true")
+    distance: float | None = _key(None, float, "{command} requires a distance",
+                                  help="distance in km")
+    range: tuple[float, float, float] | None = _key(
+        None, _parse_range, "{command} requires a distance range lo:hi:step",
+        help="distance range lo:hi:step in km")
+    variant: Sequence[str] = _key((), _parse_variants, _NO_VARIANT, action="append",
+                                  help="pipeline variant(s), comma-separable")
+    eta_setting: str = _key("absolute", _choice(("absolute", "relative")),
+                            help="PLOB limit, 'absolute' (detectors of efficiency 1) or 'relative'")
+    # the flat experiment and protocol keys, which have no flags
+    experiment: dict[str, float] = field(default_factory=dict)
+    protocol: dict[str, float] = field(default_factory=dict)
+
+    def build_experiment(self, distance_km: float) -> ExperimentParams:
+        base = dataclasses.asdict(PRESETS[self.preset]) if self.preset is not None else {}
+        base.update(self.experiment)
+        base["distance_km"] = distance_km
+        missing = [key for key in _EXPERIMENT_KEYS if key not in base]
+        if missing:
+            raise ConfigError(f"missing experiment fields {missing}; give a preset or set them")
+        try:
+            return ExperimentParams(**{k: base[k] for k in _EXPERIMENT_KEYS + ("distance_km",)})
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+
+    def fixed_protocol(self) -> ProtocolParams | None:
+        """Protocol from config when it sets any protocol key; None means optimize."""
+        if not self.protocol:
+            return None
+        if "p_send" not in self.protocol or "mu_z" not in self.protocol:
+            raise ConfigError(
+                "fields 'p_send' and 'mu_z' are both needed to fix the protocol; "
+                f"the config sets only {sorted(self.protocol)}"
+            )
+        try:
+            return protocol_from_keys(self.protocol)
+        except ValueError as err:
+            raise ConfigError(f"invalid protocol parameters: {err}") from err
+
+
+# the metadata of each RunConfig key, and the parser of every key, the flat ones floats
+_KEYS = {f.name: f.metadata for f in dataclasses.fields(RunConfig) if f.metadata}
+_FIELDS = {**{key: meta["parse"] for key, meta in _KEYS.items()},
+           **dict.fromkeys(_EXPERIMENT_KEYS + PROTOCOL_KEYS, float)}
+
 _PIPELINE_KEYS = ("preset", "variant", "mode", "convention", "vacuum_credit")
-# each command's flags besides --config and --out, and the keys it cannot run
-# without; a config file may set any key, and a command ignores those it does
-# not read
-_COMMANDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "scan": (_PIPELINE_KEYS + ("range", "seed"), ("variant", "range")),
-    "point": (_PIPELINE_KEYS + ("distance",), ("variant", "distance")),
-    "optimize": (_PIPELINE_KEYS + ("distance",), ("variant", "distance")),
-    "plob": (("preset", "distance"), ("distance",)),
-    "mc-verify": (_PIPELINE_KEYS + ("distance", "seed", "bits", "n_seeds", "inject_fault"), ()),
-    "qubit-check": (("grid_points",), ()),
-}
-_REQUIRED = {
-    "variant": "at least one pipeline variant is required",
-    "distance": "{command} requires a distance",
-    "range": "{command} requires a distance range lo:hi:step",
+# each command (run by cmd_<name>, '_' for '-'): its flags besides --config and --out, the keys
+# it cannot run without, and whether it refuses a partial or invalid protocol before any work;
+# a config file may set any key, and a command ignores those it does not read
+_COMMANDS: dict[str, tuple[tuple[str, ...], tuple[str, ...], bool]] = {
+    "scan": (_PIPELINE_KEYS + ("range", "seed"), ("variant", "range"), True),
+    "point": (_PIPELINE_KEYS + ("distance",), ("variant", "distance"), True),
+    "optimize": (_PIPELINE_KEYS + ("distance",), ("variant", "distance"), False),
+    "plob": (("preset", "distance", "eta_setting"), ("distance",), False),
+    "mc-verify": (
+        _PIPELINE_KEYS + ("distance", "seed", "bits", "n_seeds", "inject_fault"), (), True),
+    "qubit-check": (("grid_points",), (), False),
 }
 
 
@@ -222,22 +229,20 @@ def _convert(key: str, text: str) -> object:
     if key not in _FIELDS:
         raise ConfigError(f"unknown configuration key {key!r}")
     try:
-        value = _FIELDS[key](text)
+        return _FIELDS[key](text)
     except ValueError as err:
         raise ConfigError(f"field {key!r}: {err}") from None
-    if key in _CHOICES and value not in _CHOICES[key]:
-        raise ConfigError(f"field {key!r}: expected one of {_CHOICES[key]}, got {value!r}")
-    if key in _MINIMA and value < _MINIMA[key]:
-        raise ConfigError(f"field {key!r}: must be at least {_MINIMA[key]}, got {value}")
-    if key in _MAXIMA and value > _MAXIMA[key]:
-        raise ConfigError(f"field {key!r}: must be at most {_MAXIMA[key]}, got {value}")
-    return value
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
     """Flat key=value file; '#' starts a comment, blank lines are skipped."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise ConfigError(f"field 'config': cannot read {str(path)!r}: {reason}") from None
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -258,15 +263,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     merged: dict[str, object] = {}
     if args.config:
         merged.update(parse_config_file(args.config))
-    for key in _FIELDS:
+    for key in _KEYS:
         text = getattr(args, key, None)
         if text is not None:
-            # --variant may be repeated
-            merged[key] = _convert(key, ",".join(text) if key == "variant" else text)
+            # a repeated flag (--variant) gives a list, read as one comma-separated value
+            merged[key] = _convert(key, ",".join(text) if isinstance(text, list) else text)
     for key, value in merged.items():
         if key in _EXPERIMENT_KEYS:
             cfg.experiment[key] = value  # type: ignore[assignment]
-        elif key in _PROTOCOL_KEYS:
+        elif key in PROTOCOL_KEYS:
             cfg.protocol[key] = value  # type: ignore[assignment]
         else:
             setattr(cfg, key, value)
@@ -276,10 +281,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 f"field 'mode': variant {name!r} runs in {mode_for_variant(name)!r} mode, "
                 f"config requests {cfg.mode!r}"
             )
-    for key in _COMMANDS[args.command][1]:
+    _, required, checks_protocol = _COMMANDS[args.command]
+    for key in required:
         if key not in merged:
-            raise ConfigError(f"field {key!r}: " + _REQUIRED[key].format(command=args.command))
-    if args.command in ("scan", "point", "mc-verify"):
+            missing = _KEYS[key]["missing"].format(command=args.command)
+            raise ConfigError(f"field {key!r}: {missing}")
+    if checks_protocol:
         cfg.fixed_protocol()  # refuses a partial or invalid protocol before any work
     return cfg
 
@@ -354,7 +361,7 @@ def _scan_row(cfg: RunConfig, distance: float, warm: dict[str, ProtocolParams],
         else:
             proto = _protocol_for(cfg, exp, variant, warm, zeros)
             row[f"{variant}_rate"] = _evaluate(cfg, exp, proto, variant).key.rate
-        for name in _PROTOCOL_KEYS:
+        for name in PROTOCOL_KEYS:
             row[f"{variant}_{name}"] = getattr(proto, name)
     row["plob_absolute"] = plob_rate(exp.fiber_loss_db_km, distance, 1.0)
     row["plob_relative"] = plob_rate(exp.fiber_loss_db_km, distance, exp.detector_eff)
@@ -407,7 +414,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     columns: list[str] = ["distance_km"]
     for variant in cfg.variant:
         columns += [f"{variant}_rate", f"{variant}_rate_hex"]
-        columns += [f"{variant}_{name}" for name in _PROTOCOL_KEYS]
+        columns += [f"{variant}_{name}" for name in PROTOCOL_KEYS]
     columns += ["plob_absolute", "plob_absolute_hex", "plob_relative", "plob_relative_hex"]
 
     lines = _config_header(cfg, columns, zeros)
@@ -515,14 +522,11 @@ def cmd_optimize(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_plob(cfg: RunConfig, setting: str) -> int:
+def cmd_plob(cfg: RunConfig) -> int:
     exp = cfg.build_experiment(cfg.distance)
-    eta_det = 1.0 if setting == "absolute" else exp.detector_eff
+    eta_det = 1.0 if cfg.eta_setting == "absolute" else exp.detector_eff
     rate = plob_rate(exp.fiber_loss_db_km, cfg.distance, eta_det)
-    if math.isinf(rate):
-        _write_output(cfg.out, "unbounded\n")
-    else:
-        _write_output(cfg.out, f"{rate:.6e} ({rate.hex()})\n")
+    _write_output(cfg.out, "unbounded\n" if math.isinf(rate) else f"{rate:.6e} ({rate.hex()})\n")
     return 0
 
 
@@ -614,24 +618,19 @@ def _opened_output(out: str | None):
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="snsqkd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (keys, _) in _COMMANDS.items():
+    for name, (keys, _, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value configuration file")
         for key in ("out",) + keys:
-            p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
-        if name == "plob":
-            p.add_argument("--eta-setting", choices=("absolute", "relative"), default="absolute")
+            p.add_argument("--" + key.replace("_", "-"), **_KEYS[key]["flag"])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    # looked up at each call, so that a rebound cmd_* function is the one that runs
-    run = {"scan": cmd_scan, "point": cmd_point, "optimize": cmd_optimize,
-           "plob": lambda cfg: cmd_plob(cfg, args.eta_setting),
-           "mc-verify": cmd_mc_verify, "qubit-check": cmd_qubit_check}[args.command]
     try:
-        return run(build_config(args))
+        # looked up at each call, so that a rebound cmd_* function is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](build_config(args))
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

@@ -26,7 +26,13 @@ import numbers
 from dataclasses import dataclass
 from typing import Callable
 
-from .channel import CONVENTIONS, ExperimentParams, ProtocolParams, checked_float
+from .channel import (
+    CONVENTIONS,
+    ExperimentParams,
+    ProtocolParams,
+    checked_float,
+    protocol_from_keys,
+)
 from .decoy import BoundViolationError
 from .pipeline import VARIANTS, evaluate, mode_for_variant
 from .postproc import KeyResult
@@ -288,18 +294,6 @@ def _by_value(sim: list[list[float]], fsim: list[float]) -> tuple[list[list[floa
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
-def _make_proto(values: dict[str, float], delta: float) -> ProtocolParams:
-    mu1 = values.get("mu1", 0.02)
-    mu2 = values.get("mu2", 0.06)
-    return ProtocolParams(
-        p_z=values.get("p_z", 1.0),
-        p_send=values["p_send"],
-        mu_z=values["mu_z"],
-        decoy_intensities=(0.0, mu1, mu2),
-        delta=delta,
-    )
-
-
 def optimize(spec: OptimizationSpec, exp: ExperimentParams,
              start: ProtocolParams | None = None) -> OptimizationResult:
     """Maximize the spec's variant over the free protocol parameters.
@@ -338,7 +332,7 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams,
             if violation > 0.0:
                 return _INVALID * (1.0 + violation)
         try:
-            return key(_make_proto(values, delta)).key_length
+            return key(protocol_from_keys(values, delta)).key_length
         except (BoundViolationError, ValueError):
             return _INVALID
 
@@ -405,7 +399,7 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams,
         if best_values is not None and delta != pivot and evaluations < spec.budget:
             refine(best_values, delta, objective(as_point(best_values), delta))
 
-    proto = _make_proto(best_values or cells[0], best_delta)
+    proto = protocol_from_keys(best_values or cells[0], best_delta)
     key_length, rate = min(max(best_value, _INVALID), 0.0), 0.0
     if best_value > 0.0:
         final_key = key(proto)

@@ -82,7 +82,7 @@ class TestParams:
         with pytest.raises(ValueError):
             ProtocolParams(p_z=1.0, p_send=0.1, mu_z=-0.5)
         proto = ProtocolParams(p_z=0.7, p_send=0.1, mu_z=0.5)
-        assert proto.mu1 == 0.05 and proto.mu2 == 0.1
+        assert proto.mu1 == 0.02 and proto.mu2 == 0.06
 
     @pytest.mark.parametrize("field, p_z, values", [
         # these failed with a bare unpacking error

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import signal
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import mpmath
 import pytest
 
 from snsqkd import cli, mcsim
+from snsqkd.channel import PROTOCOL_KEYS
 from snsqkd.cli import ConfigError, main, parse_config_file, plob_rate
 
 FIXED_PROTO = [
@@ -451,7 +453,30 @@ def test_bits_past_the_oracle_limit_is_a_configuration_error(given, tmp_path, ca
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "field 'bits': must be at most 999999999, got 1000000000" in err
-    assert cli._MAXIMA["bits"] == mcsim.MAX_BITS
+    # the CLI's limit, written out so that importing it loads no numpy, is the oracle's
+    assert cli._convert("bits", str(mcsim.MAX_BITS)) == mcsim.MAX_BITS == 10**9 - 1
+
+
+@pytest.mark.parametrize("given", [
+    ["--grid-points", "1001"],
+    ["--config", "grid.cfg"],
+], ids=["flag", "config"])
+def test_grid_past_its_limit_is_a_configuration_error(given, tmp_path, capsys, monkeypatch):
+    # memory grows as the square of the grid: 20,000 points asked for about 16 GB
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.cfg").write_text("grid_points = 1001\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("built a grid past the limit")
+
+    monkeypatch.setattr("snsqkd.qubitmodel.verify_iteration_inequality", never)
+    assert main(["qubit-check", *given]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "field 'grid_points': must be at most 1000, got 1001" in err
+    # the benchmark's and the CI's grids, and the limit itself, are taken
+    for points in (5, 10, 30, 100, 1000):
+        assert cli._convert("grid_points", str(points)) == points
 
 
 # a malformed value of every configuration key
@@ -469,7 +494,8 @@ MALFORMED = {
     "distance": "abc",
     "range": "a:b:c",
     "variant": "bogus",
-    **dict.fromkeys(cli._EXPERIMENT_KEYS + cli._PROTOCOL_KEYS, "abc"),
+    "eta_setting": "bogus",
+    **dict.fromkeys(cli._EXPERIMENT_KEYS + PROTOCOL_KEYS, "abc"),
 }
 # a subcommand that takes each flag taking a value; the experiment and
 # protocol keys have no flag, and the two boolean flags take no value
@@ -478,6 +504,7 @@ FLAG_COMMAND = {
     "range": "scan",
     **dict.fromkeys(("seed", "bits", "n_seeds"), "mc-verify"),
     "grid_points": "qubit-check",
+    "eta_setting": "plob",
 }
 # a valid run of each of those subcommands, given only flags it takes
 FLAG_BASE = {
@@ -485,6 +512,7 @@ FLAG_BASE = {
     "scan": ["--preset", "rowC", "--variant", "bfer", "--range", "100:200:50"],
     "mc-verify": ["--preset", "rowC", "--variant", "bfer", "--distance", "100"],
     "qubit-check": [],
+    "plob": ["--preset", "rowA", "--distance", "100"],
 }
 
 
@@ -559,6 +587,32 @@ def test_mc_verify_report_bytes_are_pinned(case, extra, exit_code, capsys):
     assert hashlib.sha256(report).hexdigest() == MC_REPORT_SHA256[case]
 
 
+FINITE_CFG = "preset = table2\np_z = 0.9\np_send = 0.1\nmu_z = 0.4\nmu1 = 0.02\nmu2 = 0.1\n"
+# SHA-256 of the whole stdout of the README's three-variant scan, of an
+# optimized aopp breakdown and of a fixed-protocol finite breakdown: they pin
+# every header line, column, rate bit and label the commands print
+STDOUT_SHA256 = {
+    "readme-scan": "7c70b1637ca056af21662d469cd11a0b4bd63e355a348dcd75259e210701c12c",
+    "point-aopp": "1266a847d79c14d38ec3e34ab7d4bc6f323b10663a0a93d7d26327382f282108",
+    "point-finite": "693dc31676db9e6785bf0f3edd622a8b33dd288f24bbc7996c1b797063b7ddfe",
+}
+
+
+@pytest.mark.parametrize("case, argv", [
+    ("readme-scan", ["scan", "--preset", "rowD", "--variant", "original,bfer,aopp",
+                     "--range", "0:700:10"]),
+    ("point-aopp", ["point", "--preset", "rowC", "--variant", "aopp", "--distance", "100"]),
+    ("point-finite", ["point", "--config", "finite.cfg", "--variant", "finite",
+                      "--distance", "300"]),
+], ids=STDOUT_SHA256)
+def test_command_stdout_bytes_are_pinned(case, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "finite.cfg").write_text(FINITE_CFG)
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == STDOUT_SHA256[case]
+
+
 @pytest.mark.parametrize("row, distance", [("rowF", "50"), ("rowF", "100"), ("rowD", "150"),
                                            ("rowA", "250")])
 def test_mc_verify_two_bits_of_a_large_instance(row, distance, tmp_path):
@@ -622,7 +676,7 @@ OUT_COMMANDS = {
 @pytest.mark.parametrize("command", list(OUT_COMMANDS))
 def test_out_in_a_missing_directory_fails_before_the_run(command, tmp_path, monkeypatch, capsys):
     # this used to end in a FileNotFoundError traceback (exit 1), after the run
-    def run(cfg, *args):
+    def run(cfg):
         raise AssertionError("the command ran")
 
     monkeypatch.setattr(cli, f"cmd_{command.replace('-', '_')}", run)
@@ -640,6 +694,34 @@ def test_out_in_an_unwritable_directory_is_a_configuration_error(tmp_path, monke
 def test_out_naming_a_directory_is_a_configuration_error(tmp_path, capsys):
     assert main(OUT_COMMANDS["plob"] + ["--out", str(tmp_path)]) == 2
     assert_names_field("out", capsys)
+
+
+def unreadable(path):
+    path.write_text("preset = rowC\n")
+    path.chmod(0)
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda path: None, "No such file or directory"),
+    (Path.mkdir, "Is a directory"),
+    pytest.param(unreadable, "Permission denied", marks=pytest.mark.skipif(
+        os.geteuid() == 0, reason="root reads a file of mode 000")),
+    (lambda path: path.write_bytes(b"preset = rowC\n# \xff\xfe\n"), "can't decode byte 0xff"),
+], ids=["missing", "directory", "unreadable", "undecodable"])
+def test_config_that_cannot_be_read_fails_before_the_run(make, reason, tmp_path, monkeypatch,
+                                                          capsys):
+    # each of these ended in a traceback with exit 1, which mc-verify uses
+    # for "statistic flagged"
+    def run(cfg):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "cmd_mc_verify", run)
+    path = tmp_path / "run.cfg"
+    make(path)
+    assert main(MC_ARGV + ["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: field 'config': cannot read {str(path)!r}: ")
+    assert reason in err
 
 
 class FullDisk(io.StringIO):

@@ -21,7 +21,7 @@ from snsqkd.optimizer import (
     minimize,
     optimize,
 )
-from snsqkd.channel import ProtocolParams
+from snsqkd.channel import ProtocolParams, protocol_from_keys
 from snsqkd.pipeline import evaluate
 from snsqkd.postproc import KeyResult
 from snsqkd.presets import PRESETS, preset
@@ -154,7 +154,7 @@ def test_grid_without_restarts_keeps_the_best_scored_cell(kwargs, scored):
     assert result.rate > 0.0
     assert (result.rate, result.key_length) == (point.rate, point.key_length)
     cells = snsqkd.optimizer._grid_cells(spec, snsqkd.optimizer._BOUNDS["asymptotic"])
-    lengths = [evaluate(exp, snsqkd.optimizer._make_proto(cell, result.params.delta), "aopp")
+    lengths = [evaluate(exp, protocol_from_keys(cell, result.params.delta), "aopp")
                .key.key_length for cell in cells[:scored]]
     assert result.key_length == max(lengths)
 

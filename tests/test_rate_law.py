@@ -21,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snsqkd import VARIANTS, ExperimentParams, evaluate, preset
-from snsqkd.channel import CONVENTIONS, ProtocolParams
+from snsqkd.channel import CONVENTIONS, ProtocolParams, protocol_from_keys
 from snsqkd.decoy import BoundViolationError
-from snsqkd.optimizer import _BOUNDS, DELTA_CHOICES, _make_proto
+from snsqkd.optimizer import _BOUNDS, DELTA_CHOICES
 from snsqkd.pipeline import mode_for_variant
 
 LARGEST_PULSES = sys.float_info.max  # ExperimentParams admits every finite count
@@ -32,7 +32,7 @@ LARGEST_PULSES = sys.float_info.max  # ExperimentParams admits every finite coun
 def scored_rate(exp, values, delta, variant, vacuum_credit, convention):
     """The clamped rate of the search point ``values`` at ``exp``; 0 where refused."""
     try:
-        proto = _make_proto(values, delta)
+        proto = protocol_from_keys(values, delta)
         with warnings.catch_warnings():
             # the finite bounds warn when they clamp a lower bound to zero
             warnings.simplefilter("ignore", RuntimeWarning)

@@ -11,6 +11,7 @@ import io
 import pytest
 
 from snsqkd import cli
+from snsqkd.channel import PROTOCOL_KEYS
 from snsqkd.cli import main
 from snsqkd.optimizer import OptimizationSpec, optimize
 from snsqkd.pipeline import VARIANTS, mode_for_variant
@@ -101,7 +102,7 @@ def test_a_variant_is_not_searched_past_its_cold_confirmed_zero(monkeypatch, cap
     confirming = results[-1].params  # the cold search at 450 km
     for row in rows[1:]:
         assert row["aopp_rate"] == "0.000000e+00" and row["aopp_rate_hex"] == "0x0.0p+0"
-        for name in cli._PROTOCOL_KEYS:
+        for name in PROTOCOL_KEYS:
             assert row[f"aopp_{name}"] == f"{getattr(confirming, name):.6e}", name
 
 
