@@ -1,4 +1,7 @@
+import hashlib
 import math
+import random
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -29,6 +32,13 @@ SWEEP = [(float(y), xi) for y in np.geomspace(1e-2, 1e13, 61)
          for xi in (0.4, 1e-3, 1e-10, 1e-20, 1e-300)]
 # far beyond any window count: the residuals fall to about 1e-300 there
 HUGE = [(float(y), xi) for y in np.geomspace(1e22, 1e300, 21) for xi in (0.4, 1e-10, 1e-300)]
+# a seeded log-uniform draw over SWEEP's ranges, vacuous lower bounds included
+_draw = random.Random(2017)
+RANDOM = [(10.0 ** _draw.uniform(-2.0, 13.0), 10.0 ** _draw.uniform(-300.0, -0.4))
+          for _ in range(10_000)]
+# SHA-256 of delta1, delta2, lower_vacuous, chernoff_lower and chernoff_upper
+# over SWEEP, HUGE and RANDOM, in hex: it pins every bit of both roots
+DEVIATION_BITS_SHA256 = "418e6f7319c7bbc60ad5ee422842e4a0ea2778126553a71a1a823468f8ddd238"
 
 
 def deviation_oracle(y, xi):
@@ -137,6 +147,17 @@ class TestDeltas:
         assert len(steps) > len(SWEEP)
         assert max(steps) <= 7
         assert sum(steps) / len(steps) <= 1.7
+
+    def test_root_bits_are_pinned(self):
+        digest = hashlib.sha256()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for y, xi in SWEEP + HUGE + RANDOM:
+                deltas = solve_deltas(y, xi)
+                digest.update(f"{deltas.delta1.hex()} {deltas.delta2.hex()} "
+                              f"{deltas.lower_vacuous:d} {chernoff_lower(y, xi).hex()} "
+                              f"{chernoff_upper(y, xi).hex()}\n".encode())
+        assert digest.hexdigest() == DEVIATION_BITS_SHA256
 
     @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("solve", [solve_deltas, chernoff_upper, chernoff_lower])
