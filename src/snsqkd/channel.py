@@ -53,6 +53,8 @@ _INTERVALS = {
     "failure_prob": "(0, 1)", "distance_km": "[0, inf)",
     # ProtocolParams
     "p_z": "(0, 1]", "p_send": "[0, 1]", "mu_z": "(0, inf)", "delta": "(0, 2*pi]",
+    # the decoy intensities as flat keys, each on its own
+    "mu1": "(0, inf)", "mu2": "(0, inf)",
     # rate-function arguments (an infinite intensity makes the integrand NaN)
     "mu_k": "[0, inf)", "eta_arm": "[0, 1]",
 }

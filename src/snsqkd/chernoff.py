@@ -24,22 +24,22 @@ _DELTA2_HI = 1.0 - 1e-15
 # The closed-form brackets of the deviation roots are widened by this
 # relative margin, so that a bound that closes in on its root (the upper
 # bound of delta1 lies within about c/18 of it, relative) still has the
-# root strictly inside; the residuals below are exact to a few ulp, far
+# root strictly inside; the residual below is exact to a few ulp, far
 # inside the margin.
 _BRACKET_MARGIN = 1e-6
 _WIDEN_LO, _WIDEN_HI = 1.0 - _BRACKET_MARGIN, 1.0 + _BRACKET_MARGIN
 # A Newton step of at most this fraction of the root d ends a solve; the
 # tolerance takes the bracket's lower end for d, and for the lower equation
 # also 1 - hi for 1 - d.  Such a step leaves an error of about
-# step^2 f''/(2f'), below step^2/(2d) for the upper residual and
+# step^2 f''/(2f'), below step^2/(2d) for the upper root and
 # step^2/(2d(1 - d)) for the lower, so the root returned is exact to the
-# rounding of the residuals (about 1e-16 relative), one step sooner than a
+# rounding of the residual (about 1e-16 relative), one step sooner than a
 # tolerance at that floor would allow.
 _ROOT_RTOL = 1e-8
-# Below this deviation the residuals are summed as their power series,
-# where the closed forms would lose the leading d^2/2 to cancellation; the
+# Below this deviation |x| the residual is summed as its power series,
+# where the closed form would lose the leading x^2/2 to cancellation; the
 # eleven terms kept reach the rounding floor (the next one is 6e-17 of the
-# sum at d = 0.05).
+# sum at |x| = 0.05).
 _SERIES_BELOW = 0.05
 
 
@@ -96,30 +96,23 @@ class ChernoffDelta:
     lower_vacuous: bool = False
 
 
-def _upper_equation(c: float) -> Callable[[float], tuple[float, float]]:
-    """d -> (1 + d) ln(1 + d) - d - c and its slope ln(1 + d)."""
-    def residual(d: float) -> tuple[float, float]:
-        log = math.log1p(d)
-        if d < _SERIES_BELOW:  # sum_{n>=2} (-d)^n / (n(n-1))
-            return d * d * (1/2 - d * (1/6 - d * (1/12 - d * (1/20 - d * (1/30 - d * (
-                1/42 - d * (1/56 - d * (1/72 - d * (1/90 - d * (1/110 - d / 132)))))))))) - c, log
-        return (1.0 + d) * log - d - c, log
+def _deviation_equation(c: float) -> Callable[[float], tuple[float, float]]:
+    """x -> x + (1 - x) ln(1 - x) - c and its slope -ln(1 - x).
+
+    Both deviation equations are this one: the lower root is x = delta2, and
+    the upper equation (1 + d) ln(1 + d) - d = c is this one at x = -d.
+    """
+    def residual(x: float) -> tuple[float, float]:
+        log = math.log1p(-x)
+        if -_SERIES_BELOW < x < _SERIES_BELOW:  # sum_{n>=2} x^n / (n(n-1))
+            return x * x * (1/2 + x * (1/6 + x * (1/12 + x * (1/20 + x * (1/30 + x * (
+                1/42 + x * (1/56 + x * (1/72 + x * (1/90 + x * (1/110 + x / 132)))))))))) - c, -log
+        return x + (1.0 - x) * log - c, -log
     return residual
 
 
-def _lower_equation(c: float) -> Callable[[float], tuple[float, float]]:
-    """d -> d + (1 - d) ln(1 - d) - c and its slope -ln(1 - d)."""
-    def residual(d: float) -> tuple[float, float]:
-        log = math.log1p(-d)
-        if d < _SERIES_BELOW:  # sum_{n>=2} d^n / (n(n-1))
-            return d * d * (1/2 + d * (1/6 + d * (1/12 + d * (1/20 + d * (1/30 + d * (
-                1/42 + d * (1/56 + d * (1/72 + d * (1/90 + d * (1/110 + d / 132)))))))))) - c, -log
-        return d + (1.0 - d) * log - c, -log
-    return residual
-
-
-# the lower residual at the cap of delta2: above it no root lies below the cap
-_LOWER_RESIDUAL_AT_CAP = _lower_equation(0.0)(_DELTA2_HI)[0]
+# the residual at the cap of delta2: above it no root lies below the cap
+_RESIDUAL_AT_CAP = _deviation_equation(0.0)(_DELTA2_HI)[0]
 
 
 def _validate(expected: float, xi: float) -> float:
@@ -131,36 +124,39 @@ def _validate(expected: float, xi: float) -> float:
     return -math.log(xi / 2.0) / expected
 
 
+def _solve(c: float, lo: float, hi: float, tol: float, t: float) -> float:
+    """Root of x + (1 - x) ln(1 - x) = c on [lo, hi].  Newton starts from the
+    series inverse t - t^2/6 - t^3/72 - t^4/270, at t = sqrt(2c) for the
+    positive root and t = -sqrt(2c) for the negative one."""
+    return find_root(_deviation_equation(c), lo, hi, tol, t - t * t * (1/6 + t * (1/72 + t / 270)))
+
+
 def _solve_delta1(c: float) -> float:
-    """Root of the upper equation (1 + d) ln(1 + d) - d = c.
+    """Root of the upper equation (1 + d) ln(1 + d) - d = c, solved at x = -d.
 
     d^2/(2 + 2d/3) <= (1 + d) ln(1 + d) - d <= d^2/2 puts the root between
-    sqrt(2c) and c/3 + sqrt(c^2/9 + 2c).  Newton starts from the series
-    inverse s + s^2/6 - s^3/72 + s^4/270, s = sqrt(2c).
+    s = sqrt(2c) and c/3 + sqrt(c^2/9 + 2c).  Negation is exact and the
+    solve is symmetric under it, so the root has the bits of a solve in d.
     """
     if math.isinf(c):
         raise ValueError("expected value is too small for a finite upper bound")
     s = math.sqrt(2.0 * c)
     lo, hi = s * _WIDEN_LO, (c / 3.0 + math.hypot(c / 3.0, s)) * _WIDEN_HI
-    start = s + s * s * (1/6 - s * (1/72 - s / 270))
-    return find_root(_upper_equation(c), lo, hi, _ROOT_RTOL * lo, start)
+    return -_solve(c, -hi, -lo, _ROOT_RTOL * lo, -s)
 
 
-def _solve_delta2(c: float) -> float | None:
-    """Root of the lower equation d + (1 - d) ln(1 - d) = c, or None when no
-    root exists in (0, 1).
+def _solve_delta2(c: float) -> float:
+    """Root of the lower equation d + (1 - d) ln(1 - d) = c, or 1 (a vacuous
+    bound) when no root lies below the cap.
 
     d^2/2 <= d + (1 - d) ln(1 - d) <= d^2/(2 - 2d) puts the root between
-    sqrt(c^2 + 2c) - c and sqrt(2c).  Newton starts from the series inverse
-    s - s^2/6 - s^3/72 - s^4/270, s = sqrt(2c).
+    sqrt(c^2 + 2c) - c and s = sqrt(2c).
     """
-    if c > _LOWER_RESIDUAL_AT_CAP:
-        return None
+    if c > _RESIDUAL_AT_CAP:
+        return 1.0
     s = math.sqrt(2.0 * c)
     lo, hi = (math.sqrt(c * c + 2.0 * c) - c) * _WIDEN_LO, min(s * _WIDEN_HI, _DELTA2_HI)
-    start = s - s * s * (1/6 + s * (1/72 + s / 270))
-    tol = _ROOT_RTOL * lo * (1.0 - hi)
-    return find_root(_lower_equation(c), lo, hi, tol, start)
+    return _solve(c, lo, hi, _ROOT_RTOL * lo * (1.0 - hi), s)
 
 
 def solve_deltas(expected: float, xi: float) -> ChernoffDelta:
@@ -172,9 +168,7 @@ def solve_deltas(expected: float, xi: float) -> ChernoffDelta:
     c = _validate(expected, xi)
     delta1 = _solve_delta1(c)
     delta2 = _solve_delta2(c)
-    if delta2 is None:
-        return ChernoffDelta(delta1, 1.0, expected, xi, lower_vacuous=True)
-    return ChernoffDelta(delta1, delta2, expected, xi)
+    return ChernoffDelta(delta1, delta2, expected, xi, lower_vacuous=delta2 == 1.0)
 
 
 def chernoff_upper(expected: float, xi: float) -> float:
@@ -185,14 +179,13 @@ def chernoff_upper(expected: float, xi: float) -> float:
 def chernoff_lower(expected: float, xi: float) -> float:
     """High-confidence lower bound (1 - delta2) * expected; 0 when vacuous."""
     delta2 = _solve_delta2(_validate(expected, xi))
-    if delta2 is None:
+    if delta2 == 1.0:
         # message kept static so repeated optimizer corner probes dedupe
         warnings.warn(
             "expected count too small for a non-trivial lower bound; clamping to zero",
             RuntimeWarning,
             stacklevel=2,
         )
-        return 0.0
     return (1.0 - delta2) * expected
 
 

@@ -84,6 +84,17 @@ def _scan_distances(lo: float, hi: float, step: float) -> list[float]:
     return distances
 
 
+def _in_interval(name: str) -> Callable[[str], float]:
+    """The parser of a number inside the interval of ``name`` in ``channel``;
+    its message leaves the field's name to the caller."""
+    def parse(text: str) -> float:
+        try:
+            return checked_float(name, float(text))
+        except ValueError as err:
+            raise ValueError(str(err).removeprefix(f"{name} ")) from None
+    return parse
+
+
 def _parse_range(text: str) -> tuple[float, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -92,6 +103,7 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     if not all(math.isfinite(x) for x in (lo, hi, step)):
         # an infinite bound never ends the scan loop; a NaN one yields no distances
         raise ValueError(f"bounds and step must be finite, got {text!r}")
+    checked_float("distance_km", lo)  # hi is at least lo
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step!r}")
     if hi < lo:
@@ -142,6 +154,8 @@ def _key(default: object, parse: Callable[[str], object], missing: str | None = 
 
 _MAX_BITS = 10**9 - 1  # mcsim.MAX_BITS, written out so that importing the CLI loads no numpy
 _MAX_GRID_POINTS = 1_000  # the check's n-by-n arrays grow the peak RSS by 40-50 MB here
+# the instance mc-verify samples when the configuration gives no distance or variant
+_MC_DISTANCE, _MC_VARIANT = 100.0, "bfer"
 
 
 @dataclass
@@ -164,13 +178,15 @@ class RunConfig:
                             help=f"grid size per axis, from 1 to {_MAX_GRID_POINTS}")
     vacuum_credit: bool = _key(False, _parse_bool, action="store_const", const="true")
     inject_fault: bool = _key(False, _parse_bool, action="store_const", const="true")
-    distance: float | None = _key(None, float, "{command} requires a distance",
-                                  help="distance in km")
+    distance: float | None = _key(
+        None, _in_interval("distance_km"), "{command} requires a distance",
+        help=f"distance in km (mc-verify: {_MC_DISTANCE:g} when not given)")
     range: tuple[float, float, float] | None = _key(
         None, _parse_range, "{command} requires a distance range lo:hi:step",
         help="distance range lo:hi:step in km")
-    variant: Sequence[str] = _key((), _parse_variants, _NO_VARIANT, action="append",
-                                  help="pipeline variant(s), comma-separable")
+    variant: Sequence[str] = _key(
+        (), _parse_variants, _NO_VARIANT, action="append",
+        help=f"pipeline variant(s), comma-separable (mc-verify: {_MC_VARIANT} when not given)")
     eta_setting: str = _key("absolute", _choice(("absolute", "relative")),
                             help="PLOB limit, 'absolute' (detectors of efficiency 1) or 'relative'")
     # the flat experiment and protocol keys, which have no flags
@@ -184,10 +200,7 @@ class RunConfig:
         missing = [key for key in _EXPERIMENT_KEYS if key not in base]
         if missing:
             raise ConfigError(f"missing experiment fields {missing}; give a preset or set them")
-        try:
-            return ExperimentParams(**{k: base[k] for k in _EXPERIMENT_KEYS + ("distance_km",)})
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        return ExperimentParams(**{k: base[k] for k in _EXPERIMENT_KEYS + ("distance_km",)})
 
     def fixed_protocol(self) -> ProtocolParams | None:
         """Protocol from config when it sets any protocol key; None means optimize."""
@@ -204,10 +217,11 @@ class RunConfig:
             raise ConfigError(f"invalid protocol parameters: {err}") from err
 
 
-# the metadata of each RunConfig key, and the parser of every key, the flat ones floats
+# the metadata of each RunConfig key, and the parser of every key, the flat
+# ones numbers inside their channel intervals
 _KEYS = {f.name: f.metadata for f in dataclasses.fields(RunConfig) if f.metadata}
 _FIELDS = {**{key: meta["parse"] for key, meta in _KEYS.items()},
-           **dict.fromkeys(_EXPERIMENT_KEYS + PROTOCOL_KEYS, float)}
+           **{key: _in_interval(key) for key in _EXPERIMENT_KEYS + PROTOCOL_KEYS}}
 
 _PIPELINE_KEYS = ("preset", "variant", "mode", "convention", "vacuum_credit")
 # each command (run by cmd_<name>, '_' for '-'): its flags besides --config and --out, the keys
@@ -537,9 +551,9 @@ def _mc_fixture(cfg: RunConfig) -> tuple[ZWindowCounts, UntaggedStats]:
             f"field 'variant': mc-verify samples one variant's instance; give one --variant, "
             f"not {','.join(cfg.variant)!r}"
         )
-    distance = cfg.distance if cfg.distance is not None else 100.0
+    distance = cfg.distance if cfg.distance is not None else _MC_DISTANCE
     exp = cfg.build_experiment(distance)
-    variant = cfg.variant[0] if cfg.variant else "bfer"
+    variant = cfg.variant[0] if cfg.variant else _MC_VARIANT
     proto = _protocol_for(cfg, exp, variant, {}, {})
     point = _evaluate(cfg, exp, proto, variant if variant != "finite" else "bfer")
     return point.counts, point.untagged
@@ -578,8 +592,7 @@ def cmd_mc_verify(cfg: RunConfig) -> int:
 def cmd_qubit_check(cfg: RunConfig) -> int:
     from . import qubitmodel
 
-    n = cfg.grid_points
-    report = qubitmodel.verify_iteration_inequality(n, n, n, matrix_stride=max(1, n // 10))
+    report = qubitmodel.verify_iteration_inequality(cfg.grid_points)
     lines = [
         f"grid_points          {report.grid_points}",
         f"max_violation        {report.max_violation!r}",

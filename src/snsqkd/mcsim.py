@@ -355,22 +355,17 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
     d = 1.0 - (a + b) * x / (a + 1.0)
     d = 1.0 / (d if abs(d) > tiny else tiny)
     fraction = d
-    # two steps per term, written out: a loop over them costs a third more
     for m in range(1, _MAX_TERMS + 1):
         a2m = a + 2.0 * m
-        coef = m * (b - m) * x / ((a2m - 1.0) * a2m)  # even step
-        d = 1.0 + coef * d
-        d = 1.0 / (d if abs(d) > tiny else tiny)
-        c = 1.0 + coef / c
-        c = c if abs(c) > tiny else tiny
-        fraction *= d * c
-        coef = -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0))  # odd step
-        d = 1.0 + coef * d
-        d = 1.0 / (d if abs(d) > tiny else tiny)
-        c = 1.0 + coef / c
-        c = c if abs(c) > tiny else tiny
-        step = d * c
-        fraction *= step
+        # the even step of the term, then the odd one
+        for coef in (m * (b - m) * x / ((a2m - 1.0) * a2m),
+                     -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0))):
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + coef / c
+            c = c if abs(c) > tiny else tiny
+            step = d * c
+            fraction *= step
         if abs(step - 1.0) < 1e-15:
             return fraction
     raise ArithmeticError(

@@ -213,44 +213,39 @@ class IterationReport:
     max_matrix_mismatch: float
     beta_sweeps: int
     max_beta_spread: float
-    tolerance: float = _CROSS_CHECK_TOL
 
     @property
     def passed(self) -> bool:
         return (
-            self.max_violation <= self.tolerance
-            and self.max_matrix_mismatch <= self.tolerance
-            and self.max_beta_spread <= self.tolerance
+            self.max_violation <= _CROSS_CHECK_TOL
+            and self.max_matrix_mismatch <= _CROSS_CHECK_TOL
+            and self.max_beta_spread <= _CROSS_CHECK_TOL
         )
 
 
-def verify_iteration_inequality(
-    n_theta: int = 100,
-    n_alpha: int = 100,
-    n_beta: int = 100,
-    matrix_stride: int = 10,
-) -> IterationReport:
-    """Sweep a legal (theta, alpha, beta) grid and certify the iteration bound.
+def verify_iteration_inequality(grid_points: int = 100) -> IterationReport:
+    """Sweep a legal (theta, alpha, beta) grid of ``grid_points`` per axis and
+    certify the iteration bound.
 
     alpha is parametrized as a fraction of its positivity limit.  The closed
     forms run on the full grid.  The dense-matrix pipeline runs over a
     strided (theta, alpha) subgrid: each point makes one odd-parity survivor
     call stacked over every beta, which confirms that the survivor error
     does not depend on the coherence phase, and one single-pair phase error
-    call stacked over every matrix_stride-th beta, at which the survivor's
-    mismatch to its closed form is also recorded.  Only one sweep's stack is
-    held at a time.  Every size and the stride must be at least 1.
+    call stacked over every stride-th beta, at which the survivor's mismatch
+    to its closed form is also recorded; the stride is a tenth of the grid,
+    at least 1.  Only one sweep's stack is held at a time.  The grid must
+    have at least 1 point per axis.
     """
-    for name, value in (("n_theta", n_theta), ("n_alpha", n_alpha), ("n_beta", n_beta),
-                        ("matrix_stride", matrix_stride)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value!r}")
-    thetas = np.linspace(0.05, math.pi / 2.0 - 0.05, n_theta)
-    fracs = np.linspace(0.0, 1.0, n_alpha)
-    betas = np.linspace(0.0, 2.0 * math.pi, n_beta, endpoint=False)
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be at least 1, got {grid_points!r}")
+    matrix_stride = max(1, grid_points // 10)
+    thetas = np.linspace(0.05, math.pi / 2.0 - 0.05, grid_points)
+    fracs = np.linspace(0.0, 1.0, grid_points)
+    betas = np.linspace(0.0, 2.0 * math.pi, grid_points, endpoint=False)
 
     limits = _coherence_limit(thetas)
-    alphas = np.outer(fracs, limits)  # shape (n_alpha, n_theta)
+    alphas = np.outer(fracs, limits)  # a row per alpha fraction, a column per theta
     e_odd = _odd_survivor_error(alphas, limits)
     e_bar = 0.5 * (1.0 - 2.0 * alphas)  # worst case over beta (cos(beta) <= 1)
     bound = iterate_phase_error(e_bar)
@@ -277,7 +272,7 @@ def verify_iteration_inequality(
             beta_sweeps += 1
 
     return IterationReport(
-        grid_points=n_theta * n_alpha * n_beta,
+        grid_points=grid_points**3,
         max_violation=max_violation,
         matrix_checks=matrix_checks,
         max_matrix_mismatch=max_mismatch,

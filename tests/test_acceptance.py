@@ -166,7 +166,7 @@ def test_criterion_7_pair_state_verifier():
     from snsqkd.qubitmodel import pure_state_parity_errors, verify_iteration_inequality
 
     start = time.time()
-    rep = verify_iteration_inequality(100, 100, 100, matrix_stride=10)
+    rep = verify_iteration_inequality(100)
     parity_ok = True
     for phi in np.linspace(0.05, math.pi / 2.0 - 0.05, 20):
         e_odd, e_even = pure_state_parity_errors(float(phi))

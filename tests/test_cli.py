@@ -551,9 +551,23 @@ MC_ARGV = ["mc-verify", "--preset", "rowC", "--variant", "bfer", "--distance", "
     (["scan", "--preset", "rowC", "--variant", "aopp", "--range", "a:b:c"], "", "range"),
     (MC_ARGV + ["--seed", "-1"], "", "seed"),
     (MC_ARGV, "seed = -1\n", "seed"),
-], ids=["distance = abc", "range = a:b:c", "--range a:b:c", "--seed -1", "seed = -1"])
+    (["optimize", "--variant", "aopp", "--distance", "100"],
+     "preset = rowC\np_send = 2\nmu_z = 0.4\n", "p_send"),
+    (["optimize", "--preset", "rowC", "--variant", "aopp", "--distance", "100"],
+     "mu2 = inf\n", "mu2"),
+    (["plob", "--preset", "rowA", "--distance", "100"], "mu1 = -1\n", "mu1"),
+    (["plob", "--preset", "rowA", "--distance", "100"], "dark_count = 2\n", "dark_count"),
+    (["plob", "--preset", "rowA"], "distance = -5\n", "distance"),
+    (["qubit-check", "--grid-points", "2"], "dark_count = 2\n", "dark_count"),
+    (["scan", "--preset", "rowC", "--variant", "aopp"], "range = -10:100:10\n", "range"),
+], ids=["distance = abc", "range = a:b:c", "--range a:b:c", "--seed -1", "seed = -1",
+        "optimize p_send = 2", "optimize mu2 = inf", "plob mu1 = -1", "plob dark_count = 2",
+        "distance = -5", "qubit-check dark_count = 2", "range = -10:100:10"])
 def test_bad_number_is_a_configuration_error(argv, config, key, tmp_path, capsys):
-    # each of these used to end in a traceback
+    # the first five used to end in a traceback; the flat keys were checked
+    # only by a command that built an experiment or a fixed protocol, so
+    # optimize, plob and qubit-check ran on out-of-range values, and the
+    # distances were refused without the field's name
     path = write_config(tmp_path, config)
     assert main(argv + ["--config", path]) == 2
     assert_names_field(key, capsys)
@@ -653,9 +667,11 @@ INFINITE_KEY = "error_correction_f = 1e300\np_send = 0.1\nmu_z = 0.4\n"
      NAN_KEY, "key length nan is not finite"),
     (["point", "--preset", "rowA", "--distance", "100", "--variant", "original"],
      INFINITE_KEY, "key length -inf is not finite"),
+    (["optimize", "--preset", "rowC", "--distance", "100", "--variant", "aopp"],
+     "p_send = 2\nmu_z = 0.4\n", ":1: field 'p_send': must be in [0, 1], got 2.0\n"),
 ], ids=["point-decoys", "point-one-pulse", "scan-one-pulse", "mc-verify-one-pulse",
         "point-bessel-overflow", "point-decoy-overflow", "point-nan-key", "scan-nan-key",
-        "point-infinite-key"])
+        "point-infinite-key", "optimize-flat-key"])
 def test_refused_configuration_is_a_configuration_error(argv, config, message, tmp_path, capsys):
     # exit 2, not a traceback with exit 1, which means "statistic flagged"
     assert main(argv + ["--config", write_config(tmp_path, config)]) == 2

@@ -146,30 +146,22 @@ class TestPureFamilyCounterexample:
 
 
 def test_iteration_inequality_small_grid():
-    report = verify_iteration_inequality(20, 20, 20, matrix_stride=5)
+    report = verify_iteration_inequality(20)
     assert report.passed
     assert report.max_violation <= 1e-12
     assert report.max_matrix_mismatch <= 1e-12
     assert report.max_beta_spread <= 1e-12
     assert report.grid_points == 20**3
-    # one pass over the strided (theta, alpha) grid and every beta; every
-    # fifth beta is also matrix-checked
-    assert report.beta_sweeps == 4 * 4
-    assert report.matrix_checks == 4 * 4 * 4
+    # a grid of 20 has stride 2: one pass over the strided (theta, alpha)
+    # grid and every beta; every second beta is also matrix-checked
+    assert report.beta_sweeps == 10 * 10
+    assert report.matrix_checks == 10 * 10 * 10
 
 
-@pytest.mark.parametrize("kwargs, name", [
-    ({"n_theta": 0}, "n_theta"),
-    ({"n_alpha": 0}, "n_alpha"),
-    ({"n_beta": 0}, "n_beta"),
-    ({"n_theta": -3}, "n_theta"),
-    ({"matrix_stride": 0}, "matrix_stride"),
-    ({"matrix_stride": -1}, "matrix_stride"),
-])
-def test_grid_arguments_below_one_are_refused(kwargs, name):
-    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
-        verify_iteration_inequality(**{"n_theta": 5, "n_alpha": 5, "n_beta": 5, "matrix_stride": 2,
-                                       **kwargs})
+@pytest.mark.parametrize("grid_points", [0, -3])
+def test_grid_below_one_point_is_refused(grid_points):
+    with pytest.raises(ValueError, match="^grid_points must be at least 1"):
+        verify_iteration_inequality(grid_points)
 
 
 def test_one_survivor_call_per_beta_sweep(monkeypatch):
@@ -181,9 +173,9 @@ def test_one_survivor_call_per_beta_sweep(monkeypatch):
         return survivor(state)
 
     monkeypatch.setattr(qubitmodel, "odd_parity_survivor", counting)
-    report = verify_iteration_inequality(20, 20, 20, matrix_stride=5)
+    report = verify_iteration_inequality(20)
     assert report.passed
-    assert calls == [(20, 4, 4)] * 16
+    assert calls == [(20, 4, 4)] * 100
 
 
 def _random_stacks(seed=11, pairs=12, size=9):
