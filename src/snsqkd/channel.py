@@ -47,10 +47,11 @@ X_QUAD_INTERVALS = 64
 # it: a bracket closes an end, a parenthesis opens it, and every bound but
 # 2*pi is a float literal.
 _INTERVALS = {
-    # ExperimentParams
+    # ExperimentParams; the finite Chernoff tails take log(failure_prob/2),
+    # which must not underflow to log(0), so the least failure_prob is 1e-323
     "dark_count": "[0, 1]", "detector_eff": "[0, 1]", "error_correction_f": "[1, inf)",
     "misalignment": "[0, 1]", "fiber_loss_db_km": "(0, inf)", "total_pulses": "[1, inf)",
-    "failure_prob": "(0, 1)", "distance_km": "[0, inf)",
+    "failure_prob": "[1e-323, 1)", "distance_km": "[0, inf)",
     # ProtocolParams
     "p_z": "(0, 1]", "p_send": "[0, 1]", "mu_z": "(0, inf)", "delta": "(0, 2*pi]",
     # the decoy intensities as flat keys, each on its own

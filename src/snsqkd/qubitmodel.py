@@ -6,13 +6,17 @@ projections on two copies, and certifies that the surviving odd-parity
 state's phase-flip error never exceeds the iterated bound 2e(1-e).
 
 Everything is done twice: with dense complex matrices in the explicit basis
-{|00>, |01>, |10>, |11>} (and its square for two pairs), and with the closed
-forms, cross-checked against each other.  The dense matrices run stacked
-over the coherence phase beta: ``make_sigma`` takes a float or a 1-D array
-of beta, and every matrix function works on the last two axes, a single
-state being the 0-d case of the same code.  ``verify_iteration_inequality``
-runs the closed forms on a full grid and the dense matrices over a strided
-(theta, alpha) subgrid, one stacked call per sweep over beta.
+{|00>, |01>, |10>, |11>}, and with the closed forms, cross-checked against
+each other.  The dense matrices run stacked: ``make_sigma`` broadcasts
+theta, alpha and beta (floats or arrays, beta along the last axis), and
+every matrix function works on the last two axes, a single state being the
+0-d case of the same code.  The two-copy state is never built: each kept
+entry of a parity survivor is the product of one entry of each pair's
+density matrix, and a phase error is the trace of the state against the
+sum of two rank-one projectors.  ``verify_iteration_inequality`` runs the
+closed forms on a full grid and the dense matrices over a strided
+(theta, alpha) subgrid, one stacked call per theta over every alpha and
+beta.
 """
 
 from __future__ import annotations
@@ -37,26 +41,33 @@ __all__ = [
 
 _CROSS_CHECK_TOL = 1e-12
 
-_KET0 = np.array([1.0, 0.0], dtype=complex)
-_KET1 = np.array([0.0, 1.0], dtype=complex)
+_KET0 = np.array([1.0, 0.0])
+_KET1 = np.array([0.0, 1.0])
 _KET_PLUS = (_KET0 + _KET1) / math.sqrt(2.0)
 _KET_MINUS = (_KET0 - _KET1) / math.sqrt(2.0)
 
-# Conjugate-basis error measurement: |+><+| (x) |-><-| and its mirror.
-_M_PLUS = np.kron(np.outer(_KET_PLUS, _KET_PLUS.conj()), np.outer(_KET_MINUS, _KET_MINUS.conj()))
-_M_MINUS = np.kron(np.outer(_KET_MINUS, _KET_MINUS.conj()), np.outer(_KET_PLUS, _KET_PLUS.conj()))
+# Conjugate-basis error measurement: the rank-one projectors |+-><+-| and
+# |-+><-+|.  A state's error is Tr(P rho) for their sum P, the sum over i, j
+# of P[j, i] * rho[i, j].  The kets are real, so P is, and only rho's real
+# parts enter: they are multiplied by P's flattened transpose and summed
+# along the last axis, so that a stacked state's sum runs in the same order
+# as a single state's (a matrix-vector product need not).
+_ERROR_PROJECTOR = sum(np.outer(ket, ket) for ket in (
+    np.kron(_KET_PLUS, _KET_MINUS), np.kron(_KET_MINUS, _KET_PLUS)))
+_ERROR_WEIGHTS = _ERROR_PROJECTOR.T.ravel()
 
 
-def _pair_projector(keep: dict[tuple[int, int], int]) -> np.ndarray:
-    """Local two-qubit-to-one-qubit map, e.g. |0><01| + |1><10| for odd parity."""
-    m = np.zeros((2, 4), dtype=complex)
-    for (x, y), out in keep.items():
-        m[out, 2 * x + y] = 1.0
-    return m
-
-
-_M_ODD = _pair_projector({(0, 1): 0, (1, 0): 1})
-_M_EVEN = _pair_projector({(0, 0): 0, (1, 1): 1})
+# The parity checks on two pairs, qubit order (A1, B1, A2, B2).  Each side
+# keeps its first copy's qubit when the second copy's bit equals it (even
+# parity: the local map |0><00| + |1><11|) or is its flip (odd parity:
+# |0><01| + |1><10|).  So the survivor's basis state r = 2a + b is the first
+# pair's state r with the second pair's state r (even) or r ^ 3 (odd), and
+# its entry [r, s] is rho[r, s] * rho[r ^ 3, s ^ 3] for odd parity: flipping
+# both bits of a two-bit index reverses 0..3, so the second copy's factor is
+# rho with both axes reversed, a view.  This is K @ kron(rho, rho) @ K^dagger
+# for the keep operator K of each local map, whose rows each hold one 1,
+# without the 16x16 two-copy state.
+_SECOND_COPY = {"even": (slice(None), slice(None)), "odd": (slice(None, None, -1),) * 2}
 
 
 def _coherence_limit(theta: float | np.ndarray) -> float | np.ndarray:
@@ -75,39 +86,51 @@ class PairState:
     """Two-qubit state with diagonal weights cos^2/sin^2 and a coherence
     alpha*e^{+-i*beta} between |00> and |11>.
 
-    beta is a float or a 1-D array; rho has shape beta.shape + (4, 4), one
-    density matrix per coherence phase."""
+    theta, alpha and beta are floats or arrays that broadcast together; rho
+    has their broadcast shape + (4, 4), one density matrix per element."""
 
-    theta: float
-    alpha: float
+    theta: float | np.ndarray
+    alpha: float | np.ndarray
     beta: float | np.ndarray
     rho: np.ndarray
 
 
-def make_sigma(theta: float, alpha: float, beta: float | np.ndarray) -> PairState:
-    """Assemble the pair state, or a stack of them over a 1-D array of beta;
-    positivity requires alpha <= |cos(t)sin(t)|."""
-    for name, value in (("theta", theta), ("alpha", alpha)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    betas = np.asarray(beta, dtype=float)
+def _first(values: np.ndarray, bad: np.ndarray) -> float:
+    """The first element of ``values`` where ``bad`` holds, as a float."""
+    values, bad = np.broadcast_arrays(values, bad)
+    return float(values.flat[np.flatnonzero(bad)[0]])
+
+
+def make_sigma(
+    theta: float | np.ndarray, alpha: float | np.ndarray, beta: float | np.ndarray
+) -> PairState:
+    """Assemble the pair state, or a stack of them: theta and alpha are
+    floats or arrays that broadcast against beta, a float or a 1-D array
+    along the stack's last axis.  Every element is checked; positivity
+    requires alpha <= |cos(t)sin(t)|."""
+    thetas, alphas, betas = (np.asarray(value, dtype=float) for value in (theta, alpha, beta))
     if betas.ndim > 1:
         raise ValueError(f"beta must be a float or a 1-D array, got shape {betas.shape}")
-    if not np.isfinite(betas).all():
-        raise ValueError(f"beta must be finite, got {beta!r}")
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be non-negative, got {alpha!r}")
-    limit = float(_coherence_limit(theta))
-    if alpha > limit + 1e-15:
+    for name, values in (("theta", thetas), ("alpha", alphas), ("beta", betas)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"{name} must be finite, got {_first(values, ~finite)!r}")
+    if (alphas < 0.0).any():
+        raise ValueError(f"alpha must be non-negative, got {_first(alphas, alphas < 0.0)!r}")
+    limits = _coherence_limit(thetas)
+    over = alphas > limits + 1e-15
+    if over.any():
         raise ValueError(
-            f"alpha={alpha!r} violates positivity (limit {limit!r} at theta={theta!r})"
+            f"alpha={_first(alphas, over)!r} violates positivity "
+            f"(limit {_first(limits, over)!r} at theta={_first(thetas, over)!r})"
         )
-    rho = np.zeros(betas.shape + (4, 4), dtype=complex)
-    rho[..., 0, 0] = math.cos(theta) ** 2
-    rho[..., 3, 3] = math.sin(theta) ** 2
-    rho[..., 3, 0] = alpha * np.exp(-1j * betas)
-    rho[..., 0, 3] = alpha * np.exp(1j * betas)
-    return PairState(theta=theta, alpha=alpha, beta=betas if betas.ndim else float(betas), rho=rho)
+    shape = np.broadcast_shapes(thetas.shape, alphas.shape, betas.shape)
+    rho = np.zeros(shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = np.cos(thetas) ** 2
+    rho[..., 3, 3] = np.sin(thetas) ** 2
+    rho[..., 3, 0] = alphas * np.exp(-1j * betas)
+    rho[..., 0, 3] = alphas * np.exp(1j * betas)
+    return PairState(theta=_output(thetas), alpha=_output(alphas), beta=_output(betas), rho=rho)
 
 
 def _output(values: np.ndarray) -> float | np.ndarray:
@@ -128,9 +151,7 @@ def _cross_check(what: str, matrix: np.ndarray, closed: float | np.ndarray) -> N
 
 
 def _phase_error_of_matrix(rho: np.ndarray) -> np.ndarray:
-    plus = _M_PLUS @ rho @ _M_PLUS.conj().T
-    minus = _M_MINUS @ rho @ _M_MINUS.conj().T
-    return np.trace(plus + minus, axis1=-2, axis2=-1).real
+    return (rho.real.reshape(rho.shape[:-2] + (16,)) * _ERROR_WEIGHTS).sum(axis=-1)
 
 
 def phase_error(state: PairState) -> float | np.ndarray:
@@ -141,30 +162,14 @@ def phase_error(state: PairState) -> float | np.ndarray:
     return _output(value)
 
 
-def _parity_keep_operator(local: np.ndarray) -> np.ndarray:
-    """Joint map keeping one qubit per side: Alice's acts on (A1, A2), Bob's on
-    (B1, B2).  Rows are (a_out, b_out), columns (a1, b1, a2, b2)."""
-    # kron's columns run (a1, a2, b1, b2); swap a2 and b1
-    return np.kron(local, local).reshape(4, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(4, 16)
-
-
-_K_ODD = _parity_keep_operator(_M_ODD)
-_K_EVEN = _parity_keep_operator(_M_EVEN)
-
-
-def _two_copies(rho: np.ndarray) -> np.ndarray:
-    """kron(rho, rho) over the last two axes; np.kron itself does not batch."""
-    pairs = rho[..., :, None, :, None] * rho[..., None, :, None, :]
-    return pairs.reshape(rho.shape[:-2] + (16, 16))
-
-
-def _survivor(state: PairState, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # two independent pairs, qubit order (A1, B1, A2, B2)
-    unnormalized = keep @ _two_copies(state.rho) @ keep.conj().T
-    pass_prob = np.trace(unnormalized, axis1=-2, axis2=-1).real
+def _survivor(state: PairState, parity: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    survivor = state.rho * state.rho[(..., *_SECOND_COPY[parity])]
+    pass_prob = np.trace(survivor, axis1=-2, axis2=-1).real
     if not np.all(pass_prob > 0.0):
         raise ArithmeticError("parity projection annihilated the state")
-    survivor = unnormalized / pass_prob[..., None, None]
+    # normalized in place; numpy divides a complex by a real as this does,
+    # scaling both parts by the reciprocal
+    survivor *= (1.0 / pass_prob)[..., None, None]
     return survivor, _phase_error_of_matrix(survivor), pass_prob
 
 
@@ -174,13 +179,16 @@ def odd_parity_survivor(
     """Survivor of one odd-parity rejection round on two pairs.
 
     Returns (normalized survivor matrix, its phase error, pass probability),
-    each stacked over beta for a stacked state; every phase error is
-    cross-checked against its closed form (``_odd_survivor_error``).
+    each stacked like the state; every phase error is cross-checked against
+    its closed form (``_odd_survivor_error``).
     """
     limit = _coherence_limit(state.theta)
-    if limit**2 == 0.0:
-        raise ValueError(f"degenerate theta={state.theta!r}: no odd-parity survivors")
-    survivor, e_odd, pass_prob = _survivor(state, _K_ODD)
+    degenerate = limit**2 == 0.0
+    if np.any(degenerate):
+        raise ValueError(
+            f"degenerate theta={_first(state.theta, degenerate)!r}: no odd-parity survivors"
+        )
+    survivor, e_odd, pass_prob = _survivor(state, "odd")
     _cross_check("odd-parity error", e_odd, _odd_survivor_error(state.alpha, limit))
     return survivor, _output(e_odd), _output(pass_prob)
 
@@ -189,7 +197,7 @@ def even_parity_survivor(
     state: PairState,
 ) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
     """Survivor of the even-parity branch (kept for the counterexample check)."""
-    survivor, e_even, pass_prob = _survivor(state, _K_EVEN)
+    survivor, e_even, pass_prob = _survivor(state, "even")
     return survivor, _output(e_even), _output(pass_prob)
 
 
@@ -228,14 +236,15 @@ def verify_iteration_inequality(grid_points: int = 100) -> IterationReport:
     certify the iteration bound.
 
     alpha is parametrized as a fraction of its positivity limit.  The closed
-    forms run on the full grid.  The dense-matrix pipeline runs over a
-    strided (theta, alpha) subgrid: each point makes one odd-parity survivor
-    call stacked over every beta, which confirms that the survivor error
-    does not depend on the coherence phase, and one single-pair phase error
-    call stacked over every stride-th beta, at which the survivor's mismatch
-    to its closed form is also recorded; the stride is a tenth of the grid,
-    at least 1.  Only one sweep's stack is held at a time.  The grid must
-    have at least 1 point per axis.
+    forms run on the full grid.  The dense matrices run over a strided
+    (theta, alpha) subgrid, in one stacked state per strided theta that
+    holds every strided alpha fraction: one odd-parity survivor call over
+    every beta, which confirms for each (theta, alpha) that the survivor
+    error does not depend on the coherence phase (one sweep each), and one
+    single-pair phase error call over every stride-th beta, at which the
+    survivor's mismatch to its closed form is also recorded.  The stride is
+    a tenth of the grid, at least 1.  Only one theta's stack is held at a
+    time.  The grid must have at least 1 point per axis.
     """
     if grid_points < 1:
         raise ValueError(f"grid_points must be at least 1, got {grid_points!r}")
@@ -257,19 +266,20 @@ def verify_iteration_inequality(grid_points: int = 100) -> IterationReport:
     beta_sweeps = 0
     max_spread = 0.0
     checked = betas[::matrix_stride]
+    strided_fracs = fracs[::matrix_stride, None]  # a row per alpha fraction
     for theta, limit in zip(thetas[::matrix_stride], limits[::matrix_stride]):
-        for frac in fracs[::matrix_stride]:
-            alpha = frac * limit
-            closed = _odd_survivor_error(alpha, limit)
-            # one stacked call per sweep over beta; both raise on a
-            # matrix/closed-form mismatch
-            _, e_matrix, _ = odd_parity_survivor(make_sigma(theta, alpha, betas))
-            phase_error(make_sigma(theta, alpha, checked))
-            mismatch = np.abs(e_matrix[::matrix_stride] - closed).max()
-            max_mismatch = max(max_mismatch, float(mismatch))
-            matrix_checks += checked.size
-            max_spread = max(max_spread, float(e_matrix.max() - e_matrix.min()))
-            beta_sweeps += 1
+        alpha = strided_fracs * limit
+        closed = _odd_survivor_error(alpha, limit)
+        # one stacked call each per theta; both raise on a matrix/closed-form
+        # mismatch
+        _, e_matrix, _ = odd_parity_survivor(make_sigma(theta, alpha, betas))
+        phase_error(make_sigma(theta, alpha, checked))
+        mismatch = np.abs(e_matrix[:, ::matrix_stride] - closed).max()
+        max_mismatch = max(max_mismatch, float(mismatch))
+        matrix_checks += alpha.size * checked.size
+        spread = (e_matrix.max(axis=-1) - e_matrix.min(axis=-1)).max()
+        max_spread = max(max_spread, float(spread))
+        beta_sweeps += alpha.size
 
     return IterationReport(
         grid_points=grid_points**3,

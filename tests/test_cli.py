@@ -560,14 +560,22 @@ MC_ARGV = ["mc-verify", "--preset", "rowC", "--variant", "bfer", "--distance", "
     (["plob", "--preset", "rowA"], "distance = -5\n", "distance"),
     (["qubit-check", "--grid-points", "2"], "dark_count = 2\n", "dark_count"),
     (["scan", "--preset", "rowC", "--variant", "aopp"], "range = -10:100:10\n", "range"),
+    (["optimize", "--variant", "finite", "--distance", "100"],
+     "preset = table2\nfailure_prob = 5e-324\n", "failure_prob"),
+    (["point", "--variant", "finite", "--distance", "300"],
+     "preset = table2\nfailure_prob = 5e-324\np_z = 0.9\np_send = 0.1\nmu_z = 0.4\n",
+     "failure_prob"),
 ], ids=["distance = abc", "range = a:b:c", "--range a:b:c", "--seed -1", "seed = -1",
         "optimize p_send = 2", "optimize mu2 = inf", "plob mu1 = -1", "plob dark_count = 2",
-        "distance = -5", "qubit-check dark_count = 2", "range = -10:100:10"])
+        "distance = -5", "qubit-check dark_count = 2", "range = -10:100:10",
+        "optimize failure_prob = 5e-324", "point failure_prob = 5e-324"])
 def test_bad_number_is_a_configuration_error(argv, config, key, tmp_path, capsys):
     # the first five used to end in a traceback; the flat keys were checked
     # only by a command that built an experiment or a fixed protocol, so
     # optimize, plob and qubit-check ran on out-of-range values, and the
-    # distances were refused without the field's name
+    # distances were refused without the field's name; a failure probability
+    # whose half underflows was refused by the finite key length only, so
+    # optimize scored each of its points invalid and exited 0 with rate 0
     path = write_config(tmp_path, config)
     assert main(argv + ["--config", path]) == 2
     assert_names_field(key, capsys)

@@ -231,7 +231,13 @@ class TestFiniteKey:
         assert math.isfinite(key.key_length) and key.key_length > 0.0
 
     def test_refuses_the_smallest_failure_prob(self):
-        exp = dataclasses.replace(preset("table2", 300.0), failure_prob=5e-324)
+        # the experiment record refuses a failure probability whose half
+        # underflows; the finite key length's budget keeps its own check for
+        # a record that got past it
+        with pytest.raises(ValueError, match=r"failure_prob must be in \[1e-323, 1\)"):
+            dataclasses.replace(preset("table2", 300.0), failure_prob=5e-324)
+        exp = preset("table2", 300.0)  # a copy: at_distance builds a new record
+        object.__setattr__(exp, "failure_prob", 5e-324)
         with pytest.raises(ValueError, match="failure_prob"):
             evaluate(exp, FINITE_PROTO, "finite")
 

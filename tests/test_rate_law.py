@@ -53,7 +53,7 @@ EXPERIMENTS = st.builds(
     misalignment=edge_or(0.0, st.floats(0.0, 1.0)),
     fiber_loss_db_km=st.floats(0.15, 0.25),
     total_pulses=edge_or(LARGEST_PULSES, st.floats(1.0, LARGEST_PULSES)),
-    failure_prob=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    failure_prob=st.floats(1e-323, 1.0, exclude_max=True),  # ExperimentParams' interval
 )
 
 
