@@ -93,18 +93,11 @@ def checked_float(name: str, value: object) -> float:
     low, high = _RANGES[name]
     if low <= x <= high:
         return x
-    raise ValueError(f"{name} must be in {_INTERVALS[name]}, got {value!r}")
+    raise _out_of_range(name, value)
 
 
-def _three_floats(name: str, values: object) -> tuple[float, float, float]:
-    """``values`` as a tuple of three floats (the same tuple if it is one)."""
-    try:
-        a, b, c = values
-    except (TypeError, ValueError):  # not iterable, or not three items
-        raise ValueError(f"{name} must hold three values, got {values!r}") from None
-    if type(values) is tuple and type(a) is float and type(b) is float and type(c) is float:
-        return values
-    return _real(f"{name}[0]", a), _real(f"{name}[1]", b), _real(f"{name}[2]", c)
+def _out_of_range(name: str, value: object) -> ValueError:
+    return ValueError(f"{name} must be in {_INTERVALS[name]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -152,11 +145,17 @@ class ProtocolParams:
     delta: float = 2.0 * math.pi / 16.0   # phase-slice width, radians
 
     def __post_init__(self) -> None:
-        # the field order decides which of two faults is reported
-        for name in self.__dataclass_fields__:
+        # the field order decides which of two faults is reported; a scalar
+        # is checked as checked_float checks it, inline, since a search
+        # builds a protocol for each of its evaluations
+        for name, low, high in _PROTOCOL_CHECKS:
             value = getattr(self, name)
-            checked = (_decoy_intensities(value) if name == "decoy_intensities"
-                       else checked_float(name, value))
+            if low is None:
+                checked = _decoy_intensities(value)
+            else:
+                checked = value if type(value) is float else _real(name, value)
+                if not low <= checked <= high:
+                    raise _out_of_range(name, value)
             if checked is not value:
                 object.__setattr__(self, name, checked)
 
@@ -168,6 +167,11 @@ class ProtocolParams:
     def mu2(self) -> float:
         return self.decoy_intensities[2]
 
+
+# each protocol field in order with the least and greatest float it admits;
+# the decoy triple, with None, has a check of its own
+_PROTOCOL_CHECKS = tuple((name, *_RANGES.get(name, (None, None)))
+                         for name in ProtocolParams.__dataclass_fields__)
 
 # the flat keys that set a protocol: its scalar fields, with the decoys as mu1 and mu2
 PROTOCOL_KEYS = ("p_z", "p_send", "mu_z", "mu1", "mu2", "delta")
@@ -188,8 +192,18 @@ def protocol_from_keys(values: Mapping[str, float], delta: float | None = None) 
 
 
 def _decoy_intensities(values: object) -> tuple[float, float, float]:
-    """The decoy intensities as three floats: vacuum, then 0 < mu1 < mu2 < inf."""
-    nu0, nu1, nu2 = intensities = _three_floats("decoy_intensities", values)
+    """The decoy intensities as three floats (the same tuple if it is one):
+    vacuum, then 0 < mu1 < mu2 < inf."""
+    try:
+        nu0, nu1, nu2 = values
+    except (TypeError, ValueError):  # not iterable, or not three items
+        raise ValueError(f"decoy_intensities must hold three values, got {values!r}") from None
+    if type(values) is tuple and type(nu0) is float and type(nu1) is float and type(nu2) is float:
+        intensities = values
+    else:
+        nu0, nu1, nu2 = intensities = (_real("decoy_intensities[0]", nu0),
+                                       _real("decoy_intensities[1]", nu1),
+                                       _real("decoy_intensities[2]", nu2))
     if nu0 != 0.0:
         raise ValueError("decoy_intensities must start with the vacuum intensity 0")
     if not 0.0 < nu1 < nu2 < math.inf:

@@ -24,6 +24,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from operator import add
 from typing import Callable
 
 from .channel import (
@@ -31,11 +32,9 @@ from .channel import (
     ExperimentParams,
     ProtocolParams,
     checked_float,
-    protocol_from_keys,
 )
 from .decoy import BoundViolationError
 from .pipeline import VARIANTS, evaluate, mode_for_variant
-from .postproc import KeyResult
 
 __all__ = ["OptimizationSpec", "RestartRecord", "OptimizationResult", "optimize", "DELTA_CHOICES"]
 
@@ -44,12 +43,21 @@ DELTA_CHOICES = tuple(2.0 * math.pi / k for k in range(4, 33))
 _INVALID = -1e30
 
 # Nelder-Mead coefficients (reflection, expansion, contraction, shrink) and
-# start-simplex steps, as scipy sets them
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+# start-simplex steps, as scipy sets them; its 1 and 2 are floats here, which
+# round every product as the ints do and save a conversion per product
+_RHO, _CHI, _PSI, _SIGMA = 1.0, 2.0, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
+# each move's trial point is a * centroid + b * worst vertex, b negated where
+# scipy subtracts ((1 + rho) * xbar - rho * worst): x - y and x + (-y) round
+# alike
+_REFLECT = (1 + _RHO, -_RHO)
+_EXPAND = (1 + _RHO * _CHI, -_RHO * _CHI)
+_CONTRACT_OUT = (1 + _PSI * _RHO, -_PSI * _RHO)
+_CONTRACT_IN = (1 - _PSI, _PSI)
 
 # free variables of each mode and their search bounds; the search runs in log
-# space for every variable but p_z
+# space for every variable but p_z, and a search point holds the values in
+# this order (``_protocol`` reads them so)
 _BOUNDS = {
     "finite": {
         "mu_z": (0.05, 1.2),
@@ -96,6 +104,15 @@ class OptimizationSpec:
     refines exactly that many cells.  The sizes are resolved where the search
     runs, so ``dataclasses.replace(spec, variant=...)`` into the other mode
     takes that mode's sizes.
+
+    ``budget`` is a soft cap on evaluations.  The grid scores at most
+    ``budget`` cells, and no refinement starts once the budget is spent, but
+    each refinement may take ``max(100, remaining // restarts)`` evaluations,
+    so a search can pass it: the default finite search at table2/502 km
+    spends 20,022 against 20,000, and an ``aopp`` search at rowF/240 km with
+    two restarts and a budget of 100 spends 176 (36 cells, then refinements
+    of 61 and 79).  ``test_budget_limits_evaluations`` holds a budget of
+    500 only to 1,200.
     """
 
     variant: str
@@ -165,10 +182,6 @@ class OptimizationResult:
         return self.key_length > 0.0
 
 
-class _Spent(Exception):
-    """The evaluation cap was reached before a call."""
-
-
 def minimize(
     func: Callable[[list[float]], float],
     x0: list[float],
@@ -186,9 +199,11 @@ def minimize(
     after vertices above an upper bound are reflected inside), the same
     moves and coefficients, every trial point clipped to the box, the same
     stop test and the same vertex order.  Tied vertices keep their order
-    (``np.argsort(kind="stable")``); scipy's default kind agrees for up to
-    three vertices but not for four or more on every platform.  ``x0`` and
-    the bounds must be finite.  Returns ``(x, fun, nfev, converged)``;
+    (``np.argsort(kind="stable")``): the vertex a move replaces is inserted
+    after every vertex whose value is not above its own, and only a shrink's
+    vertices are sorted anew.  scipy's default kind agrees for up to three
+    vertices but not for four or more on every platform.  ``x0`` and the
+    bounds must be finite.  Returns ``(x, fun, nfev, converged)``;
     ``converged`` is False when the search stopped at ``maxfev``.
 
     A module-level function: ``refine`` looks it up by name at each call.
@@ -196,7 +211,6 @@ def minimize(
     lo = [b[0] for b in bounds]
     hi = [b[1] for b in bounds]
     n = len(x0)
-    calls = 0
 
     def clip(x: list[float]) -> list[float]:
         # np.clip against vector bounds: a coordinate equal to a bound becomes the bound
@@ -206,12 +220,16 @@ def minimize(
             out.append(high if v >= high else v)
         return out
 
-    def f(x: list[float]) -> float:
-        nonlocal calls
-        if calls >= maxfev:
-            raise _Spent
-        calls += 1
-        return func(x)
+    def trial(move: tuple[float, float]) -> list[float]:
+        # clip(a * xbar + b * worst) for the current centroid and worst
+        # vertex, clipped in the same pass
+        a, b = move
+        out = []
+        for c, w, low, high in zip(xbar, worst, lo, hi):
+            v = a * c + b * w
+            v = low if v <= low else v
+            out.append(high if v >= high else v)
+        return out
 
     x0 = clip(x0)
     sim = [x0]
@@ -222,67 +240,84 @@ def minimize(
     # a vertex past an upper bound is reflected inside, so clipping cannot
     # collapse the simplex onto the bound
     sim = [clip([2 * h - v if v > h else v for v, h in zip(x, hi)]) for x in sim]
-    fsim = [math.inf] * (n + 1)
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _Spent:
-        pass
+    calls = min(n + 1, max(maxfev, 0))
+    fsim = [func(x) for x in sim[:calls]] + [math.inf] * (n + 1 - calls)
     # scipy sorts the start simplex twice; a stable sort gives the same order once
     sim, fsim = _by_value(sim, fsim)
 
+    # calls are counted as they are made; a move that would pass maxfev ends
+    # the search before its call, with the simplex still in order
     while calls < maxfev:
-        try:
-            best, f_best = sim[0], fsim[0]
-            # scipy's test with its terms swapped: a capped simplex fails the
-            # value term at once, without the pass over every coordinate
-            if all(abs(f_best - fx) <= fatol for fx in fsim[1:]) and all(
-                abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best)
-            ):
+        best, f_best = sim[0], fsim[0]
+        # scipy's stop test, one vertex at a time: its value within fatol of
+        # the best and each coordinate within xatol (NaN fails either); the
+        # search ends when no vertex fails
+        for k in range(1, n + 1):
+            if not abs(f_best - fsim[k]) <= fatol:
                 break
-            # the centroid of all vertices but the worst, summed left to right
-            # as np.add.reduce sums the rows of scipy's simplex array
-            xbar = sim[0]
-            for x in sim[1:-1]:
-                xbar = [a + b for a, b in zip(xbar, x)]
-            xbar = [a / n for a in xbar]
-            worst = sim[-1]
-            xr = clip([(1 + _RHO) * c - _RHO * w for c, w in zip(xbar, worst)])
-            fxr = f(xr)
-            shrink = False
-            if fxr < fsim[0]:
-                xe = clip([(1 + _RHO * _CHI) * c - _RHO * _CHI * w for c, w in zip(xbar, worst)])
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-1]:  # outside contraction
-                xc = clip([(1 + _PSI * _RHO) * c - _PSI * _RHO * w for c, w in zip(xbar, worst)])
-                fxc = f(xc)
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    shrink = True
+            for v, b in zip(sim[k], best):
+                if not abs(v - b) <= xatol:
+                    break
+            else:
+                continue
+            break
+        else:
+            break
+        # the centroid of all vertices but the worst, summed left to right
+        # as np.add.reduce sums the rows of scipy's simplex array
+        xbar = best
+        for x in sim[1:-1]:
+            xbar = map(add, xbar, x)
+        xbar = [c / n for c in xbar]
+        worst = sim[-1]
+        x = trial(_REFLECT)
+        fx = func(x)
+        calls += 1
+        if fx < f_best:
+            if calls >= maxfev:
+                break
+            xe = trial(_EXPAND)
+            fxe = func(xe)
+            calls += 1
+            if fxe < fx:
+                x, fx = xe, fxe
+        elif not fx < fsim[-2]:
+            if calls >= maxfev:
+                break
+            if fx < fsim[-1]:  # outside contraction
+                xc = trial(_CONTRACT_OUT)
+                fxc = func(xc)
+                calls += 1
+                shrink = not fxc <= fx
             else:  # inside contraction
-                xcc = clip([(1 - _PSI) * c + _PSI * w for c, w in zip(xbar, worst)])
-                fxcc = f(xcc)
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                else:
-                    shrink = True
+                xc = trial(_CONTRACT_IN)
+                fxc = func(xc)
+                calls += 1
+                shrink = not fxc < fsim[-1]
             if shrink:
                 for j in range(1, n + 1):
                     # the vertex moves before it is scored, so a cap reached
                     # here leaves it paired with its old value
                     sim[j] = clip([b + _SIGMA * (v - b) for v, b in zip(sim[j], best)])
-                    fsim[j] = f(sim[j])
-        except _Spent:
-            pass
-        sim, fsim = _by_value(sim, fsim)
+                    if calls >= maxfev:
+                        break
+                    fsim[j] = func(sim[j])
+                    calls += 1
+                sim, fsim = _by_value(sim, fsim)
+                continue
+            x, fx = xc, fxc
+        # the new vertex replaces the worst where a stable sort puts it: after
+        # every vertex whose value is not above its own.  It is never NaN: a
+        # move keeps a value only once it has compared below another
+        del sim[-1], fsim[-1]
+        k = n
+        while k and not fsim[k - 1] <= fx:
+            k -= 1
+        sim.insert(k, x)
+        fsim.insert(k, fx)
 
     # NaNs sort last, and np.min (scipy's fun) returns NaN if there is one
-    fun = math.nan if any(fx != fx for fx in fsim) else fsim[0]
-    return sim[0], fun, calls, calls < maxfev
+    return sim[0], fsim[-1] if fsim[-1] != fsim[-1] else fsim[0], calls, calls < maxfev
 
 
 def _by_value(sim: list[list[float]], fsim: list[float]) -> tuple[list[list[float]], list[float]]:
@@ -311,12 +346,8 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams,
     # asymptotic variants never touch the phase slice
     default_deltas = DELTA_CHOICES if mode == "finite" else (ProtocolParams.delta,)
     deltas = default_deltas if spec.delta_values is None else spec.delta_values
-    evaluations = 0
-
-    def key(proto: ProtocolParams) -> KeyResult:
-        return evaluate(
-            exp, proto, spec.variant, vacuum_credit=spec.vacuum_credit, convention=spec.convention
-        ).key
+    variant, vacuum_credit, convention = spec.variant, spec.vacuum_credit, spec.convention
+    evaluations = 0  # score calls: the grid's, each refinement's nfev, each rescan start
 
     # a collapsed or bound-clipped simplex asks for the same floats again a few
     # calls later; each call still counts as an evaluation, so the search
@@ -324,34 +355,34 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams,
     # point is the tuple of its values in ``names`` order.
     @functools.lru_cache(maxsize=16)
     def score(point: tuple[float, ...], delta: float) -> float:
-        values = dict(zip(names, point))
-        if "mu1" in values:
+        if mode == "finite":
             # graded penalty steers the simplex back into the valid ordering
-            mu1, mu2 = values["mu1"], values["mu2"]
-            violation = max(0.0, mu1 - mu2 + 1e-6) + max(0.0, mu1 + mu2 - 0.999 * values["mu_z"])
+            mu_z, _, _, mu1, mu2 = point
+            violation = max(0.0, mu1 - mu2 + 1e-6) + max(0.0, mu1 + mu2 - 0.999 * mu_z)
             if violation > 0.0:
                 return _INVALID * (1.0 + violation)
         try:
-            return key(protocol_from_keys(values, delta)).key_length
+            proto = _protocol(point, delta)
+            return evaluate(exp, proto, variant, vacuum_credit, convention).key.key_length
         except (BoundViolationError, ValueError):
             return _INVALID
-
-    def objective(point: tuple[float, ...], delta: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return score(point, delta)
 
     def as_point(values: dict[str, float]) -> tuple[float, ...]:
         return tuple([values[n] for n in names])
 
     # every variable but p_z is searched in log space
     logged = [n != "p_z" for n in names]
+    linear = [i for i, log in enumerate(logged) if not log]
 
     def encode(values: dict[str, float]) -> list[float]:
         return [math.log(values[n]) if log else values[n] for n, log in zip(names, logged)]
 
     def unlog(vec: list[float]) -> tuple[float, ...]:
-        return tuple([math.exp(x) if log else x for x, log in zip(vec, logged)])
+        # exp over the whole vector in one pass, then the linear ones put back
+        point = list(map(math.exp, vec))
+        for i in linear:
+            point[i] = vec[i]
+        return tuple(point)
 
     def decode(vec: list[float]) -> dict[str, float]:
         return dict(zip(names, unlog(vec)))
@@ -366,16 +397,17 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams,
     restarts: list[RestartRecord] = []
 
     def refine(start: dict[str, float], delta: float, start_value: float) -> None:
-        nonlocal best_value, best_values, best_delta
+        nonlocal best_value, best_values, best_delta, evaluations
         maxfev = max(100, (spec.budget - evaluations) // max(1, n_restarts))
         x, fun, nfev, converged = minimize(
-            lambda vec: -objective(unlog(vec), delta),
+            lambda vec: -score(unlog(vec), delta),
             encode(start),
             nm_bounds,
             maxfev=maxfev,
             xatol=1e-4,
             fatol=_FATOL[mode],
         )
+        evaluations += nfev
         final, final_value = decode(x), -fun
         if final_value < start_value:  # refinement never loses its starting cell
             final, final_value = dict(start), start_value
@@ -384,7 +416,8 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams,
         if final_value > best_value:
             best_value, best_values, best_delta = final_value, final, delta
 
-    scored = [(objective(as_point(cell), pivot), cell) for cell in cells[: spec.budget]]
+    scored = [(score(as_point(cell), pivot), cell) for cell in cells[: spec.budget]]
+    evaluations = len(scored)
     scored.sort(key=lambda item: item[0], reverse=True)
     for cell_value, cell in scored[:n_restarts]:
         if cell_value <= _INVALID or evaluations >= spec.budget:
@@ -397,16 +430,29 @@ def optimize(spec: OptimizationSpec, exp: ExperimentParams,
         best_value, best_values = scored[0]
     for delta in deltas:
         if best_values is not None and delta != pivot and evaluations < spec.budget:
-            refine(best_values, delta, objective(as_point(best_values), delta))
+            start_value = score(as_point(best_values), delta)
+            evaluations += 1
+            refine(best_values, delta, start_value)
 
-    proto = protocol_from_keys(best_values or cells[0], best_delta)
+    proto = _protocol(as_point(best_values or cells[0]), best_delta)
     key_length, rate = min(max(best_value, _INVALID), 0.0), 0.0
     if best_value > 0.0:
-        final_key = key(proto)
+        final_key = evaluate(exp, proto, variant, vacuum_credit, convention).key
         key_length, rate = final_key.key_length, final_key.rate
     return OptimizationResult(
         proto, key_length, rate, tuple(restarts), evaluations, score.cache_info().hits
     )
+
+
+def _protocol(point: tuple[float, ...], delta: float) -> ProtocolParams:
+    """The protocol at a search point, its values in ``_BOUNDS`` order:
+    (mu_z, p_send) with p_z 1 and the default decoys, or (mu_z, p_send, p_z,
+    mu1, mu2)."""
+    if len(point) == 2:
+        mu_z, p_send = point
+        return ProtocolParams(1.0, p_send, mu_z, ProtocolParams.decoy_intensities, delta)
+    mu_z, p_send, p_z, mu1, mu2 = point
+    return ProtocolParams(p_z, p_send, mu_z, (0.0, mu1, mu2), delta)
 
 
 def _search_size(spec: OptimizationSpec, name: str) -> int:

@@ -1,8 +1,10 @@
 import dataclasses
 import itertools
 import math
+import re
 import sys
 import threading
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -65,6 +67,58 @@ PROTOCOL_SLOTS = [(name, None) for name in ("p_z", "p_send", "mu_z", "delta")] +
 ]
 
 
+class FloatSubclass(float):
+    pass
+
+
+# (field, tuple index or None) -> an int, a Fraction and a float that it
+# admits; every one is also given as a numpy.float64 and a float subclass, and
+# each is stored as the built-in float it equals
+TYPED_SLOTS = {
+    ("p_z", None): (1, Fraction(7, 10), 0.7),
+    ("p_send", None): (0, Fraction(1, 10), 0.1),
+    ("mu_z", None): (1, Fraction(1, 2), 0.5),
+    ("delta", None): (1, Fraction(2, 5), 0.4),
+    ("decoy_intensities", 0): (0, Fraction(0), 0.0),
+    ("decoy_intensities", 1): (1, Fraction(1, 20), 0.05),
+    ("decoy_intensities", 2): (1, Fraction(1, 10), 0.1),
+}
+
+# two faulty fields at once: the one first in field order is reported, word
+# for word
+PROTOCOL_TWO_FAULTS = [
+    (dict(p_z=0.0, p_send=2.0), "p_z must be in (0, 1], got 0.0"),
+    (dict(p_z=Fraction(3, 2), mu_z=-1.0), "p_z must be in (0, 1], got Fraction(3, 2)"),
+    (dict(p_z=True, delta=0.0), "p_z must be a real number, got True"),
+    (dict(p_send=-1.0, mu_z=0.0), "p_send must be in [0, 1], got -1.0"),
+    (dict(p_send=math.nan, decoy_intensities=(0.0, 0.05)), "p_send must be in [0, 1], got nan"),
+    (dict(p_send=Fraction(-1, 2), delta=True), "p_send must be in [0, 1], got Fraction(-1, 2)"),
+    (dict(mu_z=-0.5, decoy_intensities=(0.0, 0.2, 0.1)), "mu_z must be in (0, inf), got -0.5"),
+    (dict(mu_z=10**400, delta=-1.0), "mu_z is a real number beyond the float range"),
+    (dict(decoy_intensities=(0.1, 0.05, 0.1), delta=7.0),
+     "decoy_intensities must start with the vacuum intensity 0"),
+    (dict(decoy_intensities=(0.0, 0.2, 0.1), delta=-1.0),
+     "decoy intensities must satisfy 0 < mu1 < mu2 < inf, got 0.2, 0.1"),
+    (dict(decoy_intensities=(0.0, "x", 0.1), delta=9.0),
+     "decoy_intensities[1] must be a real number, got 'x'"),
+    (dict(decoy_intensities=(0.0, 0.05, True), delta=0.0),
+     "decoy_intensities[2] must be a real number, got True"),
+]
+
+
+def protocol_kwargs(slot, value, base=PROTOCOL_BASE):
+    """``base`` with one field, or one decoy slot, set to ``value``."""
+    name, index = slot
+    kwargs = dict(base)
+    if index is None:
+        kwargs[name] = value
+    else:
+        items = list(kwargs[name])
+        items[index] = value
+        kwargs[name] = tuple(items)
+    return kwargs
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -83,6 +137,21 @@ class TestParams:
             ProtocolParams(p_z=1.0, p_send=0.1, mu_z=-0.5)
         proto = ProtocolParams(p_z=0.7, p_send=0.1, mu_z=0.5)
         assert proto.mu1 == 0.02 and proto.mu2 == 0.06
+        for kwargs, message in PROTOCOL_TWO_FAULTS:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ProtocolParams(**dict(PROTOCOL_BASE, **kwargs))
+        # each field and decoy slot given as an int, a Fraction, a
+        # numpy.float64 and a float subclass holds the float it equals; mu2 is
+        # 2 so that mu1 can be an int
+        base = dict(PROTOCOL_BASE, decoy_intensities=(0.0, 0.05, 2.0))
+        for slot, (whole, fraction, value) in TYPED_SLOTS.items():
+            for given, stored in [(whole, float(whole)), (fraction, value),
+                                  (np.float64(value), value), (FloatSubclass(value), value)]:
+                proto = ProtocolParams(**protocol_kwargs(slot, given, base))
+                name, index = slot
+                got = getattr(proto, name) if index is None else getattr(proto, name)[index]
+                assert type(got) is float and got.hex() == stored.hex(), (slot, given)
+                assert float_fields(proto), (slot, given)
 
     @pytest.mark.parametrize("field, p_z, values", [
         # these failed with a bare unpacking error
@@ -121,27 +190,26 @@ class TestParams:
         with pytest.raises(ValueError, match=name):
             make_exp(**{name: value})
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "0.5", 1j, None,
-                                       pytest.param(10**400, id="10**400")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, False, "0.5", 1j,
+                                       None, pytest.param(10**400, id="10**400")])
     @pytest.mark.parametrize("slot", PROTOCOL_SLOTS, ids=str)
     def test_protocol_refuses_non_finite(self, slot, value):
         name, index = slot
-        kwargs = dict(PROTOCOL_BASE)
-        ProtocolParams(**kwargs)
-        if index is None:
-            kwargs[name] = value
-        else:
-            items = list(kwargs[name])
-            items[index] = value
-            kwargs[name] = tuple(items)
+        ProtocolParams(**PROTOCOL_BASE)
+        kwargs = protocol_kwargs(slot, value)
         # a non-finite decoy value fails the intensity order or the vacuum
         # check, whose messages name no field
-        with pytest.raises(ValueError, match=None if isinstance(value, float) else name):
+        match = None if isinstance(value, float) else name
+        if isinstance(value, bool):
+            label = name if index is None else f"{name}[{index}]"
+            match = f"^{re.escape(f'{label} must be a real number, got {value!r}')}$"
+        with pytest.raises(ValueError, match=match):
             ProtocolParams(**kwargs)
 
 
 # Each field's values, the ints among them admitted as they are; every value
-# is also given as a float, an np.float64 and an np.float32.
+# is also given as a float, an np.float64, an np.float32, a Fraction and a
+# float subclass.
 TYPED_EXPERIMENT = dict(
     dark_count=(1e-8, 0), detector_eff=(0.3, 1), error_correction_f=(1.1, 1),
     misalignment=(0.05, 0), fiber_loss_db_km=(0.2, 0.16), total_pulses=(1e11, 10**11),
@@ -152,10 +220,10 @@ TYPED_PROTOCOL = dict(p_z=(0.9, 0.95), p_send=(0.1, 0.25), mu_z=(0.4, 1), nu0=(0
 
 
 def typed_values(pool):
-    """One value of each field, each in one of the four number types."""
+    """One value of each field, each in one of the six number types."""
     return st.fixed_dictionaries({
         name: st.sampled_from(values).flatmap(lambda v: st.sampled_from(
-            (v, float(v), np.float64(v), np.float32(v))))
+            (v, float(v), np.float64(v), np.float32(v), Fraction(v), FloatSubclass(v))))
         for name, values in pool.items()
     })
 

@@ -352,6 +352,19 @@ def plateau(x):
     return math.floor(8.0 * math.fsum((float(v) - 0.5) ** 2 for v in x)) / 8.0
 
 
+def cliffs(x):
+    # plateau() about (0.5, -0.45) between a NaN cliff past x0 = 0.75 and an
+    # infinite one below x1 = -0.6; past x0 = 0.745 its zero scores -0.0,
+    # which ties with 0.0
+    x = [float(v) for v in x]
+    if x[0] > 0.75:
+        return math.nan
+    if x[1] < -0.6:
+        return math.inf
+    value = plateau([x[0], x[1] + 0.95])
+    return -0.0 if value == 0.0 and x[0] > 0.745 else value
+
+
 # objective, start, bounds, maxfev
 NELDER_MEAD_CASES = {
     "rosenbrock-2d": (rosenbrock, [-1.2, 1.0], [(-2.0, 2.0), (-1.0, 3.0)], 1000),
@@ -368,6 +381,11 @@ NELDER_MEAD_CASES = {
     # the first shrink scores its four vertices at evaluations 34-37, so the
     # cap leaves it with two vertices scored and a third moved but unscored
     "cap-inside-shrink": (plateau, [0.6, 0.0, 0.2, -0.8], [(-1.0, 1.0)] * 4, 35),
+    # the start simplex holds a NaN vertex (x0 past 0.75) and an infinite one
+    # (x1 below -0.6); the search scores 3 NaNs, 13 infinities, 21 zeros and
+    # 4 negative zeros, so where a replaced vertex lands among equal values
+    # decides its steps
+    "nan-inf-signed-zero": (cliffs, [0.74, -0.6], [(-1.0, 1.0)] * 2, 2000),
 }
 
 
